@@ -26,59 +26,6 @@ import time
 # (~500 cpu-seconds at sf0.1), not actor-startup / IO-floor dominated
 SF_ROWS = {"sf0.001": 4_000, "sf0.01": 100_000, "sf0.1": 4_000_000}
 
-BENCH_QUERIES = [
-    "agg_quantity",
-    "value_counts_returnflag",
-    "between_quantity",
-    "regex_docs_by_lang",
-    "dedup_docs_prefix",
-    "token_stats_docs",
-    "ann_topk",
-    "events_increasing",
-    "qf_corpus_keep",
-    "bpe_token_stats_docs",
-    "winnow_fingerprint_docs",
-    "repetition_docs",
-    "decontaminate_docs",
-    "ks_uniform_quantity",
-    "stratified_docs",
-    "c4_clean_docs",
-    "normalize_docs",
-    "code_metrics_corpus",
-    "toxicity_docs",
-    "boilerplate_docs",
-    "chunk_docs",
-    "web_pipeline_docs",
-    "dsir_docs",
-    "kn_ppl_docs",
-    "cc_cluster_docs",
-    "bpe_train_merges",
-    "unigram_train_vocab",
-    "wordpiece_train_vocab",
-    "wordpiece_pack_docs",
-    "fim_docs",
-    "html_extract_docs",
-    "kmeans_embeddings",
-    "knn_graph_embeddings",
-    "pq_embeddings",
-    # skew kill-test pair: one mega-key (~50% of lineitem) vs uniform keys
-    # through the same salted/pre-combined dedup — the skewed leg must stay
-    # within ~1.5x of the uniform leg (BASELINE.md skew criterion)
-    "uniform_dedup_lineitem",
-    "skew_dedup_lineitem",
-    # round-4 additions: entropy secret scan (one-sweep stage) and the
-    # one-pass KLL sketch vs the exact ~66-pass rank selection on the same
-    # continuous column (the pass-count argument, measured)
-    "secret_scan_corpus",
-    "kll_quantiles_lineitem",
-    "exact_quantiles_lineitem",
-    "grouped_kll_docs",
-    "code_clone_corpus",
-    # session-14: terminal training sink — pack + Megatron shard export +
-    # manifest-verified reload (write path timing; resume dir recreated)
-    "shard_export_docs",
-]
-
 
 def _wait_for_healthy_host(
     min_first_touch_mbps: float = 1000.0,
@@ -163,8 +110,10 @@ def run_bench() -> dict:
 
     cfg = QualityFilterConfig(
         # one fused pool at 3/4 of the CPUs (read/write tasks use the rest);
-        # proportional sizing keeps the N vs 4N comparison apples-to-apples
-        actor_concurrency=max(2, (ncpus * 3) // 4),
+        # proportional sizing keeps the N vs 4N comparison apples-to-apples.
+        # At most ncpus - 1 actors: a pool holding every CPU starves the read
+        # tasks and the run hangs (1-2 CPUs)
+        actor_concurrency=max(1, min((ncpus * 3) // 4, ncpus - 1)),
         autoscale_actors=False,
         batch_size=4096,
         perplexity_model_path=f"{corpus_base}/gxr_bench_lm_v4_{n_rows}.npy",
@@ -192,7 +141,7 @@ def run_bench() -> dict:
     # ~2-3 s of one-time reduce-task spin-up that is not query compute)
     rd.range(10_000).groupby("id").count().count()
     # best of 2 per query, same methodology as the flagship headline
-    for name in BENCH_QUERIES:
+    for name in dq.BENCH_QUERIES:
         best = float("inf")
         for _ in range(2):
             t0 = time.time()

@@ -121,11 +121,12 @@ def cmd_validate(args) -> int:
         suite = suites[0]
         if len(suites) > 1:
             # fused multi-suite pass (engine.validate_many) — plain mode only
-            if args.by or args.states or args.state_out or args.wide_out:
+            if (args.by or args.states or args.state_out or args.wide_out
+                    or args.html_out):
                 raise SystemExit(
                     "validate: several --suite paths run the fused "
                     "multi-suite pass, which combines only with --input "
-                    "(not --by/--states/--state-out/--wide-out)")
+                    "(not --by/--states/--state-out/--wide-out/--html-out)")
             if not args.input:
                 raise SystemExit("validate: --input is required")
             from great_expectations_ray.engine import validate_many

@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from collections.abc import Callable
+from typing import Any, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -33,6 +35,60 @@ from great_expectations_ray.stages.dedup import (
 from great_expectations_ray.stages.scrub import DEFAULT_SCRUB_RULES
 from great_expectations_ray.stages.text_stats import TextStats
 from great_expectations_ray.functions.ordered import grouped_monotonic
+
+
+# --------------------------------------------------------------------------- #
+# catalog registry: every q_<name> is registered once, next to its oracle SQL.
+# The views at the bottom of the module derive from it: QUERIES / ORACLE_SQL
+# (the 50-entry correctness gate, in slot order), CONSTITUENT_QUERIES /
+# CONSTITUENT_ORACLE_SQL (every single operator) and BENCH_QUERIES (the
+# operators bench.py times).
+# --------------------------------------------------------------------------- #
+
+
+class CatalogEntry(NamedTuple):
+    fn: Callable[[str], Any]
+    sql: str | None  # DuckDB oracle (or fixture SQL); None = bench-only
+    gate: int | None  # slot among the 50 gated entries
+    bench: bool  # timed by bench.py
+    part: bool  # listed in CONSTITUENT_QUERIES / CONSTITUENT_ORACLE_SQL
+
+
+CATALOG: dict[str, CatalogEntry] = {}
+
+
+def register_query(fn, sql=None, *, gate=None, bench=False, part=True):
+    """Register ``q_<name>`` as ``<name>``; each name registers once."""
+    name = fn.__name__.removeprefix("q_")
+    if name in CATALOG:
+        raise ValueError(f"catalog query {name!r} is already registered")
+    CATALOG[name] = CatalogEntry(fn, sql, gate, bench, part)
+
+
+# --------------------------------------------------------------------------- #
+# fixture-backed oracles for the six seeded model/LSH queries.  The stages are
+# deterministic, so expected outputs are precomputed by an INDEPENDENT
+# pure-python/pandas reimplementation (tools/gen_oracle_fixtures.py — per-doc
+# `re`/python-int/numpy loops, no Ray, none of the stages' execution code)
+# into fixtures/<query>.parquet, keyed by a content fingerprint of the input
+# table so the same SQL selects the right expected rows at any generated SF.
+# --------------------------------------------------------------------------- #
+
+_FIXTURES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "fixtures",
+)
+
+_FP_DOCS = "(SELECT CAST(SUM(doc_id * n_chars) AS BIGINT) FROM documents)"
+_FP_EMB = "(SELECT CAST(SUM(vec_id * label) AS BIGINT) FROM embeddings)"
+
+
+def _fixture_sql(name: str, cols: str, fp_expr: str, order: str) -> str:
+    path = os.path.join(_FIXTURES, f"{name}.parquet")
+    return (
+        f"SELECT {cols} FROM read_parquet('{path}') "
+        f"WHERE fp = {fp_expr} ORDER BY {order}"
+    )
 
 
 def _read(sf_dir: str, name: str, columns=None):
@@ -69,6 +125,7 @@ SELECT 'region' AS tbl, count(*) AS row_count, count(*) BETWEEN 1 AND 10 AS succ
 UNION ALL SELECT 'nation', count(*), count(*) BETWEEN 20 AND 30 FROM nation
 UNION ALL SELECT 'orders', count(*), count(*) >= 1000 FROM orders
 """
+register_query(q_table_row_counts, SQL_TABLE_ROW_COUNTS, gate=0)
 
 
 def q_agg_quantity(sf_dir: str) -> pd.DataFrame:
@@ -100,6 +157,7 @@ SELECT round(avg(l_quantity), 6) AS mean_qty, sum(l_quantity) AS sum_qty,
        round(stddev_samp(l_quantity), 6) AS std_qty, count(*) AS n_rows
 FROM lineitem
 """
+register_query(q_agg_quantity, SQL_AGG_QUANTITY, bench=True)
 
 
 def q_value_counts_returnflag(sf_dir: str) -> pd.DataFrame:
@@ -116,6 +174,8 @@ def q_value_counts_returnflag(sf_dir: str) -> pd.DataFrame:
 SQL_VALUE_COUNTS_RETURNFLAG = """
 SELECT l_returnflag AS value, count(*) AS cnt FROM lineitem GROUP BY 1 ORDER BY 1
 """
+register_query(q_value_counts_returnflag, SQL_VALUE_COUNTS_RETURNFLAG,
+               gate=3, bench=True)
 
 
 def q_distinct_mktsegment(sf_dir: str) -> pd.DataFrame:
@@ -138,6 +198,7 @@ SELECT count(DISTINCT c_mktsegment) AS distinct_cnt,
        round(count(DISTINCT c_mktsegment) / count(c_mktsegment), 9) AS uniq_prop
 FROM customer
 """
+register_query(q_distinct_mktsegment, SQL_DISTINCT_MKTSEGMENT)
 
 
 def q_between_quantity(sf_dir: str) -> pd.DataFrame:
@@ -161,6 +222,7 @@ SELECT count(*) AS element_count,
        ((count(*) - sum(CASE WHEN NOT (l_quantity >= 10 AND l_quantity <= 40) THEN 1 ELSE 0 END)) / count(*)) >= 0.95 AS success
 FROM lineitem
 """
+register_query(q_between_quantity, SQL_BETWEEN_QUANTITY, bench=True)
 
 
 def q_regex_docs_by_lang(sf_dir: str) -> pd.DataFrame:
@@ -185,6 +247,7 @@ SELECT lang, count(*) AS element_count,
        CAST(sum(CASE WHEN NOT regexp_matches(text, 'data') THEN 1 ELSE 0 END) AS BIGINT) AS unexpected_count
 FROM documents GROUP BY lang ORDER BY lang
 """
+register_query(q_regex_docs_by_lang, SQL_REGEX_DOCS_BY_LANG, gate=4, bench=True)
 
 
 def q_value_lengths_docs(sf_dir: str) -> pd.DataFrame:
@@ -206,6 +269,7 @@ SELECT count(*) AS element_count,
        CAST(sum(CASE WHEN NOT (length(text) >= 100 AND length(text) <= 400) THEN 1 ELSE 0 END) AS BIGINT) AS unexpected_count
 FROM documents
 """
+register_query(q_value_lengths_docs, SQL_VALUE_LENGTHS_DOCS)
 
 
 def q_set_orders(sf_dir: str) -> pd.DataFrame:
@@ -228,6 +292,7 @@ SELECT count(*) AS element_count,
        CAST(sum(CASE WHEN o_orderpriority NOT IN ('1-URGENT','2-HIGH','3-MEDIUM') THEN 1 ELSE 0 END) AS BIGINT) AS unexpected_count
 FROM orders
 """
+register_query(q_set_orders, SQL_SET_ORDERS)
 
 
 def q_pair_orders(sf_dir: str) -> pd.DataFrame:
@@ -249,6 +314,7 @@ SELECT count(*) AS element_count,
        CAST(sum(CASE WHEN NOT (o_totalprice > o_custkey) THEN 1 ELSE 0 END) AS BIGINT) AS unexpected_count
 FROM orders
 """
+register_query(q_pair_orders, SQL_PAIR_ORDERS)
 
 
 # --------------------------------------------------------------------------- #
@@ -274,6 +340,7 @@ def q_dedup_docs_prefix(sf_dir: str) -> pd.DataFrame:
 SQL_DEDUP_DOCS_PREFIX = """
 SELECT min(doc_id) AS doc_id FROM documents GROUP BY substr(text, 1, 30) ORDER BY doc_id
 """
+register_query(q_dedup_docs_prefix, SQL_DEDUP_DOCS_PREFIX, bench=True)
 
 
 def q_unique_prefix_violations(sf_dir: str) -> pd.DataFrame:
@@ -302,6 +369,7 @@ SELECT (SELECT count(*) FROM documents) AS element_count,
        CAST(COALESCE(sum(CASE WHEN cnt > 1 THEN cnt END), 0) AS BIGINT) AS unexpected_count
 FROM c
 """
+register_query(q_unique_prefix_violations, SQL_UNIQUE_PREFIX_VIOLATIONS)
 
 
 def q_compound_unique_orders(sf_dir: str) -> pd.DataFrame:
@@ -324,6 +392,7 @@ SELECT (SELECT count(*) FROM orders) AS element_count,
        CAST(COALESCE(sum(CASE WHEN cnt > 1 THEN cnt END), 0) AS BIGINT) AS unexpected_count
 FROM c
 """
+register_query(q_compound_unique_orders, SQL_COMPOUND_UNIQUE_ORDERS)
 
 
 def q_most_common_returnflag(sf_dir: str) -> pd.DataFrame:
@@ -341,6 +410,7 @@ SQL_MOST_COMMON_RETURNFLAG = """
 WITH c AS (SELECT l_returnflag AS value, count(*) AS cnt FROM lineitem GROUP BY 1)
 SELECT value FROM c WHERE cnt = (SELECT max(cnt) FROM c) ORDER BY value
 """
+register_query(q_most_common_returnflag, SQL_MOST_COMMON_RETURNFLAG)
 
 
 def q_mod_sample_events(sf_dir: str) -> pd.DataFrame:
@@ -359,6 +429,7 @@ def q_mod_sample_events(sf_dir: str) -> pd.DataFrame:
 SQL_MOD_SAMPLE_EVENTS = """
 SELECT count(*) AS n, round(sum(value), 2) AS sum_value FROM events WHERE event_id % 10 = 7
 """
+register_query(q_mod_sample_events, SQL_MOD_SAMPLE_EVENTS)
 
 
 def q_hash_sample_events(sf_dir: str) -> pd.DataFrame:
@@ -380,6 +451,7 @@ SQL_HASH_SAMPLE_EVENTS = """
 SELECT count(*) AS n, min(event_id) AS min_id, max(event_id) AS max_id
 FROM events WHERE substr(md5(CAST(event_id AS VARCHAR)), 32, 1) = '0'
 """
+register_query(q_hash_sample_events, SQL_HASH_SAMPLE_EVENTS)
 
 
 def q_row_condition_lineitem(sf_dir: str) -> pd.DataFrame:
@@ -404,6 +476,7 @@ SQL_ROW_CONDITION_LINEITEM = """
 SELECT count(*) AS n, round(sum(l_extendedprice), 2) AS sum_price
 FROM lineitem WHERE l_quantity > 45 AND l_returnflag = 'A'
 """
+register_query(q_row_condition_lineitem, SQL_ROW_CONDITION_LINEITEM)
 
 
 def q_quantiles_price(sf_dir: str) -> pd.DataFrame:
@@ -431,6 +504,7 @@ SELECT
   max(CASE WHEN rn = CAST(floor(0.75 * (c - 1)) AS BIGINT) THEN v END) AS q75
 FROM s, n
 """
+register_query(q_quantiles_price, SQL_QUANTILES_PRICE)
 
 
 def q_events_increasing(sf_dir: str) -> pd.DataFrame:
@@ -453,6 +527,7 @@ SELECT user_id, count(*) AS n_rows,
        sum(CASE WHEN prev IS NOT NULL AND value < prev THEN 1 ELSE 0 END) = 0 AS monotonic
 FROM o GROUP BY user_id ORDER BY user_id
 """
+register_query(q_events_increasing, SQL_EVENTS_INCREASING, gate=6, bench=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -480,6 +555,7 @@ SELECT user_id, (epoch_us(ts) // 3600000000) * 3600000000 AS window_start,
        count(*) AS n, round(sum(value), 2) AS sum_value
 FROM events GROUP BY 1, 2 ORDER BY 1, 2
 """
+register_query(q_tumbling_events, SQL_TUMBLING_EVENTS)
 
 
 def q_session_events(sf_dir: str) -> pd.DataFrame:
@@ -507,6 +583,7 @@ SELECT user_id, min(t) AS session_start, max(t) AS session_end,
        count(*) AS n_events
 FROM s GROUP BY user_id, sid ORDER BY user_id, session_start
 """
+register_query(q_session_events, SQL_SESSION_EVENTS)
 
 
 def q_sliding_events(sf_dir: str) -> pd.DataFrame:
@@ -535,6 +612,7 @@ x AS (SELECT user_id,
 SELECT user_id, window_start, count(*) AS n, round(sum(value), 2) AS sum_value
 FROM x GROUP BY 1, 2 ORDER BY 1, 2
 """
+register_query(q_sliding_events, SQL_SLIDING_EVENTS)
 
 
 def q_token_stats_docs(sf_dir: str) -> pd.DataFrame:
@@ -571,6 +649,7 @@ SELECT lang,
        CAST(sum(len(regexp_extract_all(text, '[A-Za-z0-9]'))) AS BIGINT) AS alnum_chars
 FROM documents GROUP BY lang ORDER BY lang
 """
+register_query(q_token_stats_docs, SQL_TOKEN_STATS_DOCS, bench=True)
 
 
 def q_ann_topk(sf_dir: str) -> pd.DataFrame:
@@ -597,6 +676,7 @@ sims AS (
   FROM embeddings e, q)
 SELECT vec_id, sim FROM sims ORDER BY sim DESC, vec_id LIMIT 10
 """
+register_query(q_ann_topk, SQL_ANN_TOPK, bench=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -691,6 +771,7 @@ SQL_QF_CORPUS_KEEP = f"""
 WITH {_SQL_CORPUS_CTE}
 SELECT doc_id, keep FROM scored ORDER BY doc_id
 """
+register_query(q_qf_corpus_keep, SQL_QF_CORPUS_KEEP, bench=True)
 
 
 def q_qf_corpus_scrub(sf_dir: str) -> pd.DataFrame:
@@ -719,6 +800,7 @@ SELECT doc_id,
       '-----BEGIN [A-Z ]*PRIVATE KEY-----', '<PRIVATE_KEY_HEADER>', 'g')) AS scrub_md5
 FROM scored ORDER BY doc_id
 """
+register_query(q_qf_corpus_scrub, SQL_QF_CORPUS_SCRUB)
 
 
 def q_qf_corpus_rollup(sf_dir: str) -> pd.DataFrame:
@@ -762,6 +844,7 @@ SELECT repo, lang,
   ((count(*) - sum(CASE WHEN NOT (token_cnt >= 25) THEN 1 ELSE 0 END)) / count(*)) >= 0.9 AS success_tokens
 FROM scored GROUP BY repo, lang ORDER BY repo, lang
 """
+register_query(q_qf_corpus_rollup, SQL_QF_CORPUS_ROLLUP, gate=10)
 
 
 def _grouped_sum(ds, keys: list[str], cols: list[str]):
@@ -816,6 +899,7 @@ FROM orders JOIN customer ON o_custkey = c_custkey
             JOIN nation ON c_nationkey = n_nationkey
 GROUP BY n_name ORDER BY n_name
 """
+register_query(q_join_revenue_by_nation, SQL_JOIN_REVENUE_BY_NATION, gate=13)
 
 
 def q_join_lineitem_orders(sf_dir: str) -> pd.DataFrame:
@@ -851,6 +935,7 @@ SELECT o_orderpriority, count(*) AS n_items, sum(l_quantity) AS sum_qty
 FROM lineitem JOIN orders ON l_orderkey = o_orderkey
 GROUP BY 1 ORDER BY 1
 """
+register_query(q_join_lineitem_orders, SQL_JOIN_LINEITEM_ORDERS, gate=14)
 
 
 def q_customers_without_orders(sf_dir: str) -> pd.DataFrame:
@@ -869,6 +954,7 @@ SQL_CUSTOMERS_WITHOUT_ORDERS = """
 SELECT c_custkey FROM customer
 WHERE c_custkey NOT IN (SELECT o_custkey FROM orders) ORDER BY 1
 """
+register_query(q_customers_without_orders, SQL_CUSTOMERS_WITHOUT_ORDERS)
 
 
 def q_orders_by_month(sf_dir: str) -> pd.DataFrame:
@@ -898,6 +984,7 @@ SELECT CAST(year(o_orderdate) AS INT) AS y, CAST(month(o_orderdate) AS INT) AS m
        count(*) AS n
 FROM orders GROUP BY 1, 2 ORDER BY 1, 2
 """
+register_query(q_orders_by_month, SQL_ORDERS_BY_MONTH, gate=15)
 
 
 def q_pushdown_read(sf_dir: str) -> pd.DataFrame:
@@ -921,6 +1008,7 @@ def q_pushdown_read(sf_dir: str) -> pd.DataFrame:
 SQL_PUSHDOWN_READ = """
 SELECT count(*) AS n, sum(l_quantity) AS sum_qty FROM lineitem WHERE l_returnflag = 'A'
 """
+register_query(q_pushdown_read, SQL_PUSHDOWN_READ)
 
 
 def q_zscore_quantity(sf_dir: str) -> pd.DataFrame:
@@ -943,6 +1031,7 @@ SELECT count(*) AS element_count,
        CAST(sum(CASE WHEN NOT (abs((l_quantity - m) / sd) < 1.5) THEN 1 ELSE 0 END) AS BIGINT) AS unexpected_count
 FROM lineitem, s
 """
+register_query(q_zscore_quantity, SQL_ZSCORE_QUANTITY)
 
 
 def q_kl_event_types(sf_dir: str) -> pd.DataFrame:
@@ -969,6 +1058,7 @@ SELECT round(sum((cnt / total) * ln((cnt / total) / 0.2)), 9) AS kl,
        sum((cnt / total) * ln((cnt / total) / 0.2)) < 0.05 AS success
 FROM c, n
 """
+register_query(q_kl_event_types, SQL_KL_EVENT_TYPES)
 
 
 def q_cramers_events(sf_dir: str) -> pd.DataFrame:
@@ -1016,6 +1106,7 @@ SELECT round(sqrt(chi2 / (total * least(nr - 1, nc - 1))), 9) AS phi,
        sqrt(chi2 / (total * least(nr - 1, nc - 1))) < 0.2 AS success
 FROM chi
 """
+register_query(q_cramers_events, SQL_CRAMERS_EVENTS)
 
 
 def q_props_extract_events(sf_dir: str) -> pd.DataFrame:
@@ -1053,6 +1144,7 @@ SELECT event_type,
        CAST(sum(CASE WHEN regexp_extract(props, '"k": (\d+)', 1) <> '' THEN 1 ELSE 0 END) AS BIGINT) AS n_valid
 FROM events GROUP BY event_type ORDER BY event_type
 """
+register_query(q_props_extract_events, SQL_PROPS_EXTRACT_EVENTS, gate=18)
 
 
 def q_json_parseable_events(sf_dir: str) -> pd.DataFrame:
@@ -1073,6 +1165,7 @@ SELECT count(*) AS element_count,
        CAST(sum(CASE WHEN NOT json_valid(props) THEN 1 ELSE 0 END) AS BIGINT) AS unexpected_count
 FROM events
 """
+register_query(q_json_parseable_events, SQL_JSON_PARSEABLE_EVENTS)
 
 
 def q_tpch_q1(sf_dir: str) -> pd.DataFrame:
@@ -1130,6 +1223,7 @@ SELECT l_returnflag, l_linestatus,
 FROM lineitem WHERE l_shipdate <= TIMESTAMP '1997-09-02'
 GROUP BY 1, 2 ORDER BY 1, 2
 """
+register_query(q_tpch_q1, SQL_TPCH_Q1, gate=16)
 
 
 def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
@@ -1186,6 +1280,7 @@ WHERE c_mktsegment = 'BUILDING'
 GROUP BY l_orderkey, o_orderdate
 ORDER BY revenue DESC, l_orderkey LIMIT 10
 """
+register_query(q_tpch_q3, SQL_TPCH_Q3, gate=17)
 
 
 def q_content_sha_corpus(sf_dir: str) -> pd.DataFrame:
@@ -1261,6 +1356,7 @@ SELECT 'diff', coalesce(o.doc_id, n.doc_id),
 FROM old o FULL OUTER JOIN new n ON o.doc_id = n.doc_id
 ORDER BY method, doc_id
 """
+register_query(q_content_sha_corpus, SQL_CONTENT_SHA_CORPUS, gate=11)
 
 
 def q_sha_prefix_dedup(sf_dir: str) -> pd.DataFrame:
@@ -1283,6 +1379,7 @@ SQL_SHA_PREFIX_DEDUP = """
 SELECT min(doc_id) AS doc_id FROM documents
 GROUP BY sha256(substr(text, 1, 40)) ORDER BY doc_id
 """
+register_query(q_sha_prefix_dedup, SQL_SHA_PREFIX_DEDUP)
 
 
 # --------------------------------------------------------------------------- #
@@ -1304,6 +1401,10 @@ def q_minhash_neardup_docs(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+register_query(q_minhash_neardup_docs, _fixture_sql(
+    "minhash_neardup_docs", "doc_id, is_neardup", _FP_DOCS, "doc_id"))
+
+
 def q_cc_cluster_docs(sf_dir: str) -> pd.DataFrame:
     """Transitive fuzzy-dedup clusters: LSH bucket star edges -> distributed
     connected components (hash-min label propagation with shortcut doubling)
@@ -1319,6 +1420,10 @@ def q_cc_cluster_docs(sf_dir: str) -> pd.DataFrame:
         {"doc_id": r["doc_id"], "cluster": r["cluster"]} for r in rows
     ])
     return df.sort_values("doc_id").reset_index(drop=True)
+
+
+register_query(q_cc_cluster_docs, _fixture_sql(
+    "cc_cluster_docs", "doc_id, cluster", _FP_DOCS, "doc_id"), bench=True)
 
 
 def q_cc_keep_best_docs(sf_dir: str) -> pd.DataFrame:
@@ -1344,6 +1449,16 @@ def q_cc_keep_best_docs(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+register_query(q_cc_keep_best_docs, (
+    "SELECT f.doc_id, (ROW_NUMBER() OVER ("
+    "PARTITION BY f.cluster ORDER BY d.n_chars DESC, f.doc_id ASC) = 1)"
+    " AS keep "
+    f"FROM read_parquet('{os.path.join(_FIXTURES, 'cc_cluster_docs.parquet')}') f "
+    "JOIN documents d USING (doc_id) "
+    f"WHERE f.fp = {_FP_DOCS} ORDER BY f.doc_id"
+))
+
+
 def q_ngram_jaccard_neardup_docs(sf_dir: str) -> pd.DataFrame:
     """Exact n-gram Jaccard near-dup marking: LSH-banded candidates, star
     pairing per bucket, EXACT deduplicated k-gram Jaccard verify vs the
@@ -1364,6 +1479,10 @@ def q_ngram_jaccard_neardup_docs(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+register_query(q_ngram_jaccard_neardup_docs, _fixture_sql(
+    "ngram_jaccard_neardup_docs", "doc_id, is_neardup", _FP_DOCS, "doc_id"))
+
+
 def q_simhash_neardup_docs(sf_dir: str) -> pd.DataFrame:
     """SimHash hamming-band near-dup marking over documents."""
     from great_expectations_ray.stages.neardup import simhash_mark_duplicates
@@ -1375,6 +1494,10 @@ def q_simhash_neardup_docs(sf_dir: str) -> pd.DataFrame:
         {"doc_id": r["doc_id"], "is_neardup": bool(r["max(is_neardup)"])} for r in rows
     ])
     return df.sort_values("doc_id").reset_index(drop=True)
+
+
+register_query(q_simhash_neardup_docs, _fixture_sql(
+    "simhash_neardup_docs", "doc_id, is_neardup", _FP_DOCS, "doc_id"))
 
 
 def q_embedding_neardup(sf_dir: str) -> pd.DataFrame:
@@ -1390,6 +1513,10 @@ def q_embedding_neardup(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("vec_id").reset_index(drop=True)
 
 
+register_query(q_embedding_neardup, _fixture_sql(
+    "embedding_neardup", "vec_id, is_neardup", _FP_EMB, "vec_id"))
+
+
 def q_lsh_ann_topk(sf_dir: str) -> pd.DataFrame:
     """Approximate ANN (LSH-bucketed) — the scale path next to brute force."""
     from great_expectations_ray.stages.ann import lsh_topk
@@ -1400,6 +1527,10 @@ def q_lsh_ann_topk(sf_dir: str) -> pd.DataFrame:
     top = lsh_topk(ds, query, k=10)
     return pd.DataFrame([{"vec_id": vid, "sim": round(s, 6)} for vid, s in top]) \
         .sort_values("vec_id").reset_index(drop=True)
+
+
+register_query(q_lsh_ann_topk, _fixture_sql(
+    "lsh_ann_topk", "vec_id, sim", _FP_EMB, "vec_id"))
 
 
 def q_ivf_ann_topk(sf_dir: str) -> pd.DataFrame:
@@ -1415,6 +1546,10 @@ def q_ivf_ann_topk(sf_dir: str) -> pd.DataFrame:
         .sort_values("vec_id").reset_index(drop=True)
 
 
+register_query(q_ivf_ann_topk, _fixture_sql(
+    "ivf_ann_topk", "vec_id, sim", _FP_EMB, "vec_id"))
+
+
 def q_langid_docs(sf_dir: str) -> pd.DataFrame:
     """Language-ID actor stage over documents (deterministic classifier)."""
     from great_expectations_ray.stages.langid import LangIdScorer
@@ -1428,6 +1563,10 @@ def q_langid_docs(sf_dir: str) -> pd.DataFrame:
     )
     rows = scored.select_columns(["doc_id", "lang_pred"]).take_all()
     return pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
+
+
+register_query(q_langid_docs, _fixture_sql(
+    "langid_docs", "doc_id, lang_pred", _FP_DOCS, "doc_id"))
 
 
 def q_perplexity_docs(sf_dir: str) -> pd.DataFrame:
@@ -1454,6 +1593,10 @@ def q_perplexity_docs(sf_dir: str) -> pd.DataFrame:
     df = pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
     df["perplexity"] = df["perplexity"].round(6)
     return df
+
+
+register_query(q_perplexity_docs, _fixture_sql(
+    "perplexity_docs", "doc_id, perplexity", _FP_DOCS, "doc_id"))
 
 
 def q_bpe_token_stats_docs(sf_dir: str) -> pd.DataFrame:
@@ -1497,6 +1640,7 @@ SELECT lang,
        CAST(SUM(len(regexp_extract_all(text, '{_BPE_SQL_PAT}'))) AS BIGINT) AS bpe_tokens
 FROM documents GROUP BY lang ORDER BY lang
 """
+register_query(q_bpe_token_stats_docs, SQL_BPE_TOKEN_STATS_DOCS, bench=True)
 
 
 def q_minhash_verified_docs(sf_dir: str) -> pd.DataFrame:
@@ -1513,6 +1657,10 @@ def q_minhash_verified_docs(sf_dir: str) -> pd.DataFrame:
         {"doc_id": r["doc_id"], "is_neardup": bool(r["max(is_neardup)"])} for r in rows
     ])
     return df.sort_values("doc_id").reset_index(drop=True)
+
+
+register_query(q_minhash_verified_docs, _fixture_sql(
+    "minhash_verified_docs", "doc_id, is_neardup", _FP_DOCS, "doc_id"))
 
 
 def q_winnow_fingerprint_docs(sf_dir: str) -> pd.DataFrame:
@@ -1536,6 +1684,11 @@ def q_winnow_fingerprint_docs(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+register_query(q_winnow_fingerprint_docs, _fixture_sql(
+    "winnow_fingerprint_docs", "doc_id, n_fingerprints, fp_digest",
+    _FP_DOCS, "doc_id"), bench=True)
+
+
 def q_fingerprint_overlap_docs(sf_dir: str) -> pd.DataFrame:
     """Copy-detection join: doc pairs sharing >=30 winnowed fingerprints."""
     from great_expectations_ray.stages.fingerprint import (
@@ -1550,6 +1703,11 @@ def q_fingerprint_overlap_docs(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"id_a": [], "id_b": [], "shared": []}).astype("int64")
     df = df[["id_a", "id_b", "shared"]].astype("int64")
     return df.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+
+
+register_query(q_fingerprint_overlap_docs, _fixture_sql(
+    "fingerprint_overlap_docs", "id_a, id_b, shared", _FP_DOCS,
+    "id_a, id_b"))
 
 
 def q_repetition_docs(sf_dir: str) -> pd.DataFrame:
@@ -1601,6 +1759,7 @@ LEFT JOIN t4 USING (doc_id) LEFT JOIN u5 USING (doc_id)
 ORDER BY d.doc_id
 """
 )
+register_query(q_repetition_docs, SQL_REPETITION_DOCS, gate=19, bench=True)
 
 
 def q_decontaminate_docs(sf_dir: str) -> pd.DataFrame:
@@ -1632,6 +1791,7 @@ SELECT d.doc_id, (hit.doc_id IS NOT NULL) AS contaminated
 FROM d LEFT JOIN hit ON d.doc_id = hit.doc_id
 WHERE d.doc_id % 37 <> 0 ORDER BY d.doc_id
 """
+register_query(q_decontaminate_docs, SQL_DECONTAMINATE_DOCS, gate=20, bench=True)
 
 
 def q_ks_uniform_quantity(sf_dir: str) -> pd.DataFrame:
@@ -1661,6 +1821,7 @@ SELECT round(max(greatest(rn*1.0/n - fx, fx - (rn-1.0)/n)), 9) AS d_stat,
        CAST(max(n) AS BIGINT) AS n
 FROM f
 """
+register_query(q_ks_uniform_quantity, SQL_KS_UNIFORM_QUANTITY, bench=True)
 
 
 def q_pack_docs(sf_dir: str) -> pd.DataFrame:
@@ -1695,6 +1856,7 @@ SELECT doc_id, CAST(tokens AS BIGINT) AS tokens, prior AS token_offset,
        CAST(prior // 2048 AS BIGINT) AS seq_id
 FROM c ORDER BY doc_id
 """
+register_query(q_pack_docs, SQL_PACK_DOCS)
 
 
 def q_stratified_docs(sf_dir: str) -> pd.DataFrame:
@@ -1750,6 +1912,7 @@ ORDER BY method, lang, doc_id
         os.path.abspath(__file__)))), "fixtures"),
     fp="(SELECT CAST(SUM(doc_id * n_chars) AS BIGINT) FROM documents)",
 )
+register_query(q_stratified_docs, SQL_STRATIFIED_DOCS, gate=22, bench=True)
 
 
 _PROFILE_COLS = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
@@ -1784,6 +1947,7 @@ SQL_PROFILE_LINEITEM = " UNION ALL ".join(
         FROM lineitem"""
     for c in _PROFILE_COLS
 ) + " ORDER BY col"
+register_query(q_profile_lineitem, SQL_PROFILE_LINEITEM, gate=23)
 
 
 def q_asof_events(sf_dir: str) -> pd.DataFrame:
@@ -1825,6 +1989,7 @@ ASOF LEFT JOIN (
   ON l.user_id = r.user_id AND l.ts >= r.ts
 ORDER BY l.event_id
 """
+register_query(q_asof_events, SQL_ASOF_EVENTS, gate=24)
 
 
 def q_range_join_quantity(sf_dir: str) -> pd.DataFrame:
@@ -1870,6 +2035,7 @@ JOIN (VALUES ('low', 1.0, 25.0), ('mid', 20.0, 40.0), ('high', 35.0, 50.0))
   ON l.l_quantity >= b.lo AND l.l_quantity <= b.hi
 GROUP BY b.band ORDER BY b.band
 """
+register_query(q_range_join_quantity, SQL_RANGE_JOIN_QUANTITY, gate=25)
 
 
 def q_setops_nations(sf_dir: str) -> pd.DataFrame:
@@ -1909,6 +2075,7 @@ SELECT 'except' AS op, n FROM
   (SELECT c_nationkey AS n FROM customer EXCEPT SELECT s_nationkey FROM supplier)
 ORDER BY op, n
 """
+register_query(q_setops_nations, SQL_SETOPS_NATIONS, gate=26)
 
 
 def q_window_rank_events(sf_dir: str) -> pd.DataFrame:
@@ -1984,6 +2151,7 @@ SELECT event_id, user_id, row_number, lag, mavg3,
             AS BIGINT) AS session_idx
 FROM l ORDER BY event_id
 """
+register_query(q_window_rank_events, SQL_WINDOW_RANK_EVENTS, gate=27)
 
 
 def q_paragraph_dedup_docs(sf_dir: str) -> pd.DataFrame:
@@ -2022,6 +2190,7 @@ SELECT d.doc_id,
 FROM documents d LEFT JOIN rebuilt r USING (doc_id)
 ORDER BY d.doc_id
 """
+register_query(q_paragraph_dedup_docs, SQL_PARAGRAPH_DEDUP_DOCS, gate=28)
 
 
 def q_tfidf_docs(sf_dir: str) -> pd.DataFrame:
@@ -2059,6 +2228,7 @@ QUALIFY row_number() OVER (
            tf.term ASC) <= 5
 ORDER BY doc_id, term
 """
+register_query(q_tfidf_docs, SQL_TFIDF_DOCS, gate=29)
 
 
 def q_fasttext_langid_docs(sf_dir: str) -> pd.DataFrame:
@@ -2077,6 +2247,11 @@ def q_fasttext_langid_docs(sf_dir: str) -> pd.DataFrame:
     )
 
 
+register_query(q_fasttext_langid_docs, _fixture_sql(
+    "fasttext_langid_docs", "doc_id, pred_label, pred_score", _FP_DOCS,
+    "doc_id"))
+
+
 def q_semdedup_embeddings(sf_dir: str) -> pd.DataFrame:
     """SemDeDup (stages/semdedup.py): seeded k-means clusters + per-cluster
     greedy cosine pruning at threshold 0.9.  Oracle: fixture parquet from an
@@ -2086,6 +2261,10 @@ def q_semdedup_embeddings(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = semdedup(ds).to_pandas()
     return out.sort_values("vec_id").reset_index(drop=True)
+
+
+register_query(q_semdedup_embeddings, _fixture_sql(
+    "semdedup_embeddings", "vec_id, cluster, is_dup", _FP_EMB, "vec_id"), gate=31)
 
 
 def q_heavy_hitters_words(sf_dir: str) -> pd.DataFrame:
@@ -2144,6 +2323,7 @@ UNION ALL
 SELECT 'index', term, df, posting_md5 FROM inv
 ORDER BY method, value
 """
+register_query(q_heavy_hitters_words, SQL_HEAVY_HITTERS_WORDS, gate=32)
 
 
 def q_bloom_incremental_dedup(sf_dir: str) -> pd.DataFrame:
@@ -2212,6 +2392,7 @@ ORDER BY method, doc_id
         os.path.abspath(__file__)))), "fixtures"),
     fp_docs="(SELECT CAST(SUM(doc_id * n_chars) AS BIGINT) FROM documents)",
 )
+register_query(q_bloom_incremental_dedup, SQL_BLOOM_INCREMENTAL_DEDUP, gate=33)
 
 
 def q_c4_clean_docs(sf_dir: str) -> pd.DataFrame:
@@ -2258,6 +2439,7 @@ SELECT doc_id,
        (len(kept) >= 2 AND NOT regexp_matches(t, '(?i)\b(dup)\b')) AS keep
 FROM l ORDER BY doc_id
 """
+register_query(q_c4_clean_docs, SQL_C4_CLEAN_DOCS, gate=34, bench=True)
 
 
 def q_bm25_search_docs(sf_dir: str) -> pd.DataFrame:
@@ -2303,6 +2485,7 @@ ORDER BY score DESC, s.doc_id LIMIT {k}
 
 
 SQL_BM25_SEARCH_DOCS = _bm25_sql(["scan", "merge", "window"], 15)
+register_query(q_bm25_search_docs, SQL_BM25_SEARCH_DOCS, gate=35)
 
 
 _MIX_WEIGHTS = {"src0": 2.0, "src1": 0.5, "src2": 1.25, "src3": 0.0}
@@ -2370,6 +2553,7 @@ ORDER BY method, doc_id, epoch
 
 
 SQL_MIX_REPETITION_DOCS = _mix_sql(_MIX_WEIGHTS)
+register_query(q_mix_repetition_docs, SQL_MIX_REPETITION_DOCS, gate=36)
 
 
 def q_normalize_docs(sf_dir: str) -> pd.DataFrame:
@@ -2417,6 +2601,7 @@ n AS (SELECT doc_id, dirty,
       FROM d)
 SELECT doc_id, norm_text, (norm_text <> dirty) AS changed FROM n ORDER BY doc_id
 """
+register_query(q_normalize_docs, SQL_NORMALIZE_DOCS, bench=True)
 
 _HTML_PRE = ("<html><head><title>Doc </title>"
              "<style>p{color:red}</style>"
@@ -2477,6 +2662,7 @@ def _sql_html_extract_docs() -> str:
 
 
 SQL_HTML_EXTRACT_DOCS = _sql_html_extract_docs()
+register_query(q_html_extract_docs, SQL_HTML_EXTRACT_DOCS, bench=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -2609,6 +2795,7 @@ SELECT doc_id,
      AND n_chars > 0) AS minified
 FROM m ORDER BY doc_id
 """)
+register_query(q_code_metrics_corpus, SQL_CODE_METRICS_CORPUS, gate=38, bench=True)
 
 
 def q_imports_corpus(sf_dir: str) -> pd.DataFrame:
@@ -2631,6 +2818,7 @@ FROM (
   ) AS module FROM code_corpus)
 GROUP BY module ORDER BY module
 """)
+register_query(q_imports_corpus, SQL_IMPORTS_CORPUS)
 
 
 def q_license_majority_corpus(sf_dir: str) -> pd.DataFrame:
@@ -2659,6 +2847,7 @@ SELECT repo, license, cnt FROM cnts
 QUALIFY row_number() OVER (PARTITION BY repo ORDER BY cnt DESC, license ASC) = 1
 ORDER BY repo
 """)
+register_query(q_license_majority_corpus, SQL_LICENSE_MAJORITY_CORPUS)
 
 
 def q_secret_scan_corpus(sf_dir: str) -> pd.DataFrame:
@@ -2703,6 +2892,7 @@ SELECT d.doc_id,
 FROM code_corpus d LEFT JOIN flags f USING (doc_id)
 GROUP BY d.doc_id ORDER BY d.doc_id
 """)
+register_query(q_secret_scan_corpus, SQL_SECRET_SCAN_CORPUS, bench=True)
 
 
 def q_code_clone_corpus(sf_dir: str) -> pd.DataFrame:
@@ -2749,6 +2939,7 @@ UNION ALL
 SELECT doc_id, level, CAST(is_clone AS BIGINT) AS is_clone FROM v2
 ORDER BY level, doc_id
 """)
+register_query(q_code_clone_corpus, SQL_CODE_CLONE_CORPUS, bench=True)
 
 
 def _derived_url_corpus(sf_dir: str):
@@ -2829,6 +3020,7 @@ def q_url_canon_docs(sf_dir: str) -> pd.DataFrame:
 SQL_URL_CANON_DOCS = ("WITH " + _SQL_URL_CORPUS_CTE + "," + _SQL_URL_CANON_STEPS + """
 SELECT doc_id, canon_url, domain FROM canon ORDER BY doc_id
 """)
+register_query(q_url_canon_docs, SQL_URL_CANON_DOCS)
 
 _DOMAIN_BLOCKLIST = ("site0.com", "site5.com")
 _DOMAIN_CAP_K = 30
@@ -2855,6 +3047,7 @@ QUALIFY row_number() OVER (
     PARTITION BY domain ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) <= {_DOMAIN_CAP_K}
 ORDER BY domain, doc_id
 """)
+register_query(q_domain_cap_docs, SQL_DOMAIN_CAP_DOCS)
 
 
 def q_toxicity_docs(sf_dir: str) -> pd.DataFrame:
@@ -2995,6 +3188,7 @@ FROM m LEFT JOIN cc ON m.doc_id = cc.doc_id
        LEFT JOIN dict ON m.doc_id = dict.doc_id
 ORDER BY m.doc_id
 """
+register_query(q_toxicity_docs, SQL_TOXICITY_DOCS, gate=41, bench=True)
 
 
 _BP_MIN_DOCS = 50
@@ -3061,6 +3255,7 @@ outp AS (SELECT doc_id,
 SELECT doc_id, md5(clean) AS clean_md5, CAST(n_dropped AS BIGINT) AS n_dropped
 FROM outp ORDER BY doc_id
 """
+register_query(q_boilerplate_docs, SQL_BOILERPLATE_DOCS, gate=42, bench=True)
 
 
 def q_substr_dup_docs(sf_dir: str) -> pd.DataFrame:
@@ -3117,6 +3312,7 @@ SELECT doc_id,
 FROM ww WHERE win IN (SELECT win FROM dup)
 GROUP BY doc_id ORDER BY doc_id
 """
+register_query(q_substr_dup_docs, SQL_SUBSTR_DUP_DOCS)
 
 
 def q_lm_trained_ppl_docs(sf_dir: str) -> pd.DataFrame:
@@ -3145,6 +3341,10 @@ def q_lm_trained_ppl_docs(sf_dir: str) -> pd.DataFrame:
     df = pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
     df["perplexity"] = df["perplexity"].round(6)
     return df
+
+
+register_query(q_lm_trained_ppl_docs, _fixture_sql(
+    "lm_trained_ppl_docs", "doc_id, perplexity", _FP_DOCS, "doc_id"))
 
 
 def q_grouped_quantiles_docs(sf_dir: str) -> pd.DataFrame:
@@ -3176,6 +3376,7 @@ SELECT lang,
   COUNT(DISTINCT n_chars)      AS n_distinct_chars
 FROM documents GROUP BY lang ORDER BY lang
 """
+register_query(q_grouped_quantiles_docs, SQL_GROUPED_QUANTILES_DOCS, gate=45)
 
 
 def q_chunk_docs(sf_dir: str) -> pd.DataFrame:
@@ -3212,6 +3413,7 @@ SELECT doc_id,
   md5(substr(text, CAST(p AS INTEGER) + 1, 120)) AS chunk_md5
 FROM ch ORDER BY doc_id, chunk_idx
 """
+register_query(q_chunk_docs, SQL_CHUNK_DOCS, bench=True)
 
 
 def q_fim_docs(sf_dir: str) -> pd.DataFrame:
@@ -3261,6 +3463,7 @@ SELECT doc_id,
   ELSE text END) AS fim_md5
 FROM g ORDER BY doc_id
 """
+register_query(q_fim_docs, SQL_FIM_DOCS, bench=True)
 
 
 _WEB_CAP_K = 30
@@ -3424,6 +3627,7 @@ WHERE NOT (CASE WHEN word_cnt > 0
                 THEN CAST(tox_matches AS DOUBLE) / word_cnt ELSE 0.0 END) > 0.01
 ORDER BY doc_id
 """
+register_query(q_web_pipeline_docs, SQL_WEB_PIPELINE_DOCS, gate=47, bench=True)
 
 
 def q_media_decode_stats(sf_dir: str) -> pd.DataFrame:
@@ -3660,6 +3864,34 @@ SELECT doc_id,
   CAST(CASE WHEN doc_id % 2 = 0 THEN 0 ELSE 400 END AS BIGINT) AS n_samples
 FROM documents ORDER BY doc_id
 """
+# dhash + video arms of media_decode_stats: closed-form decode stats UNION
+# the independent perceptual-hash fixtures (media_type discriminates arms)
+register_query(q_media_decode_stats, (
+    f"SELECT * FROM ({SQL_MEDIA_DECODE_STATS}) AS stats_arm "
+    "UNION ALL "
+    "SELECT doc_id, 'image/dhash' AS media_type, "
+    "CAST(is_neardup AS DOUBLE) AS mean_val, "
+    "CAST(0 AS INTEGER) AS width_dec, CAST(0 AS INTEGER) AS height_dec, "
+    "CAST(dhash63 AS BIGINT) AS n_samples "
+    f"FROM read_parquet('{os.path.join(_FIXTURES, 'media_dhash_docs.parquet')}') "
+    f"WHERE fp = {_FP_DOCS} "
+    "UNION ALL "
+    "SELECT doc_id, 'video/fp' AS media_type, "
+    "CAST(is_neardup AS DOUBLE) AS mean_val, "
+    "CAST(n_frames AS INTEGER) AS width_dec, "
+    "CAST(0 AS INTEGER) AS height_dec, "
+    "CAST(vfp63 AS BIGINT) AS n_samples "
+    f"FROM read_parquet('{os.path.join(_FIXTURES, 'media_video_docs.parquet')}') "
+    f"WHERE fp = {_FP_DOCS} "
+    "UNION ALL "
+    "SELECT doc_id, 'audio/logmel' AS media_type, "
+    "logmel_mean AS mean_val, "
+    "CAST(n_frames AS INTEGER) AS width_dec, "
+    "CAST(0 AS INTEGER) AS height_dec, "
+    "CAST(800 + (doc_id % 5) * 160 AS BIGINT) AS n_samples "
+    f"FROM read_parquet('{os.path.join(_FIXTURES, 'media_logmel_docs.parquet')}') "
+    f"WHERE fp = {_FP_DOCS}"
+), gate=48)
 
 
 def q_dsir_docs(sf_dir: str) -> pd.DataFrame:
@@ -3682,266 +3914,9 @@ def q_dsir_docs(sf_dir: str) -> pd.DataFrame:
                          "selected": df["selected"]})
 
 
-# --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
+register_query(q_dsir_docs, _fixture_sql(
+    "dsir_docs", "doc_id, logw, selected", _FP_DOCS, "doc_id"), bench=True)
 
-QUERIES = {
-    "table_row_counts": q_table_row_counts,
-    "agg_quantity": q_agg_quantity,
-    "value_counts_returnflag": q_value_counts_returnflag,
-    "distinct_mktsegment": q_distinct_mktsegment,
-    "between_quantity": q_between_quantity,
-    "regex_docs_by_lang": q_regex_docs_by_lang,
-    "value_lengths_docs": q_value_lengths_docs,
-    "set_orders": q_set_orders,
-    "pair_orders": q_pair_orders,
-    "dedup_docs_prefix": q_dedup_docs_prefix,
-    "unique_prefix_violations": q_unique_prefix_violations,
-    "compound_unique_orders": q_compound_unique_orders,
-    "most_common_returnflag": q_most_common_returnflag,
-    "mod_sample_events": q_mod_sample_events,
-    "hash_sample_events": q_hash_sample_events,
-    "row_condition_lineitem": q_row_condition_lineitem,
-    "quantiles_price": q_quantiles_price,
-    "events_increasing": q_events_increasing,
-    "token_stats_docs": q_token_stats_docs,
-    "ann_topk": q_ann_topk,
-    "qf_corpus_keep": q_qf_corpus_keep,
-    "qf_corpus_scrub": q_qf_corpus_scrub,
-    "qf_corpus_rollup": q_qf_corpus_rollup,
-    "content_sha_corpus": q_content_sha_corpus,
-    "sha_prefix_dedup": q_sha_prefix_dedup,
-    "tumbling_events": q_tumbling_events,
-    "session_events": q_session_events,
-    "sliding_events": q_sliding_events,
-    "join_revenue_by_nation": q_join_revenue_by_nation,
-    "join_lineitem_orders": q_join_lineitem_orders,
-    "customers_without_orders": q_customers_without_orders,
-    "orders_by_month": q_orders_by_month,
-    "tpch_q1": q_tpch_q1,
-    "tpch_q3": q_tpch_q3,
-    "props_extract_events": q_props_extract_events,
-    "json_parseable_events": q_json_parseable_events,
-    "pushdown_read": q_pushdown_read,
-    "zscore_quantity": q_zscore_quantity,
-    "kl_event_types": q_kl_event_types,
-    "cramers_events": q_cramers_events,
-    "repetition_docs": q_repetition_docs,
-    "decontaminate_docs": q_decontaminate_docs,
-    "ks_uniform_quantity": q_ks_uniform_quantity,
-    "pack_docs": q_pack_docs,
-    "stratified_docs": q_stratified_docs,
-    "profile_lineitem": q_profile_lineitem,
-    "asof_events": q_asof_events,
-    "range_join_quantity": q_range_join_quantity,
-    "setops_nations": q_setops_nations,
-    "window_rank_events": q_window_rank_events,
-    "paragraph_dedup_docs": q_paragraph_dedup_docs,
-    "tfidf_docs": q_tfidf_docs,
-    "fasttext_langid_docs": q_fasttext_langid_docs,
-    "semdedup_embeddings": q_semdedup_embeddings,
-    "heavy_hitters_words": q_heavy_hitters_words,
-    "bloom_incremental_dedup": q_bloom_incremental_dedup,
-    "c4_clean_docs": q_c4_clean_docs,
-    "bm25_search_docs": q_bm25_search_docs,
-    "mix_repetition_docs": q_mix_repetition_docs,
-    "normalize_docs": q_normalize_docs,
-    "html_extract_docs": q_html_extract_docs,
-    "code_metrics_corpus": q_code_metrics_corpus,
-    "imports_corpus": q_imports_corpus,
-    "license_majority_corpus": q_license_majority_corpus,
-    "secret_scan_corpus": q_secret_scan_corpus,
-    "code_clone_corpus": q_code_clone_corpus,
-    "url_canon_docs": q_url_canon_docs,
-    "domain_cap_docs": q_domain_cap_docs,
-    "toxicity_docs": q_toxicity_docs,
-    "boilerplate_docs": q_boilerplate_docs,
-    "substr_dup_docs": q_substr_dup_docs,
-    "lm_trained_ppl_docs": q_lm_trained_ppl_docs,
-    "grouped_quantiles_docs": q_grouped_quantiles_docs,
-    "chunk_docs": q_chunk_docs,
-    "fim_docs": q_fim_docs,
-    "web_pipeline_docs": q_web_pipeline_docs,
-    "media_decode_stats": q_media_decode_stats,
-    # rows-only (no SQL oracle):
-    "langid_docs": q_langid_docs,
-    "perplexity_docs": q_perplexity_docs,
-    "dsir_docs": q_dsir_docs,
-    "bpe_token_stats_docs": q_bpe_token_stats_docs,
-    "minhash_verified_docs": q_minhash_verified_docs,
-    "winnow_fingerprint_docs": q_winnow_fingerprint_docs,
-    "fingerprint_overlap_docs": q_fingerprint_overlap_docs,
-    "minhash_neardup_docs": q_minhash_neardup_docs,
-    "ngram_jaccard_neardup_docs": q_ngram_jaccard_neardup_docs,
-    "cc_cluster_docs": q_cc_cluster_docs,
-    "cc_keep_best_docs": q_cc_keep_best_docs,
-    "simhash_neardup_docs": q_simhash_neardup_docs,
-    "embedding_neardup": q_embedding_neardup,
-    "lsh_ann_topk": q_lsh_ann_topk,
-    "ivf_ann_topk": q_ivf_ann_topk,
-}
-
-ORACLE_SQL = {
-    "table_row_counts": SQL_TABLE_ROW_COUNTS,
-    "agg_quantity": SQL_AGG_QUANTITY,
-    "value_counts_returnflag": SQL_VALUE_COUNTS_RETURNFLAG,
-    "distinct_mktsegment": SQL_DISTINCT_MKTSEGMENT,
-    "between_quantity": SQL_BETWEEN_QUANTITY,
-    "regex_docs_by_lang": SQL_REGEX_DOCS_BY_LANG,
-    "value_lengths_docs": SQL_VALUE_LENGTHS_DOCS,
-    "set_orders": SQL_SET_ORDERS,
-    "pair_orders": SQL_PAIR_ORDERS,
-    "dedup_docs_prefix": SQL_DEDUP_DOCS_PREFIX,
-    "unique_prefix_violations": SQL_UNIQUE_PREFIX_VIOLATIONS,
-    "compound_unique_orders": SQL_COMPOUND_UNIQUE_ORDERS,
-    "most_common_returnflag": SQL_MOST_COMMON_RETURNFLAG,
-    "mod_sample_events": SQL_MOD_SAMPLE_EVENTS,
-    "hash_sample_events": SQL_HASH_SAMPLE_EVENTS,
-    "row_condition_lineitem": SQL_ROW_CONDITION_LINEITEM,
-    "quantiles_price": SQL_QUANTILES_PRICE,
-    "events_increasing": SQL_EVENTS_INCREASING,
-    "token_stats_docs": SQL_TOKEN_STATS_DOCS,
-    "ann_topk": SQL_ANN_TOPK,
-    "qf_corpus_keep": SQL_QF_CORPUS_KEEP,
-    "qf_corpus_scrub": SQL_QF_CORPUS_SCRUB,
-    "qf_corpus_rollup": SQL_QF_CORPUS_ROLLUP,
-    "content_sha_corpus": SQL_CONTENT_SHA_CORPUS,
-    "sha_prefix_dedup": SQL_SHA_PREFIX_DEDUP,
-    "tumbling_events": SQL_TUMBLING_EVENTS,
-    "session_events": SQL_SESSION_EVENTS,
-    "sliding_events": SQL_SLIDING_EVENTS,
-    "join_revenue_by_nation": SQL_JOIN_REVENUE_BY_NATION,
-    "join_lineitem_orders": SQL_JOIN_LINEITEM_ORDERS,
-    "customers_without_orders": SQL_CUSTOMERS_WITHOUT_ORDERS,
-    "orders_by_month": SQL_ORDERS_BY_MONTH,
-    "tpch_q1": SQL_TPCH_Q1,
-    "tpch_q3": SQL_TPCH_Q3,
-    "props_extract_events": SQL_PROPS_EXTRACT_EVENTS,
-    "json_parseable_events": SQL_JSON_PARSEABLE_EVENTS,
-    "pushdown_read": SQL_PUSHDOWN_READ,
-    "zscore_quantity": SQL_ZSCORE_QUANTITY,
-    "kl_event_types": SQL_KL_EVENT_TYPES,
-    "cramers_events": SQL_CRAMERS_EVENTS,
-    "bpe_token_stats_docs": SQL_BPE_TOKEN_STATS_DOCS,
-    "repetition_docs": SQL_REPETITION_DOCS,
-    "decontaminate_docs": SQL_DECONTAMINATE_DOCS,
-    "ks_uniform_quantity": SQL_KS_UNIFORM_QUANTITY,
-    "pack_docs": SQL_PACK_DOCS,
-    "stratified_docs": SQL_STRATIFIED_DOCS,
-    "profile_lineitem": SQL_PROFILE_LINEITEM,
-    "asof_events": SQL_ASOF_EVENTS,
-    "range_join_quantity": SQL_RANGE_JOIN_QUANTITY,
-    "setops_nations": SQL_SETOPS_NATIONS,
-    "window_rank_events": SQL_WINDOW_RANK_EVENTS,
-    "paragraph_dedup_docs": SQL_PARAGRAPH_DEDUP_DOCS,
-    "tfidf_docs": SQL_TFIDF_DOCS,
-    "heavy_hitters_words": SQL_HEAVY_HITTERS_WORDS,
-    "bloom_incremental_dedup": SQL_BLOOM_INCREMENTAL_DEDUP,
-    "c4_clean_docs": SQL_C4_CLEAN_DOCS,
-    "bm25_search_docs": SQL_BM25_SEARCH_DOCS,
-    "mix_repetition_docs": SQL_MIX_REPETITION_DOCS,
-    "normalize_docs": SQL_NORMALIZE_DOCS,
-    "html_extract_docs": SQL_HTML_EXTRACT_DOCS,
-    "code_metrics_corpus": SQL_CODE_METRICS_CORPUS,
-    "imports_corpus": SQL_IMPORTS_CORPUS,
-    "license_majority_corpus": SQL_LICENSE_MAJORITY_CORPUS,
-    "secret_scan_corpus": SQL_SECRET_SCAN_CORPUS,
-    "code_clone_corpus": SQL_CODE_CLONE_CORPUS,
-    "url_canon_docs": SQL_URL_CANON_DOCS,
-    "domain_cap_docs": SQL_DOMAIN_CAP_DOCS,
-    "toxicity_docs": SQL_TOXICITY_DOCS,
-    "boilerplate_docs": SQL_BOILERPLATE_DOCS,
-    "substr_dup_docs": SQL_SUBSTR_DUP_DOCS,
-    "grouped_quantiles_docs": SQL_GROUPED_QUANTILES_DOCS,
-    "chunk_docs": SQL_CHUNK_DOCS,
-    "fim_docs": SQL_FIM_DOCS,
-    "web_pipeline_docs": SQL_WEB_PIPELINE_DOCS,
-    "media_decode_stats": SQL_MEDIA_DECODE_STATS,
-}
-
-# --------------------------------------------------------------------------- #
-# fixture-backed oracles for the six seeded model/LSH queries.  The stages are
-# deterministic, so expected outputs are precomputed by an INDEPENDENT
-# pure-python/pandas reimplementation (tools/gen_oracle_fixtures.py — per-doc
-# `re`/python-int/numpy loops, no Ray, none of the stages' execution code)
-# into fixtures/<query>.parquet, keyed by a content fingerprint of the input
-# table so the same SQL selects the right expected rows at any generated SF.
-# --------------------------------------------------------------------------- #
-
-_FIXTURES = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-    "fixtures",
-)
-
-_FP_DOCS = "(SELECT CAST(SUM(doc_id * n_chars) AS BIGINT) FROM documents)"
-_FP_EMB = "(SELECT CAST(SUM(vec_id * label) AS BIGINT) FROM embeddings)"
-
-
-def _fixture_sql(name: str, cols: str, fp_expr: str, order: str) -> str:
-    path = os.path.join(_FIXTURES, f"{name}.parquet")
-    return (
-        f"SELECT {cols} FROM read_parquet('{path}') "
-        f"WHERE fp = {fp_expr} ORDER BY {order}"
-    )
-
-
-ORACLE_SQL.update({
-    "langid_docs": _fixture_sql(
-        "langid_docs", "doc_id, lang_pred", _FP_DOCS, "doc_id"),
-    "perplexity_docs": _fixture_sql(
-        "perplexity_docs", "doc_id, perplexity", _FP_DOCS, "doc_id"),
-    "lm_trained_ppl_docs": _fixture_sql(
-        "lm_trained_ppl_docs", "doc_id, perplexity", _FP_DOCS, "doc_id"),
-    "dsir_docs": _fixture_sql(
-        "dsir_docs", "doc_id, logw, selected", _FP_DOCS, "doc_id"),
-    "minhash_neardup_docs": _fixture_sql(
-        "minhash_neardup_docs", "doc_id, is_neardup", _FP_DOCS, "doc_id"),
-    "ngram_jaccard_neardup_docs": _fixture_sql(
-        "ngram_jaccard_neardup_docs", "doc_id, is_neardup", _FP_DOCS, "doc_id"),
-    "bpe_train_merges": _fixture_sql(
-        "bpe_train_merges", "rank, pair, cnt", _FP_DOCS, "rank"),
-    # trained-tokenizer apply: per-doc fixture aggregated per language
-    "bpe_apply_docs": (
-        "SELECT d.lang, CAST(SUM(f.bpe_tokens) AS BIGINT) AS bpe_tokens, "
-        "COUNT(*) AS n_docs "
-        f"FROM read_parquet('{os.path.join(_FIXTURES, 'bpe_apply_docs.parquet')}') f "
-        "JOIN documents d USING (doc_id) "
-        f"WHERE f.fp = {_FP_DOCS} GROUP BY d.lang ORDER BY d.lang"
-    ),
-    "cc_cluster_docs": _fixture_sql(
-        "cc_cluster_docs", "doc_id, cluster", _FP_DOCS, "doc_id"),
-    # best-of-cluster retention: SQL window over the cc fixture x documents
-    "cc_keep_best_docs": (
-        "SELECT f.doc_id, (ROW_NUMBER() OVER ("
-        "PARTITION BY f.cluster ORDER BY d.n_chars DESC, f.doc_id ASC) = 1)"
-        " AS keep "
-        f"FROM read_parquet('{os.path.join(_FIXTURES, 'cc_cluster_docs.parquet')}') f "
-        "JOIN documents d USING (doc_id) "
-        f"WHERE f.fp = {_FP_DOCS} ORDER BY f.doc_id"
-    ),
-    "simhash_neardup_docs": _fixture_sql(
-        "simhash_neardup_docs", "doc_id, is_neardup", _FP_DOCS, "doc_id"),
-    "embedding_neardup": _fixture_sql(
-        "embedding_neardup", "vec_id, is_neardup", _FP_EMB, "vec_id"),
-    "lsh_ann_topk": _fixture_sql(
-        "lsh_ann_topk", "vec_id, sim", _FP_EMB, "vec_id"),
-    "minhash_verified_docs": _fixture_sql(
-        "minhash_verified_docs", "doc_id, is_neardup", _FP_DOCS, "doc_id"),
-    "winnow_fingerprint_docs": _fixture_sql(
-        "winnow_fingerprint_docs", "doc_id, n_fingerprints, fp_digest",
-        _FP_DOCS, "doc_id"),
-    "fingerprint_overlap_docs": _fixture_sql(
-        "fingerprint_overlap_docs", "id_a, id_b, shared", _FP_DOCS,
-        "id_a, id_b"),
-    "ivf_ann_topk": _fixture_sql(
-        "ivf_ann_topk", "vec_id, sim", _FP_EMB, "vec_id"),
-    "fasttext_langid_docs": _fixture_sql(
-        "fasttext_langid_docs", "doc_id, pred_label, pred_score", _FP_DOCS,
-        "doc_id"),
-    "semdedup_embeddings": _fixture_sql(
-        "semdedup_embeddings", "vec_id, cluster, is_dup", _FP_EMB, "vec_id"),
-})
 
 # --------------------------------------------------------------------------- #
 # driver-gate consolidation (round 3)
@@ -3955,16 +3930,14 @@ ORACLE_SQL.update({
 # (chk, metric, value_num, value_str) frames.  Each merged oracle is the
 # UNION ALL of the constituent oracles, wrapped verbatim as subqueries, so the
 # SQL being compared is byte-for-byte the SQL that passed individually.
-# The un-merged originals remain importable via CONSTITUENT_QUERIES (bench.py
-# times individual operators through it).
+# The merged entries register with part=False (pack_shuffle_docs keeps its
+# CONSTITUENT_QUERIES listing); their constituents stay importable via
+# CONSTITUENT_QUERIES (bench.py times individual operators through it).
 # --------------------------------------------------------------------------- #
-
-CONSTITUENT_QUERIES = dict(QUERIES)
-CONSTITUENT_ORACLE_SQL = dict(ORACLE_SQL)
 
 
 def _run_part(name: str, sf_dir: str) -> pd.DataFrame:
-    r = CONSTITUENT_QUERIES[name](sf_dir)
+    r = CATALOG[name].fn(sf_dir)
     if not isinstance(r, pd.DataFrame):
         r = r.to_pandas()
     return r
@@ -4004,6 +3977,8 @@ _COLUMN_MAP_VERDICT_PARTS = [
     "row_condition_lineitem", "json_parseable_events", "mod_sample_events",
     "hash_sample_events", "pushdown_read", "customers_without_orders",
 ]
+
+
 def q_exact_n_sample_docs(sf_dir: str) -> pd.DataFrame:
     """Deterministic exact-N uniform sample (md5-ordered bottom-N, no RNG,
     per-block candidates + driver merge — functions/partitioners.
@@ -4016,41 +3991,12 @@ def q_exact_n_sample_docs(sf_dir: str) -> pd.DataFrame:
                          "sum_ids": [np.int64(picked["doc_id"].sum())]})
 
 
-CONSTITUENT_QUERIES["exact_n_sample_docs"] = q_exact_n_sample_docs
-CONSTITUENT_ORACLE_SQL["exact_n_sample_docs"] = (
+register_query(q_exact_n_sample_docs, (
     "SELECT CAST(COUNT(*) AS BIGINT) AS n, CAST(SUM(doc_id) AS BIGINT) AS "
     "sum_ids FROM (SELECT doc_id FROM documents "
     "ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id LIMIT 37)"
-)
+))
 
-# dhash + video arms of media_decode_stats: closed-form decode stats UNION
-# the independent perceptual-hash fixtures (media_type discriminates arms)
-CONSTITUENT_ORACLE_SQL["media_decode_stats"] = (
-    f"SELECT * FROM ({SQL_MEDIA_DECODE_STATS}) AS stats_arm "
-    "UNION ALL "
-    "SELECT doc_id, 'image/dhash' AS media_type, "
-    "CAST(is_neardup AS DOUBLE) AS mean_val, "
-    "CAST(0 AS INTEGER) AS width_dec, CAST(0 AS INTEGER) AS height_dec, "
-    "CAST(dhash63 AS BIGINT) AS n_samples "
-    f"FROM read_parquet('{os.path.join(_FIXTURES, 'media_dhash_docs.parquet')}') "
-    f"WHERE fp = {_FP_DOCS} "
-    "UNION ALL "
-    "SELECT doc_id, 'video/fp' AS media_type, "
-    "CAST(is_neardup AS DOUBLE) AS mean_val, "
-    "CAST(n_frames AS INTEGER) AS width_dec, "
-    "CAST(0 AS INTEGER) AS height_dec, "
-    "CAST(vfp63 AS BIGINT) AS n_samples "
-    f"FROM read_parquet('{os.path.join(_FIXTURES, 'media_video_docs.parquet')}') "
-    f"WHERE fp = {_FP_DOCS} "
-    "UNION ALL "
-    "SELECT doc_id, 'audio/logmel' AS media_type, "
-    "logmel_mean AS mean_val, "
-    "CAST(n_frames AS INTEGER) AS width_dec, "
-    "CAST(0 AS INTEGER) AS height_dec, "
-    "CAST(800 + (doc_id % 5) * 160 AS BIGINT) AS n_samples "
-    f"FROM read_parquet('{os.path.join(_FIXTURES, 'media_logmel_docs.parquet')}') "
-    f"WHERE fp = {_FP_DOCS}"
-)
 _VERDICT_COLS["exact_n_sample_docs"] = [("n", "num"), ("sum_ids", "num")]
 
 def q_psi_quantity_halves(sf_dir: str) -> pd.DataFrame:
@@ -4110,8 +4056,7 @@ ORDER BY a.bin
 """
 
 
-CONSTITUENT_QUERIES["psi_quantity_halves"] = q_psi_quantity_halves
-CONSTITUENT_ORACLE_SQL["psi_quantity_halves"] = _psi_sql()
+register_query(q_psi_quantity_halves, _psi_sql())
 
 
 def q_pct_rank_quantity(sf_dir: str) -> pd.DataFrame:
@@ -4147,8 +4092,7 @@ def q_pct_rank_quantity(sf_dir: str) -> pd.DataFrame:
     }]).astype("int64")
 
 
-CONSTITUENT_QUERIES["pct_rank_quantity"] = q_pct_rank_quantity
-CONSTITUENT_ORACLE_SQL["pct_rank_quantity"] = """
+register_query(q_pct_rank_quantity, """
 WITH r AS (SELECT l_quantity,
                   rank() OVER (ORDER BY l_quantity) - 1 AS cl
            FROM lineitem)
@@ -4158,7 +4102,7 @@ SELECT CAST(count(*) AS BIGINT) AS n,
   CAST(sum(CASE WHEN cl = (SELECT max(cl) FROM r) THEN 1 ELSE 0 END)
        AS BIGINT) AS n_max
 FROM r
-"""
+""")
 _VERDICT_COLS["pct_rank_quantity"] = [
     ("n", "num"), ("sum_cnt_less", "num"), ("n_min", "num"), ("n_max", "num")]
 
@@ -4192,7 +4136,6 @@ def q_grouped_validate_lineitem(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame([row]).astype("int64")
 
 
-CONSTITUENT_QUERIES["grouped_validate_lineitem"] = q_grouped_validate_lineitem
 _GV_COLS = []
 for _f in ("A", "N", "R"):
     _GV_COLS += [
@@ -4204,9 +4147,9 @@ for _f in ("A", "N", "R"):
         f"'{_f}')) BETWEEN 0.0 AND 0.1 THEN 1 ELSE 0 END AS BIGINT) "
         f"AS {_f}_mean_ok",
     ]
-CONSTITUENT_ORACLE_SQL["grouped_validate_lineitem"] = (
+register_query(q_grouped_validate_lineitem, (
     "SELECT " + ", ".join(_GV_COLS) + " FROM lineitem"
-)
+))
 _VERDICT_COLS["grouped_validate_lineitem"] = [
     (f"{f}_{m}", "num") for f in ("A", "N", "R")
     for m in ("n", "unexp", "mean_ok")
@@ -4240,9 +4183,7 @@ def q_grouped_wide_validate_lineitem(sf_dir: str) -> pd.DataFrame:
     }]).astype("int64")
 
 
-CONSTITUENT_QUERIES["grouped_wide_validate_lineitem"] = (
-    q_grouped_wide_validate_lineitem)
-CONSTITUENT_ORACLE_SQL["grouped_wide_validate_lineitem"] = """
+register_query(q_grouped_wide_validate_lineitem, """
 WITH g AS (
   SELECT l_suppkey,
     COUNT(*) AS n,
@@ -4260,7 +4201,7 @@ SELECT CAST(COUNT(*) AS BIGINT) AS n_groups,
   CAST(SUM(CASE WHEN between_ok THEN 2 ELSE 1 END) AS BIGINT)
     AS ok_expectations
 FROM v
-"""
+""")
 _VERDICT_COLS["grouped_wide_validate_lineitem"] = [
     ("n_groups", "num"), ("failed_groups", "num"),
     ("total_rows", "num"), ("ok_expectations", "num"),
@@ -4298,9 +4239,7 @@ def q_grouped_multicol_validate_lineitem(sf_dir: str) -> pd.DataFrame:
     }]).astype("int64")
 
 
-CONSTITUENT_QUERIES["grouped_multicol_validate_lineitem"] = (
-    q_grouped_multicol_validate_lineitem)
-CONSTITUENT_ORACLE_SQL["grouped_multicol_validate_lineitem"] = """
+register_query(q_grouped_multicol_validate_lineitem, """
 WITH g AS (
   SELECT l_returnflag, l_linestatus,
     COUNT(*) AS n,
@@ -4319,7 +4258,7 @@ SELECT CAST(COUNT(*) AS BIGINT) AS n_groups,
     AS ok_expectations,
   CAST(COUNT(*) FILTER (WHERE l_returnflag = 'A') AS BIGINT) AS n_groups_rf_a
 FROM v
-"""
+""")
 _VERDICT_COLS["grouped_multicol_validate_lineitem"] = [
     ("n_groups", "num"), ("failed_groups", "num"),
     ("total_rows", "num"), ("ok_expectations", "num"),
@@ -4366,7 +4305,7 @@ def _melt_verdicts(parts: list[str], sf_dir: str) -> pd.DataFrame:
 def _melted_sql(parts: list[str]) -> str:
     selects = []
     for name in parts:
-        sub = CONSTITUENT_ORACLE_SQL[name].strip().rstrip(";")
+        sub = CATALOG[name].sql.strip().rstrip(";")
         if name == "customers_without_orders":
             selects.append(
                 f"SELECT '{name}' AS chk, 'n' AS metric, "
@@ -4416,7 +4355,9 @@ def q_agg_stats_verdicts(sf_dir: str) -> pd.DataFrame:
 
 
 SQL_COLUMN_MAP_VERDICTS = _melted_sql(_COLUMN_MAP_VERDICT_PARTS)
+register_query(q_column_map_verdicts, SQL_COLUMN_MAP_VERDICTS, gate=1, part=False)
 SQL_AGG_STATS_VERDICTS = _melted_sql(_AGG_STATS_VERDICT_PARTS)
+register_query(q_agg_stats_verdicts, SQL_AGG_STATS_VERDICTS, gate=2, part=False)
 
 
 # ---- same-family unions ---------------------------------------------------- #
@@ -4458,6 +4399,7 @@ SELECT 'session', user_id, session_start, session_end, n_events,
 FROM ({SQL_SESSION_EVENTS.strip()})
 ORDER BY kind, user_id, window_start, window_end
 """
+register_query(q_window_events, SQL_WINDOW_EVENTS, gate=12, part=False)
 
 
 def q_keep_best_dedup_docs(sf_dir: str) -> pd.DataFrame:
@@ -4487,8 +4429,7 @@ SELECT doc_id FROM (
     ORDER BY n_chars DESC, doc_id) AS rn
   FROM documents) WHERE rn = 1 ORDER BY doc_id
 """
-CONSTITUENT_QUERIES["keep_best_dedup_docs"] = q_keep_best_dedup_docs
-CONSTITUENT_ORACLE_SQL["keep_best_dedup_docs"] = SQL_KEEP_BEST_DEDUP_DOCS
+register_query(q_keep_best_dedup_docs, SQL_KEEP_BEST_DEDUP_DOCS)
 
 
 def q_dedup_docs(sf_dir: str) -> pd.DataFrame:
@@ -4512,6 +4453,7 @@ UNION ALL
 SELECT 'best', doc_id FROM ({SQL_KEEP_BEST_DEDUP_DOCS.strip()})
 ORDER BY method, doc_id
 """
+register_query(q_dedup_docs, SQL_DEDUP_DOCS, gate=5, part=False)
 
 
 def q_qf_corpus_keep_scrub(sf_dir: str) -> pd.DataFrame:
@@ -4529,6 +4471,7 @@ FROM ({SQL_QF_CORPUS_KEEP.strip()}) k
 JOIN ({SQL_QF_CORPUS_SCRUB.strip()}) s USING (doc_id)
 ORDER BY doc_id
 """
+register_query(q_qf_corpus_keep_scrub, SQL_QF_CORPUS_KEEP_SCRUB, gate=9, part=False)
 
 
 def q_kmeans_embeddings(sf_dir: str) -> pd.DataFrame:
@@ -4590,6 +4533,7 @@ FROM sims
 QUALIFY ROW_NUMBER() OVER (PARTITION BY qid ORDER BY sim DESC, vec_id ASC) <= 5
 ORDER BY qid, vec_id
 """
+register_query(q_knn_graph_embeddings, SQL_KNN_GRAPH_EMBEDDINGS, bench=True)
 
 def q_kmeans_cap_embeddings(sf_dir: str) -> pd.DataFrame:
     """Cluster-capped diversity sampling (SSL-curation retention): keep at
@@ -4609,14 +4553,11 @@ def q_kmeans_cap_embeddings(sf_dir: str) -> pd.DataFrame:
     return df[["vec_id", "keep"]].sort_values("vec_id").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["kmeans_cap_embeddings"] = q_kmeans_cap_embeddings
-CONSTITUENT_ORACLE_SQL["kmeans_cap_embeddings"] = _fixture_sql(
+register_query(q_kmeans_cap_embeddings, _fixture_sql(
     "kmeans_embeddings",
     "vec_id, CAST(ROW_NUMBER() OVER (PARTITION BY cluster ORDER BY vec_id)"
     " <= 8 AS BIGINT) AS keep",
-    _FP_EMB, "vec_id")
-CONSTITUENT_QUERIES["knn_graph_embeddings"] = q_knn_graph_embeddings
-CONSTITUENT_ORACLE_SQL["knn_graph_embeddings"] = SQL_KNN_GRAPH_EMBEDDINGS
+    _FP_EMB, "vec_id"))
 
 
 def q_pq_embeddings(sf_dir: str) -> pd.DataFrame:
@@ -4635,15 +4576,12 @@ def q_pq_embeddings(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows).sort_values("vec_id").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["pq_embeddings"] = q_pq_embeddings
-CONSTITUENT_ORACLE_SQL["pq_embeddings"] = _fixture_sql(
-    "pq_embeddings", "vec_id, code, adc", _FP_EMB, "vec_id")
-CONSTITUENT_QUERIES["kmeans_embeddings"] = q_kmeans_embeddings
-CONSTITUENT_QUERIES["pca_embeddings"] = q_pca_embeddings
-CONSTITUENT_ORACLE_SQL["kmeans_embeddings"] = _fixture_sql(
-    "kmeans_embeddings", "vec_id, cluster, sim", _FP_EMB, "vec_id")
-CONSTITUENT_ORACLE_SQL["pca_embeddings"] = _fixture_sql(
-    "pca_embeddings", "vec_id, pc1, pc2", _FP_EMB, "vec_id")
+register_query(q_pq_embeddings, _fixture_sql(
+    "pq_embeddings", "vec_id, code, adc", _FP_EMB, "vec_id"), bench=True)
+register_query(q_kmeans_embeddings, _fixture_sql(
+    "kmeans_embeddings", "vec_id, cluster, sim", _FP_EMB, "vec_id"), bench=True)
+register_query(q_pca_embeddings, _fixture_sql(
+    "pca_embeddings", "vec_id, pc1, pc2", _FP_EMB, "vec_id"))
 
 
 def q_ann_methods_topk(sf_dir: str) -> pd.DataFrame:
@@ -4775,9 +4713,8 @@ def q_logreg_docs(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["logreg_docs"] = q_logreg_docs
-CONSTITUENT_ORACLE_SQL["logreg_docs"] = _fixture_sql(
-    "logreg_docs", "doc_id, prob, pred", _FP_DOCS, "doc_id")
+register_query(q_logreg_docs, _fixture_sql(
+    "logreg_docs", "doc_id, prob, pred", _FP_DOCS, "doc_id"))
 
 
 def q_langid_methods_docs(sf_dir: str) -> pd.DataFrame:
@@ -4847,9 +4784,8 @@ def q_kn_ppl_docs(sf_dir: str) -> pd.DataFrame:
                          "perplexity": df["kn_ppl"].round(6)})
 
 
-CONSTITUENT_QUERIES["kn_ppl_docs"] = q_kn_ppl_docs
-CONSTITUENT_ORACLE_SQL["kn_ppl_docs"] = _fixture_sql(
-    "kn_ppl_docs", "doc_id, perplexity", _FP_DOCS, "doc_id")
+register_query(q_kn_ppl_docs, _fixture_sql(
+    "kn_ppl_docs", "doc_id, perplexity", _FP_DOCS, "doc_id"), bench=True)
 
 
 def q_urlops_docs(sf_dir: str) -> pd.DataFrame:
@@ -4883,10 +4819,8 @@ def q_bpe_train_merges(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("rank").reset_index(drop=True)
 
 
-# defined after the constituent copy was taken (its fixture SQL already sits in
-# CONSTITUENT_ORACLE_SQL); it rides the public catalog as the 'bpe_train' arm
-# of token_stats_methods_docs, keeping the gate at exactly 50 entries.
-CONSTITUENT_QUERIES["bpe_train_merges"] = q_bpe_train_merges
+register_query(q_bpe_train_merges, _fixture_sql(
+    "bpe_train_merges", "rank, pair, cnt", _FP_DOCS, "rank"), bench=True)
 
 
 def q_bpe_apply_docs(sf_dir: str) -> pd.DataFrame:
@@ -4916,7 +4850,13 @@ def q_bpe_apply_docs(sf_dir: str) -> pd.DataFrame:
     return out.astype({"bpe_tokens": "int64", "n_docs": "int64"})
 
 
-CONSTITUENT_QUERIES["bpe_apply_docs"] = q_bpe_apply_docs
+register_query(q_bpe_apply_docs, (
+    "SELECT d.lang, CAST(SUM(f.bpe_tokens) AS BIGINT) AS bpe_tokens, "
+    "COUNT(*) AS n_docs "
+    f"FROM read_parquet('{os.path.join(_FIXTURES, 'bpe_apply_docs.parquet')}') f "
+    "JOIN documents d USING (doc_id) "
+    f"WHERE f.fp = {_FP_DOCS} GROUP BY d.lang ORDER BY d.lang"
+))
 
 
 def q_unigram_train_vocab(sf_dir: str) -> pd.DataFrame:
@@ -4932,9 +4872,8 @@ def q_unigram_train_vocab(sf_dir: str) -> pd.DataFrame:
     return v.sort_values("rank").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["unigram_train_vocab"] = q_unigram_train_vocab
-CONSTITUENT_ORACLE_SQL["unigram_train_vocab"] = _fixture_sql(
-    "unigram_train_vocab", "rank, piece, cnt", _FP_DOCS, "rank")
+register_query(q_unigram_train_vocab, _fixture_sql(
+    "unigram_train_vocab", "rank, piece, cnt", _FP_DOCS, "rank"), bench=True)
 
 
 def q_unigram_apply_docs(sf_dir: str) -> pd.DataFrame:
@@ -4964,14 +4903,13 @@ def q_unigram_apply_docs(sf_dir: str) -> pd.DataFrame:
     return out.astype({"unigram_tokens": "int64", "n_docs": "int64"})
 
 
-CONSTITUENT_QUERIES["unigram_apply_docs"] = q_unigram_apply_docs
-CONSTITUENT_ORACLE_SQL["unigram_apply_docs"] = (
+register_query(q_unigram_apply_docs, (
     "SELECT d.lang, CAST(SUM(f.unigram_tokens) AS BIGINT) AS unigram_tokens, "
     "COUNT(*) AS n_docs "
     f"FROM read_parquet('{os.path.join(_FIXTURES, 'unigram_apply_docs.parquet')}') f "
     "JOIN documents d USING (doc_id) "
     f"WHERE f.fp = {_FP_DOCS} GROUP BY d.lang ORDER BY d.lang"
-)
+))
 
 
 def q_wordpiece_train_vocab(sf_dir: str) -> pd.DataFrame:
@@ -4988,9 +4926,8 @@ def q_wordpiece_train_vocab(sf_dir: str) -> pd.DataFrame:
     return v.sort_values("rank").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["wordpiece_train_vocab"] = q_wordpiece_train_vocab
-CONSTITUENT_ORACLE_SQL["wordpiece_train_vocab"] = _fixture_sql(
-    "wordpiece_train_vocab", "rank, piece, cnt", _FP_DOCS, "rank")
+register_query(q_wordpiece_train_vocab, _fixture_sql(
+    "wordpiece_train_vocab", "rank, piece, cnt", _FP_DOCS, "rank"), bench=True)
 
 
 def q_wordpiece_apply_docs(sf_dir: str) -> pd.DataFrame:
@@ -5023,14 +4960,13 @@ def q_wordpiece_apply_docs(sf_dir: str) -> pd.DataFrame:
     return out.astype({"wordpiece_tokens": "int64", "n_docs": "int64"})
 
 
-CONSTITUENT_QUERIES["wordpiece_apply_docs"] = q_wordpiece_apply_docs
-CONSTITUENT_ORACLE_SQL["wordpiece_apply_docs"] = (
+register_query(q_wordpiece_apply_docs, (
     "SELECT d.lang, CAST(SUM(f.wordpiece_tokens) AS BIGINT) AS wordpiece_tokens, "
     "COUNT(*) AS n_docs "
     f"FROM read_parquet('{os.path.join(_FIXTURES, 'wordpiece_apply_docs.parquet')}') f "
     "JOIN documents d USING (doc_id) "
     f"WHERE f.fp = {_FP_DOCS} GROUP BY d.lang ORDER BY d.lang"
-)
+))
 
 
 def q_wordpiece_pack_docs(sf_dir: str) -> pd.DataFrame:
@@ -5079,9 +5015,8 @@ def q_wordpiece_pack_docs(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values("seq_id").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["wordpiece_pack_docs"] = q_wordpiece_pack_docs
-CONSTITUENT_ORACLE_SQL["wordpiece_pack_docs"] = _fixture_sql(
-    "wordpiece_pack_docs", "seq_id, n_tokens, idhash", _FP_DOCS, "seq_id")
+register_query(q_wordpiece_pack_docs, _fixture_sql(
+    "wordpiece_pack_docs", "seq_id, n_tokens, idhash", _FP_DOCS, "seq_id"), bench=True)
 
 
 def q_token_stats_methods_docs(sf_dir: str) -> pd.DataFrame:
@@ -5176,8 +5111,6 @@ def q_mojibake_docs(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["mojibake_docs"] = q_mojibake_docs
-
 SQL_MOJIBAKE_DOCS = """
 WITH fixed AS (
   SELECT doc_id,
@@ -5190,7 +5123,7 @@ WITH fixed AS (
 SELECT doc_id, CAST(length(t) AS BIGINT) AS n_chars, md5(t) AS out_md5, changed
 FROM fixed ORDER BY doc_id
 """
-CONSTITUENT_ORACLE_SQL["mojibake_docs"] = SQL_MOJIBAKE_DOCS
+register_query(q_mojibake_docs, SQL_MOJIBAKE_DOCS)
 
 
 def q_zlib_ratio_docs(sf_dir: str) -> pd.DataFrame:
@@ -5207,9 +5140,8 @@ def q_zlib_ratio_docs(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["zlib_ratio_docs"] = q_zlib_ratio_docs
-CONSTITUENT_ORACLE_SQL["zlib_ratio_docs"] = _fixture_sql(
-    "zlib_ratio_docs", "doc_id, ratio", _FP_DOCS, "doc_id")
+register_query(q_zlib_ratio_docs, _fixture_sql(
+    "zlib_ratio_docs", "doc_id, ratio", _FP_DOCS, "doc_id"))
 
 
 def q_zlib_top25_docs(sf_dir: str) -> pd.DataFrame:
@@ -5279,21 +5211,19 @@ def q_substr_remove_docs(sf_dir: str) -> pd.DataFrame:
     return res.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["substr_remove_docs"] = q_substr_remove_docs
-CONSTITUENT_ORACLE_SQL["substr_remove_docs"] = _fixture_sql(
+register_query(q_substr_remove_docs, _fixture_sql(
     "substr_remove_docs", "doc_id, removed_bytes, n_cuts, clean_md5",
-    _FP_DOCS, "doc_id")
+    _FP_DOCS, "doc_id"))
 
 
-CONSTITUENT_QUERIES["zlib_top25_docs"] = q_zlib_top25_docs
-CONSTITUENT_ORACLE_SQL["zlib_top25_docs"] = f"""
+register_query(q_zlib_top25_docs, f"""
 SELECT doc_id,
        ROW_NUMBER() OVER (ORDER BY ratio DESC, doc_id)
          <= CAST(ceil(0.25 * COUNT(*) OVER ()) AS BIGINT) AS selected
 FROM read_parquet('{os.path.join(_FIXTURES, 'zlib_ratio_docs.parquet')}')
 WHERE fp = {_FP_DOCS}
 ORDER BY doc_id
-"""
+""")
 
 
 def q_rewrite_docs(sf_dir: str) -> pd.DataFrame:
@@ -5377,7 +5307,7 @@ def _union_sql(parts: list[tuple[str, str, str]], order: str) -> str:
     constituent oracle SQL, wrapped verbatim as subqueries."""
     selects = []
     for i, (disc, select_list, name) in enumerate(parts):
-        sub = CONSTITUENT_ORACLE_SQL[name].strip().rstrip(";")
+        sub = CATALOG[name].sql.strip().rstrip(";")
         selects.append(f"SELECT {disc}, {select_list} FROM ({sub})")
     return "\nUNION ALL\n".join(selects) + f"\nORDER BY {order}"
 
@@ -5398,6 +5328,7 @@ SQL_ANN_METHODS_TOPK = _union_sql(
      ("'pq_adc'", "vec_id, adc AS sim", "pq_embeddings")],
     "method, vec_id",
 )
+register_query(q_ann_methods_topk, SQL_ANN_METHODS_TOPK, gate=8, part=False)
 SQL_NEARDUP_DOCS = _union_sql(
     [("'minhash' AS method",
       "doc_id, CAST(is_neardup AS BIGINT) AS v", "minhash_neardup_docs"),
@@ -5415,6 +5346,7 @@ SQL_NEARDUP_DOCS = _union_sql(
       "doc_id, CAST(keep AS BIGINT) AS v", "cc_keep_best_docs")],
     "method, doc_id",
 )
+register_query(q_neardup_docs, SQL_NEARDUP_DOCS, gate=49, part=False)
 SQL_FINGERPRINT_DOCS = _union_sql(
     [("'winnow' AS method",
       "doc_id AS id_a, n_fingerprints AS v1, fp_digest AS v2, '' AS h",
@@ -5429,6 +5361,7 @@ SQL_FINGERPRINT_DOCS = _union_sql(
       "substr_remove_docs")],
     "method, id_a, v1",
 )
+register_query(q_fingerprint_docs, SQL_FINGERPRINT_DOCS, gate=43, part=False)
 SQL_LANGID_METHODS_DOCS = _union_sql(
     [("'heuristic' AS method",
       "doc_id, lang_pred AS pred_label, CAST(0.0 AS DOUBLE) AS pred_score",
@@ -5439,6 +5372,7 @@ SQL_LANGID_METHODS_DOCS = _union_sql(
       "prob AS pred_score", "logreg_docs")],
     "method, doc_id",
 )
+register_query(q_langid_methods_docs, SQL_LANGID_METHODS_DOCS, gate=30, part=False)
 SQL_PERPLEXITY_METHODS_DOCS = _union_sql(
     [("'broadcast' AS method", "doc_id, perplexity", "perplexity_docs"),
      ("'trained'", "doc_id, perplexity", "lm_trained_ppl_docs"),
@@ -5451,11 +5385,14 @@ SQL_PERPLEXITY_METHODS_DOCS = _union_sql(
      ("'kn'", "doc_id, perplexity", "kn_ppl_docs")],
     "method, doc_id",
 )
+register_query(q_perplexity_methods_docs, SQL_PERPLEXITY_METHODS_DOCS,
+               gate=44, part=False)
 SQL_URLOPS_DOCS = _union_sql(
     [("'canon' AS op", "doc_id, canon_url, domain", "url_canon_docs"),
      ("'cap'", "doc_id, '' AS canon_url, domain", "domain_cap_docs")],
     "op, doc_id",
 )
+register_query(q_urlops_docs, SQL_URLOPS_DOCS, gate=40, part=False)
 SQL_TOKEN_STATS_METHODS_DOCS = _union_sql(
     [("'whitespace' AS method", "lang, tokens AS v1, alnum_chars AS v2",
       "token_stats_docs"),
@@ -5478,6 +5415,8 @@ SQL_TOKEN_STATS_METHODS_DOCS = _union_sql(
       "wordpiece_pack_docs")],
     "method, lang",
 )
+register_query(q_token_stats_methods_docs, SQL_TOKEN_STATS_METHODS_DOCS,
+               gate=7, part=False)
 SQL_CODE_PAYLOAD_CORPUS = _union_sql(
     [("'imports' AS kind", "module AS key, '' AS label, cnt", "imports_corpus"),
      ("'license'", "repo AS key, license AS label, cnt",
@@ -5492,6 +5431,7 @@ SQL_CODE_PAYLOAD_CORPUS = _union_sql(
       "'' AS label, is_clone AS cnt", "code_clone_corpus")],
     "kind, key",
 )
+register_query(q_code_payload_corpus, SQL_CODE_PAYLOAD_CORPUS, gate=39, part=False)
 SQL_CHUNK_FIM_DOCS = _union_sql(
     [("'chunk' AS method",
       "doc_id, chunk_idx AS v1, start AS v2, chunk_md5 AS h", "chunk_docs"),
@@ -5499,6 +5439,7 @@ SQL_CHUNK_FIM_DOCS = _union_sql(
       "fim_docs")],
     "method, doc_id, v1",
 )
+register_query(q_chunk_fim_docs, SQL_CHUNK_FIM_DOCS, gate=46, part=False)
 SQL_REWRITE_DOCS = _union_sql(
     [("'normalize' AS method",
       "doc_id, CAST(length(norm_text) AS BIGINT) AS v, md5(norm_text) AS h",
@@ -5507,6 +5448,7 @@ SQL_REWRITE_DOCS = _union_sql(
      ("'mojibake'", "doc_id, n_chars AS v, out_md5 AS h", "mojibake_docs")],
     "method, doc_id",
 )
+register_query(q_rewrite_docs, SQL_REWRITE_DOCS, gate=37, part=False)
 
 
 def q_shuffle_docs(sf_dir: str) -> pd.DataFrame:
@@ -5530,9 +5472,7 @@ r AS (SELECT doc_id,
 SELECT doc_id, CAST(pos % 8 AS BIGINT) AS shard, CAST(pos AS BIGINT) AS pos
 FROM r ORDER BY doc_id
 """
-
-CONSTITUENT_QUERIES["shuffle_docs"] = q_shuffle_docs
-CONSTITUENT_ORACLE_SQL["shuffle_docs"] = SQL_SHUFFLE_DOCS
+register_query(q_shuffle_docs, SQL_SHUFFLE_DOCS)
 
 
 def q_pack_shuffle_docs(sf_dir: str) -> pd.DataFrame:
@@ -5563,90 +5503,7 @@ SQL_PACK_SHUFFLE_DOCS = _union_sql(
       "shuffle_docs")],
     "method, doc_id",
 )
-CONSTITUENT_ORACLE_SQL["pack_shuffle_docs"] = SQL_PACK_SHUFFLE_DOCS
-CONSTITUENT_QUERIES["pack_shuffle_docs"] = q_pack_shuffle_docs
-
-
-# ---- the public 50-entry catalog ------------------------------------------ #
-
-QUERIES = {
-    "table_row_counts": q_table_row_counts,
-    "column_map_verdicts": q_column_map_verdicts,
-    "agg_stats_verdicts": q_agg_stats_verdicts,
-    "value_counts_returnflag": q_value_counts_returnflag,
-    "regex_docs_by_lang": q_regex_docs_by_lang,
-    "dedup_docs": q_dedup_docs,
-    "events_increasing": q_events_increasing,
-    "token_stats_methods_docs": q_token_stats_methods_docs,
-    "ann_methods_topk": q_ann_methods_topk,
-    "qf_corpus_keep_scrub": q_qf_corpus_keep_scrub,
-    "qf_corpus_rollup": q_qf_corpus_rollup,
-    "content_sha_corpus": q_content_sha_corpus,
-    "window_events": q_window_events,
-    "join_revenue_by_nation": q_join_revenue_by_nation,
-    "join_lineitem_orders": q_join_lineitem_orders,
-    "orders_by_month": q_orders_by_month,
-    "tpch_q1": q_tpch_q1,
-    "tpch_q3": q_tpch_q3,
-    "props_extract_events": q_props_extract_events,
-    "repetition_docs": q_repetition_docs,
-    "decontaminate_docs": q_decontaminate_docs,
-    "pack_shuffle_docs": q_pack_shuffle_docs,
-    "stratified_docs": q_stratified_docs,
-    "profile_lineitem": q_profile_lineitem,
-    "asof_events": q_asof_events,
-    "range_join_quantity": q_range_join_quantity,
-    "setops_nations": q_setops_nations,
-    "window_rank_events": q_window_rank_events,
-    "paragraph_dedup_docs": q_paragraph_dedup_docs,
-    "tfidf_docs": q_tfidf_docs,
-    "langid_methods_docs": q_langid_methods_docs,
-    "semdedup_embeddings": q_semdedup_embeddings,
-    "heavy_hitters_words": q_heavy_hitters_words,
-    "bloom_incremental_dedup": q_bloom_incremental_dedup,
-    "c4_clean_docs": q_c4_clean_docs,
-    "bm25_search_docs": q_bm25_search_docs,
-    "mix_repetition_docs": q_mix_repetition_docs,
-    "rewrite_docs": q_rewrite_docs,
-    "code_metrics_corpus": q_code_metrics_corpus,
-    "code_payload_corpus": q_code_payload_corpus,
-    "urlops_docs": q_urlops_docs,
-    "toxicity_docs": q_toxicity_docs,
-    "boilerplate_docs": q_boilerplate_docs,
-    "fingerprint_docs": q_fingerprint_docs,
-    "perplexity_methods_docs": q_perplexity_methods_docs,
-    "grouped_quantiles_docs": q_grouped_quantiles_docs,
-    "chunk_fim_docs": q_chunk_fim_docs,
-    "web_pipeline_docs": q_web_pipeline_docs,
-    "media_decode_stats": q_media_decode_stats,
-    "neardup_docs": q_neardup_docs,
-}
-
-ORACLE_SQL = {
-    name: CONSTITUENT_ORACLE_SQL[name]
-    for name in QUERIES
-    if name in CONSTITUENT_ORACLE_SQL
-}
-ORACLE_SQL.update({
-    "column_map_verdicts": SQL_COLUMN_MAP_VERDICTS,
-    "agg_stats_verdicts": SQL_AGG_STATS_VERDICTS,
-    "window_events": SQL_WINDOW_EVENTS,
-    "dedup_docs": SQL_DEDUP_DOCS,
-    "qf_corpus_keep_scrub": SQL_QF_CORPUS_KEEP_SCRUB,
-    "ann_methods_topk": SQL_ANN_METHODS_TOPK,
-    "neardup_docs": SQL_NEARDUP_DOCS,
-    "fingerprint_docs": SQL_FINGERPRINT_DOCS,
-    "langid_methods_docs": SQL_LANGID_METHODS_DOCS,
-    "perplexity_methods_docs": SQL_PERPLEXITY_METHODS_DOCS,
-    "urlops_docs": SQL_URLOPS_DOCS,
-    "token_stats_methods_docs": SQL_TOKEN_STATS_METHODS_DOCS,
-    "code_payload_corpus": SQL_CODE_PAYLOAD_CORPUS,
-    "chunk_fim_docs": SQL_CHUNK_FIM_DOCS,
-    "rewrite_docs": SQL_REWRITE_DOCS,
-})
-
-assert len(QUERIES) == 50, f"catalog must stay at 50 entries, got {len(QUERIES)}"
-assert set(ORACLE_SQL) == set(QUERIES), "every query needs an oracle"
+register_query(q_pack_shuffle_docs, SQL_PACK_SHUFFLE_DOCS, gate=21)
 
 
 # --------------------------------------------------------------------------- #
@@ -5687,8 +5544,8 @@ def q_uniform_dedup_lineitem(sf_dir: str) -> pd.DataFrame:
     return _q_dedup_keyed(sf_dir, skewed=False)
 
 
-CONSTITUENT_QUERIES["skew_dedup_lineitem"] = q_skew_dedup_lineitem
-CONSTITUENT_QUERIES["uniform_dedup_lineitem"] = q_uniform_dedup_lineitem
+register_query(q_skew_dedup_lineitem, bench=True)
+register_query(q_uniform_dedup_lineitem, bench=True)
 
 
 # bench-only: the one-pass KLL sketch vs the exact multi-pass rank-selection
@@ -5714,8 +5571,8 @@ def q_exact_quantiles_lineitem(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"q": [0.01, 0.25, 0.5, 0.75, 0.99], "v": vals})
 
 
-CONSTITUENT_QUERIES["kll_quantiles_lineitem"] = q_kll_quantiles_lineitem
-CONSTITUENT_QUERIES["exact_quantiles_lineitem"] = q_exact_quantiles_lineitem
+register_query(q_kll_quantiles_lineitem, bench=True)
+register_query(q_exact_quantiles_lineitem, bench=True)
 
 
 # bench-only: per-group sketch quantiles vs the gate's exact grouped path
@@ -5738,7 +5595,7 @@ def q_grouped_kll_docs(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values("lang").reset_index(drop=True)
 
 
-CONSTITUENT_QUERIES["grouped_kll_docs"] = q_grouped_kll_docs
+register_query(q_grouped_kll_docs, bench=True)
 
 
 # bench-only: the terminal training sink — encode + pack (same work as
@@ -5779,4 +5636,24 @@ def q_shard_export_docs(sf_dir: str) -> pd.DataFrame:
     })
 
 
-CONSTITUENT_QUERIES["shard_export_docs"] = q_shard_export_docs
+register_query(q_shard_export_docs, bench=True)
+
+
+# --------------------------------------------------------------------------- #
+# views of the registry
+# --------------------------------------------------------------------------- #
+
+_GATED = sorted((e.gate, name) for name, e in CATALOG.items()
+                if e.gate is not None)
+QUERIES = dict((name, CATALOG[name].fn) for _, name in _GATED)
+ORACLE_SQL = dict((name, CATALOG[name].sql) for name in QUERIES
+                  if CATALOG[name].sql is not None)
+CONSTITUENT_QUERIES = dict((name, e.fn) for name, e in CATALOG.items()
+                           if e.part)
+CONSTITUENT_ORACLE_SQL = dict((name, e.sql) for name, e in CATALOG.items()
+                              if e.part and e.sql is not None)
+BENCH_QUERIES = [name for name, e in CATALOG.items() if e.bench]
+
+assert len(QUERIES) == 50, f"catalog must stay at 50 entries, got {len(QUERIES)}"
+assert [slot for slot, _ in _GATED] == list(range(50)), "gate slots must be 0..49"
+assert set(ORACLE_SQL) == set(QUERIES), "every query needs an oracle"

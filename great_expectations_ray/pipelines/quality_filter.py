@@ -1,16 +1,19 @@
 """The flagship north-rule pipeline: language-ID + perplexity + heuristic
 expectations + PII scrub over a source-code Parquet corpus, Ray-Data-first.
 
-Stage graph (all streaming, no mid-pipeline materialization):
+Stage graph: ONE streaming pass, no mid-pipeline materialization:
 
     read_parquet(columns=[repo,path,commit,lang,content])
-      -> map_batches(TextStats)                       stateless, Arrow kernels
-      -> map_batches(LangIdScorer, concurrency=N)      actor pool (compile-once)
-      -> map_batches(PerplexityScorer, concurrency=N)  actor pool (model broadcast once via ray.put)
-      -> map_batches(RuleEvalScrub)                    fused: ALL row rules -> keep mask +
-                                                       rule bitmap + scrub + sha256 lineage
-      -> sinks: kept rows (scrubbed content) / lineage (no content)
-    rollup: per-batch (repo,lang) partial counts -> groupby.sum (tiny shuffle)
+      -> map_batches(FusedQualityStage, concurrency=N)  one actor pool; per batch:
+           TextStats (only the stats the suite judges, Arrow kernels)
+           -> LangIdScorer (compile-once)
+           -> PerplexityScorer (LM broadcast once via ray.put)
+           -> RuleEvalScrub: ALL row rules -> keep mask + rule bitmap
+              + scrub + sha256 lineage
+           -> SinkStage (write mode): kept rows (scrubbed content) to data/,
+              content-free lineage to lineage/, emit the rollup partial
+    rollup: per-batch partial counts per rollup key (default repo, lang)
+            -> one in-process merge of the partials
             -> GX-shaped per-partition suite results (validation_statistics.py:19-42)
 
 Keep/drop semantics are EXACTLY the reference's map-expectation semantics: a
@@ -184,49 +187,6 @@ class FusedQualityStage:
         return tbl
 
 
-def build_pipeline(ds, config: QualityFilterConfig):
-    """Compose the streaming stage graph; returns the lazy scored+filtered
-    Dataset (consume with write_parquet / iter_batches / rollup).
-
-    Actor pools use ``concurrency=(1, N)`` (autoscaling) so the two pools plus
-    the task-based stages share the CPU budget under backpressure instead of
-    statically reserving every core (a fixed 2×N reservation on an N-core node
-    starves the read/generate stages and deadlocks the stream).
-    """
-    bs = config.batch_size
-    conc = (
-        (1, config.actor_concurrency) if config.autoscale_actors
-        else config.actor_concurrency
-    )
-    raw = ds  # LM trains on raw content — don't re-run upstream actor stages
-    ds = ds.map_batches(TextStats(), batch_format="pyarrow", batch_size=bs,
-                        zero_copy_batch=True)
-    if config.use_langid:
-        ds = ds.map_batches(
-            LangIdScorer,
-            batch_format="pyarrow",
-            batch_size=bs,
-            concurrency=conc,
-        )
-    if config.use_perplexity:
-        model_ref = _prepare_model_ref(raw, config)
-        ds = ds.map_batches(
-            PerplexityScorer,
-            fn_constructor_kwargs={"model_ref": model_ref},
-            batch_format="pyarrow",
-            batch_size=bs,
-            concurrency=conc,
-        )
-    rule_configs = config.suite.resolved_expectations()
-    ds = ds.map_batches(
-        RuleEvalScrub(rule_configs, config.scrub_rules),
-        batch_format="pyarrow",
-        batch_size=bs,
-        zero_copy_batch=True,
-    )
-    return ds
-
-
 LINEAGE_COLS = [
     "repo", "path", "commit", "lang", "content_sha256", "scrubbed_sha256",
     "scrub_hit", "rule_bitmap", "keep",
@@ -375,7 +335,8 @@ class SinkStage:
                 os.makedirs(self.data_dir, exist_ok=True)
                 pq.write_table(kept_tbl, os.path.join(self.data_dir, name),
                                compression="zstd")
-            pq.write_table(tbl.select(LINEAGE_COLS), os.path.join(self.lineage_dir, name),
+            lineage = [c for c in LINEAGE_COLS if c in tbl.column_names]
+            pq.write_table(tbl.select(lineage), os.path.join(self.lineage_dir, name),
                            compression="zstd")
         if self.emit == "kept_rows":
             return kept_tbl
@@ -419,14 +380,15 @@ def run_quality_filter(
     config = config or QualityFilterConfig()
     schema = ds.schema()
     if schema is not None:
-        missing = [c for c in ("repo", "lang", "content")
+        missing = [c for c in ("content", *config.rollup_keys)
                    if c not in schema.names]
         if missing:
             raise ValueError(
                 f"quality filter input is missing column(s) {missing}: "
-                f"got {schema.names}.  Expected the source-code corpus "
-                "schema (repo, path, commit, lang, content) — see "
-                "corpus.write_corpus_parquet for the reference layout.")
+                f"got {schema.names}.  It needs 'content' plus the rollup "
+                f"keys {list(config.rollup_keys)}; see "
+                "corpus.write_corpus_parquet for the reference layout "
+                "(repo, path, commit, lang, content).")
     model_ref = _prepare_model_ref(ds, config)
     conc = (
         (1, config.actor_concurrency) if config.autoscale_actors

@@ -148,3 +148,32 @@ def test_quality_filter_with_exact_dedup(tmp_path):
         subset=["scrubbed_sha256"], keep="first"
     )
     assert sorted(data.path) == sorted(expected_keep.path)
+
+
+def test_missing_rollup_key_fails_fast():
+    """The input schema check covers the configured rollup keys: a missing
+    custom key raises before any Ray task runs and names the key, instead
+    of failing inside a Ray actor."""
+    cfg = QualityFilterConfig(rollup_keys=("repo", "team"), actor_concurrency=2,
+                              use_langid=False, use_perplexity=False)
+    with pytest.raises(ValueError, match=r"missing column\(s\) \['team'\]"):
+        run_quality_filter(corpus_dataset(200, blocks=2), cfg)
+
+
+def test_input_without_lang_runs_when_not_a_rollup_key(tmp_path):
+    """``lang`` is only required as a rollup key: with ``rollup_keys=("repo",)``
+    an input without it runs in both the in-memory and the write mode."""
+    import glob
+
+    ds = corpus_dataset(200, blocks=2).drop_columns(["lang"])
+    cfg = QualityFilterConfig(rollup_keys=("repo",), actor_concurrency=2,
+                              use_perplexity=False)
+    out = run_quality_filter(ds, cfg)
+    assert sum(r["row_count"] for r in out["rollup"]) == 200
+    assert all("lang" not in r for r in out["rollup"])
+
+    out = run_quality_filter(ds, cfg, output_dir=str(tmp_path))
+    assert sum(r["row_count"] for r in out["rollup"]) == 200
+    lin = pd.concat(pd.read_parquet(f)
+                    for f in glob.glob(str(tmp_path) + "/lineage/*.parquet"))
+    assert len(lin) == 200 and "lang" not in lin.columns

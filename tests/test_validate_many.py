@@ -122,3 +122,9 @@ def test_validate_many_cli_multi_suite(ray_session, tmp_path, capsys):
     with _pytest.raises(SystemExit, match="multi-suite"):
         cli_main(["validate", "--input", str(inp), "--suite", *paths,
                   "--by", "s"])
+    # --html-out renders only the grouped mode: rejected, not dropped
+    html = tmp_path / "docs.html"
+    with _pytest.raises(SystemExit, match="--html-out"):
+        cli_main(["validate", "--input", str(inp), "--suite", *paths,
+                  "--html-out", str(html)])
+    assert not html.exists()

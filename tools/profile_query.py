@@ -1,4 +1,4 @@
-"""Per-stage profile of a catalog query: run one CONSTITUENT_QUERIES entry
+"""Per-stage profile of a catalog query: run one registered catalog entry
 and print Ray Data's per-operator wall/cpu/blocked breakdown (ds.stats())
 for every Dataset the query executes — the measure-don't-guess loop for
 deciding whether a stage is compute-bound or waste.
@@ -28,11 +28,10 @@ def main(name: str, sf_dir: str, ncpus: int) -> int:
 
     import great_expectations_ray.pipelines.demo_queries as dq
 
-    fn = dq.CONSTITUENT_QUERIES.get(name) or dq.QUERIES.get(name)
-    if fn is None:
-        print(f"unknown query {name!r}; known: "
-              f"{sorted(set(dq.CONSTITUENT_QUERIES) | set(dq.QUERIES))}")
+    if name not in dq.CATALOG:
+        print(f"unknown query {name!r}; known: {sorted(dq.CATALOG)}")
         return 2
+    fn = dq.CATALOG[name].fn
 
     # capture stats of every dataset executed during the query by hooking
     # the executor registry: easiest robust route is to run the query and
