@@ -458,6 +458,7 @@ class _PartialEvaluator:
 def _merge_partials(raw_partials: list[bytes]) -> dict:
     merged: dict[Any, Any] = {"row_count": 0, "maps": {}, "aggs": {}, "counts": {},
                               "vcs": {}, "errors": {}}
+    aggs: dict[str, list[NumericAggState]] = {}
     for raw in raw_partials:
         st = pickle.loads(raw)
         merged["row_count"] += st["row_count"]
@@ -467,10 +468,7 @@ def _merge_partials(raw_partials: list[bytes]) -> dict:
             else:
                 merged["maps"][idx] = ps
         for c, ag in st["aggs"].items():
-            if c in merged["aggs"]:
-                merged["aggs"][c].merge(ag)
-            else:
-                merged["aggs"][c] = ag
+            aggs.setdefault(c, []).append(ag)
         for c, (tot, nn) in st["counts"].items():
             t0, n0 = merged["counts"].get(c, (0, 0))
             merged["counts"][c] = (t0 + tot, n0 + nn)
@@ -488,6 +486,15 @@ def _merge_partials(raw_partials: list[bytes]) -> dict:
             else:
                 merged["hists"][idx] = (counts, below, above, n)
     merged.setdefault("hists", {})
+    for c, states in aggs.items():
+        # partials arrive in block completion order and float moment merges
+        # differ in the last bits by order: merge in an order fixed by the
+        # states themselves, so a column's aggregates are the same in every
+        # run and in every suite that reads it
+        states.sort(key=lambda a: (a.n, a.mean, a.m2, a.m3, a.m4, a.sum))
+        for ag in states[1:]:
+            states[0].merge(ag)
+        merged["aggs"][c] = states[0]
     return merged
 
 
@@ -633,20 +640,173 @@ def validate(
     ``{"result_format": "SUMMARY", "partial_unexpected_count": N,
     "include_unexpected_rows": bool, "unexpected_index_column_names": [...]}``.
     """
-    include_unexpected_rows = False
-    if isinstance(result_format, dict):
-        rf = dict(result_format)
-        result_format = rf.get("result_format", "SUMMARY")
-        partial_unexpected_count = rf.get(
-            "partial_unexpected_count", partial_unexpected_count
-        )
-        include_unexpected_rows = bool(rf.get("include_unexpected_rows", False))
-        unexpected_index_column_names = rf.get(
-            "unexpected_index_column_names", unexpected_index_column_names
-        )
+    result_format, partial_unexpected_count, include_rows, index_cols = (
+        _result_format_opts(result_format, partial_unexpected_count,
+                            unexpected_index_column_names))
     plan = compile_suite(suite)
-    configs = suite.resolved_expectations()
+    if plan.errors and not catch_exceptions:
+        raise RuntimeError(plan.errors[0][2])  # before any pass over ds
+
+    # ---- phase 1: one fused streaming pass -------------------------------- #
+    if (
+        plan.map_rules or plan.agg_rules or plan.two_phase_rules or plan.vc_rules
+        or plan.unique_rules or plan.table_rules or plan.dist_rules or plan.ks_rules
+    ):
+        evaluator = _PartialEvaluator(
+            plan.map_rules,
+            plan.agg_columns,
+            plan.count_columns,
+            plan.vc_columns,
+            index_cols,
+            plan.hist_specs,
+            include_rows=include_rows,
+        )
+        partial_rows = ds.map_batches(
+            evaluator, batch_format="pyarrow", zero_copy_batch=True
+        ).take_all()
+        merged = _merge_partials([r["partial"] for r in partial_rows])
+    else:
+        merged = _merge_partials([])
+        if plan.cross_rules or plan.global_sql_rules:
+            merged["row_count"] = ds.count()  # no fused pass ran; count directly
+
+    # ---- phase 2: two-phase rules re-stream with phase-1 thresholds ------- #
+    two_phase_states = None
+    if plan.two_phase_rules:
+        rules, two_phase_states = _two_phase_rules(plan, merged, ds)
+        if rules:
+            partial_rows = ds.map_batches(
+                _PartialEvaluator(rules, set(), set(), set(), index_cols),
+                batch_format="pyarrow", zero_copy_batch=True,
+            ).take_all()
+            _fold_phase2(two_phase_states, rules,
+                         _merge_partials([r["partial"] for r in partial_rows]))
+
+    return _finish_suite(
+        plan, suite, merged, _dataset_arrow_schema(ds), ds,
+        result_format=result_format,
+        partial_unexpected_count=partial_unexpected_count,
+        include_unexpected_rows=include_rows,
+        catch_exceptions=catch_exceptions,
+        other_tables=other_tables,
+        two_phase_states=two_phase_states,
+    )
+
+
+def _result_format_opts(
+    result_format: str | dict,
+    partial_unexpected_count: int = PARTIAL_UNEXPECTED_COUNT_DEFAULT,
+    unexpected_index_column_names: Optional[list[str]] = None,
+) -> tuple[str, int, bool, Optional[list[str]]]:
+    """``(result_format, partial_unexpected_count, include_unexpected_rows,
+    unexpected_index_column_names)`` from a result_format string or its GX
+    dict form; dict entries override the keyword values."""
+    if not isinstance(result_format, dict):
+        return (result_format, partial_unexpected_count, False,
+                unexpected_index_column_names)
+    return (
+        result_format.get("result_format", "SUMMARY"),
+        result_format.get("partial_unexpected_count", partial_unexpected_count),
+        bool(result_format.get("include_unexpected_rows", False)),
+        result_format.get("unexpected_index_column_names",
+                          unexpected_index_column_names),
+    )
+
+
+def _overflowed(col: str) -> str:
+    """Failure message for a value-count family whose merged counts
+    overflowed when no dataset is at hand for the distributed fallback."""
+    return (
+        f"more than {ValueCountsState.CAP} distinct values in '{col}' — the "
+        "merged value counts overflowed; validate this group or slice "
+        "through validate() (distributed fallback)"
+    )
+
+
+def _two_phase_rules(plan: _CompiledSuite, merged: dict, ds=None) -> tuple[list, dict]:
+    """Bake each two-phase rule's phase-1 thresholds into its kwargs:
+    ``_mean``/``_std``, plus ``_median``/``_iqr`` for IQR outliers (exact from
+    the merged value counts; distributed rank selection on overflow, which
+    needs ``ds``).  Returns ``(phase-2 rules, {idx: failure message})`` —
+    the dict is the caller's two-phase state map, completed by
+    :func:`_fold_phase2`."""
+    from great_expectations_ray.functions.contrib_aggregates import (
+        percentile_linear_distributed_multi,
+        percentile_linear_from_vc,
+    )
+
+    rules, states = [], {}
+    for idx, cfg in plan.two_phase_rules:
+        col = cfg.kwargs["column"]
+        if ("agg", col) in merged["errors"]:
+            states[idx] = merged["errors"][("agg", col)]
+            continue
+        try:
+            ag = merged["aggs"].get(col, NumericAggState())
+            k = dict(cfg.kwargs)
+            k["_mean"] = ag.metric("column.mean")
+            k["_std"] = ag.metric("column.standard_deviation")
+            if (
+                cfg.expectation_type == "expect_column_values_to_not_be_outliers"
+                and cfg.kwargs.get("method", "iqr") == "iqr"
+            ):
+                qs = [0.25, 0.50, 0.75]
+                vc = merged["vcs"].get(col, ValueCountsState())
+                if not vc.overflow:
+                    q25, q50, q75 = (percentile_linear_from_vc(vc, q) for q in qs)
+                elif ds is None:
+                    raise ValueError(_overflowed(col))
+                else:
+                    # one vectorized rank-select pair for all three quantiles
+                    _, nn = merged["counts"].get(col, (0, 0))
+                    q25, q50, q75 = percentile_linear_distributed_multi(ds, col, qs, nn)
+                k["_median"] = q50
+                k["_iqr"] = (q75 - q25) if q75 is not None else None
+        except Exception as exc:
+            states[idx] = f"{type(exc).__name__}: {exc}"
+            continue
+        rules.append((idx, ExpectationConfiguration(cfg.expectation_type, k, cfg.meta)))
+    return rules, states
+
+
+def _fold_phase2(states: dict, rules: list, merged2: dict) -> None:
+    """Record each phase-2 rule's merged map state (or its error) in
+    ``states``; a rule with no rows keeps an empty (vacuous) state."""
+    for idx, _ in rules:
+        if idx in merged2["errors"]:
+            states[idx] = merged2["errors"][idx]
+        else:
+            states[idx] = merged2["maps"].get(idx, MapPartialState())
+
+
+def _finish_suite(
+    plan: _CompiledSuite,
+    suite: ExpectationSuite,
+    merged: dict,
+    schema: pa.Schema,
+    ds=None,
+    *,
+    result_format: str = "SUMMARY",
+    partial_unexpected_count: int = PARTIAL_UNEXPECTED_COUNT_DEFAULT,
+    include_unexpected_rows: bool = False,
+    catch_exceptions: bool = True,
+    other_tables: Optional[dict[str, Any]] = None,
+    two_phase_states: Optional[dict] = None,
+) -> SuiteValidationResult:
+    """EVRs and the suite result from a compiled plan and its merged phase-1
+    partials — the one finish for the whole table (:func:`validate`), every
+    group (``pipelines/grouped.py``) and every merged partition state
+    (``pipelines/incremental_validate.py``).
+
+    ``ds`` is the validated dataset, or None when only merged state exists.
+    Without it, uniqueness comes from the merged value counts and a
+    value-count overflow fails its EVR with guidance; families that need
+    their own pass over the data (ordered, KS, Cramér's φ, cross-table,
+    paired, SQL) must be rejected by such callers up front.
+    ``two_phase_states`` maps each two-phase rule to its phase-2
+    ``MapPartialState`` or a failure message (:func:`_two_phase_rules`)."""
     evrs: dict[int, ExpectationValidationResult] = {}
+    row_count = merged["row_count"]
 
     def fail_evr(idx: int, cfg: ExpectationConfiguration, msg: str) -> None:
         if not catch_exceptions:
@@ -660,35 +820,6 @@ def validate(
     for idx, cfg, msg in plan.errors:
         fail_evr(idx, cfg, msg)
 
-    # ---- phase 1: one fused streaming pass -------------------------------- #
-    merged: Optional[dict] = None
-    need_pass1 = bool(
-        plan.map_rules or plan.agg_rules or plan.two_phase_rules or plan.vc_rules
-        or plan.unique_rules or plan.table_rules or plan.dist_rules or plan.ks_rules
-    )
-    if need_pass1:
-        evaluator = _PartialEvaluator(
-            plan.map_rules,
-            plan.agg_columns,
-            plan.count_columns,
-            plan.vc_columns,
-            unexpected_index_column_names,
-            plan.hist_specs,
-            include_rows=include_unexpected_rows,
-        )
-        partial_rows = ds.map_batches(
-            evaluator, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()
-        merged = _merge_partials([r["partial"] for r in partial_rows])
-
-    if merged:
-        row_count = merged["row_count"]
-    elif plan.cross_rules or plan.global_sql_rules:
-        row_count = ds.count()  # no fused pass ran; count directly
-    else:
-        row_count = 0
-    schema = _dataset_arrow_schema(ds)
-
     # ---- schema/table rules ------------------------------------------------ #
     for idx, cfg in plan.table_rules:
         try:
@@ -700,8 +831,7 @@ def validate(
             fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
 
     # ---- map rules --------------------------------------------------------- #
-    def finish_map(idx: int, cfg: ExpectationConfiguration, ps: MapPartialState,
-                   include_nonnull: bool = True) -> None:
+    def finish_map(idx: int, cfg: ExpectationConfiguration, ps: MapPartialState) -> None:
         nonnull = ps.element_count - ps.null_count
         if ps.element_count == 0 or nonnull == 0:
             # vacuous (expectation.py:2027-2040) — except the contrib
@@ -719,27 +849,20 @@ def validate(
                 partial_unexpected_count=partial_unexpected_count,
                 success=success,
                 state=ps,
-                include_nonnull=include_nonnull,
                 include_unexpected_rows=include_unexpected_rows,
             ),
         )
 
     for idx, cfg in plan.map_rules:
-        if merged and idx in merged["errors"]:
+        if idx in merged["errors"]:
             fail_evr(idx, cfg, merged["errors"][idx])
             continue
-        ps = merged["maps"].get(idx, MapPartialState()) if merged else MapPartialState()
-        finish_map(idx, cfg, ps)
+        finish_map(idx, cfg, merged["maps"].get(idx, MapPartialState()))
 
     def col_error(*keys) -> Optional[str]:
         """First recorded per-column phase-1 error for any of the given
-        (kind, column) keys, if phase 1 ran."""
-        if not merged:
-            return None
-        for k in keys:
-            if k in merged["errors"]:
-                return merged["errors"][k]
-        return None
+        (kind, column) keys."""
+        return next((merged["errors"][k] for k in keys if k in merged["errors"]), None)
 
     # ---- aggregate rules --------------------------------------------------- #
     for idx, cfg in plan.agg_rules:
@@ -751,8 +874,7 @@ def validate(
             metric = AGG_EXPECTATIONS[cfg.expectation_type]
             # empty datasets produce no partials: empty state -> None metric
             # -> failure, matching GX on empty tables (expectation.py:1596)
-            ag = merged["aggs"].get(cfg.kwargs["column"], NumericAggState()) \
-                if merged else NumericAggState()
+            ag = merged["aggs"].get(cfg.kwargs["column"], NumericAggState())
             value = ag.metric(metric)
             # contrib skew's `abs` switch (expect_column_skew_to_be_between)
             if (
@@ -796,58 +918,13 @@ def validate(
         except Exception as exc:
             fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
 
-    # ---- two-phase rules (z-score) ----------------------------------------- #
-    if plan.two_phase_rules:
-        phase2_rules = []
-        phase2_origs = []  # (idx, ORIGINAL cfg) only for rules that passed phase 1
-        for idx, cfg in plan.two_phase_rules:
-            err = col_error(("agg", cfg.kwargs["column"]))
-            if err:
-                fail_evr(idx, cfg, err)
-                continue
-            ag = merged["aggs"].get(cfg.kwargs["column"], NumericAggState())
-            k = dict(cfg.kwargs)
-            k["_mean"] = ag.metric("column.mean")
-            k["_std"] = ag.metric("column.standard_deviation")
-            if (
-                cfg.expectation_type == "expect_column_values_to_not_be_outliers"
-                and cfg.kwargs.get("method", "iqr") == "iqr"
-            ):
-                from great_expectations_ray.functions.contrib_aggregates import (
-                    percentile_linear_distributed_multi,
-                    percentile_linear_from_vc,
-                )
-
-                col = cfg.kwargs["column"]
-                vc = merged["vcs"].get(col, ValueCountsState())
-                if vc.overflow:
-                    _, nn = merged["counts"].get(col, (0, 0))
-                    # one vectorized rank-select pair for all three quantiles
-                    q25, q50, q75 = percentile_linear_distributed_multi(
-                        ds, col, [0.25, 0.50, 0.75], nn
-                    )
-                else:
-                    q25 = percentile_linear_from_vc(vc, 0.25)
-                    q50 = percentile_linear_from_vc(vc, 0.50)
-                    q75 = percentile_linear_from_vc(vc, 0.75)
-                k["_median"] = q50
-                k["_iqr"] = (q75 - q25) if q75 is not None else None
-            phase2_rules.append((idx, ExpectationConfiguration(cfg.expectation_type, k, cfg.meta)))
-            phase2_origs.append((idx, cfg))
-        evaluator2 = _PartialEvaluator(
-            phase2_rules, set(), set(), set(), unexpected_index_column_names
-        )
-        partial_rows = ds.map_batches(
-            evaluator2, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()
-        merged2 = _merge_partials([r["partial"] for r in partial_rows])
-        # iterate only the rules that entered phase 2 — a rule whose phase-1
-        # column check failed must keep its failure EVR
-        for idx, cfg in phase2_origs:
-            if idx in merged2["errors"]:
-                fail_evr(idx, cfg, merged2["errors"][idx])
-                continue
-            finish_map(idx, cfg, merged2["maps"].get(idx, MapPartialState()))
+    # ---- two-phase rules (z-score): phase-2 states come from the caller --- #
+    for idx, cfg in plan.two_phase_rules:
+        state = two_phase_states[idx]
+        if isinstance(state, str):
+            fail_evr(idx, cfg, state)
+        else:
+            finish_map(idx, cfg, state)
 
     # ---- value-count rules -------------------------------------------------- #
     # several overflow (high-cardinality) rules on the SAME column share one
@@ -865,16 +942,28 @@ def validate(
         except Exception as exc:
             fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
 
-    # ---- global-uniqueness rules (shuffle) ---------------------------------- #
+    # ---- global-uniqueness rules (shuffle; merged value counts w/o ds) ---- #
     for idx, cfg in plan.unique_rules:
-        err = col_error(*(("count", c) for c in _unique_columns(cfg)))
+        cols = _unique_columns(cfg)
+        keys = [("count", c) for c in cols]
+        if ds is None:
+            keys += [("vc", c) for c in cols]
+        err = col_error(*keys)
         if err:
             fail_evr(idx, cfg, err)
             continue
         try:
-            cols = _unique_columns(cfg)
-            vc_ds = _grouped_value_counts(ds, cols)
-            dup_count, samples = _dup_stats(vc_ds)
+            if ds is None:
+                # single-column only (callers reject compound keys): dup
+                # rows = sum of the counts above 1
+                vc = merged["vcs"].get(cols[0], ValueCountsState())
+                if vc.overflow:
+                    raise ValueError(_overflowed(cols[0]))
+                dups = [(v, c) for v, c in vc.counts.items() if c > 1]
+                dup_count = sum(c for _, c in dups)
+                samples = [v for v, _ in dups]
+            else:
+                dup_count, samples = _dup_stats(_grouped_value_counts(ds, cols))
             if cfg.expectation_type == "expect_column_values_to_be_unique":
                 total, nonnull = merged["counts"].get(cols[0], (0, 0))
                 nulls = total - nonnull
@@ -1245,6 +1334,8 @@ def _finish_vc_rule(
                     "details": {"success_details": oks, "approximate": True}},
         )
     if vc.overflow:
+        if ds is None:
+            raise ValueError(_overflowed(col))
         if t in ("expect_column_median_to_be_between",
                  "expect_column_quantile_values_to_be_between"):
             # high-cardinality numeric: distributed rank selection — exact,
@@ -1735,8 +1826,11 @@ def _finish_cramers_rule(
     if n == 0 or len(rows) < 2 or len(cols) < 2:
         phi = 0.0
     else:
-        row_tot = {r: sum(c for (rr, _), c in cells.items() if rr == r) for r in rows}
-        col_tot = {c: sum(v for (_, cc), v in cells.items() if cc == c) for c in cols}
+        row_tot: Counter = Counter()
+        col_tot: Counter = Counter()
+        for (r, c), v in cells.items():
+            row_tot[r] += v
+            col_tot[c] += v
         chi2 = 0.0
         for r in rows:
             for c in cols:

@@ -39,8 +39,9 @@ class NumericAggState:
     m3: float = 0.0
     m4: float = 0.0
     #: temporal columns accumulate in epoch int64 ("D" for date32, the
-    #: timestamp's own unit otherwise); min/max/mean convert back to
-    #: datetime in metric() so string bounds compare naturally
+    #: timestamp's own unit otherwise): min/max stay exact ints, the mean and
+    #: moments float64; metric() converts min/max/mean back to datetimes so
+    #: string bounds compare naturally
     temporal_unit: Optional[str] = None
 
     def _combine(self, n_b: int, mean_b: float, m2_b: float,
@@ -92,16 +93,17 @@ class NumericAggState:
             ints = pc.drop_null(pc.cast(col, pa.int64()))
             if isinstance(ints, pa.ChunkedArray):
                 ints = ints.combine_chunks()
-            vals = np.asarray(ints).astype(np.float64)
+            exact = np.asarray(ints)  # min/max without float64 rounding
+            vals = exact.astype(np.float64)
         else:
-            vals = np.asarray(
+            vals = exact = np.asarray(
                 pc.drop_null(pc.cast(col, pa.float64())).combine_chunks())
         if len(vals) == 0:
             return
         b_mean = float(vals.mean())
         dev = vals - b_mean
         dev2 = dev * dev
-        b_min, b_max = float(vals.min()), float(vals.max())
+        b_min, b_max = exact.min().item(), exact.max().item()
         self.sum += float(vals.sum())
         self.min = b_min if self.min is None else min(self.min, b_min)
         self.max = b_max if self.max is None else max(self.max, b_max)
@@ -120,15 +122,22 @@ class NumericAggState:
         self._combine(o.n, o.mean, o.m2, o.m3, o.m4)
         return self
 
-    def _from_epoch(self, v: Optional[float]):
-        """Epoch float back to a naive UTC datetime per temporal_unit."""
+    def _from_epoch(self, v):
+        """Epoch value back to a naive UTC datetime per temporal_unit — exact
+        for the int min/max, rounded to the unit's resolution for the float
+        mean.  ``ns`` returns a ``pandas.Timestamp`` (a datetime subclass)
+        because ``datetime`` stops at microseconds."""
         if v is None:
             return None
+        if self.temporal_unit == "ns":
+            import pandas as pd
+
+            return pd.Timestamp(round(v), unit="ns")
         import datetime as _dt
 
-        scale = {"D": 86400.0, "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
-        return (_dt.datetime(1970, 1, 1)
-                + _dt.timedelta(seconds=v * scale[self.temporal_unit]))
+        us_per_unit = {"D": 86_400_000_000, "s": 1_000_000, "ms": 1_000, "us": 1}
+        return (_dt.datetime(1970, 1, 1) + _dt.timedelta(
+            microseconds=round(v * us_per_unit[self.temporal_unit])))
 
     # ---- finalized metrics ------------------------------------------------ #
     def metric(self, name: str) -> Optional[float]:

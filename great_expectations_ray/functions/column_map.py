@@ -22,6 +22,7 @@ Kernel contract::
 
 from __future__ import annotations
 
+import datetime
 import json as _json
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -82,14 +83,19 @@ def _coerce_bound(value: Any, col_type: pa.DataType) -> Any:
         if col_type.tz is not None and parsed.tzinfo is None:
             # naive bound against a tz column: treat as UTC (the epoch the
             # naive string denotes) so pa.scalar comparison is well-typed
-            import datetime as _dt
-
-            parsed = parsed.replace(tzinfo=_dt.timezone.utc)
+            parsed = parsed.replace(tzinfo=datetime.timezone.utc)
         return parsed
     if isinstance(value, str) and pa.types.is_date(col_type):
         from dateutil import parser as _p
 
-        return _p.parse(value).date()
+        parsed = _p.parse(value)
+        if parsed.timetz() == datetime.time():
+            return parsed.date()
+        # an intra-day bound compares against the column as naive-UTC
+        # timestamps (see _between), not a truncated day
+        if parsed.tzinfo is not None:
+            parsed = parsed.astimezone(datetime.timezone.utc).replace(tzinfo=None)
+        return parsed
     return value
 
 
@@ -134,13 +140,17 @@ def _between(tbl: pa.Table, kwargs: dict) -> KernelResult:
     col, valid, nulls = _nonnull_domain(tbl, kwargs)
     lo = _coerce_bound(kwargs.get("min_value"), col.type)
     hi = _coerce_bound(kwargs.get("max_value"), col.type)
+    cmp = col
+    if pa.types.is_date(col.type) and any(
+            isinstance(b, datetime.datetime) for b in (lo, hi)):
+        cmp = pc.cast(col, pa.timestamp("us"))
     meets = np.ones(len(col), dtype=bool)
     if lo is not None:
         op = pc.greater if kwargs.get("strict_min", False) else pc.greater_equal
-        meets &= _bool_np(op(col, pa.scalar(lo)))
+        meets &= _bool_np(op(cmp, pa.scalar(lo)))
     if hi is not None:
         op = pc.less if kwargs.get("strict_max", False) else pc.less_equal
-        meets &= _bool_np(op(col, pa.scalar(hi)))
+        meets &= _bool_np(op(cmp, pa.scalar(hi)))
     return KernelResult(meets, valid, col.combine_chunks(), nulls)
 
 

@@ -8,8 +8,9 @@ loops).  Validating N month-partitions therefore costs N passes over the
 data.  Here the engine's fused per-block evaluator (engine.py
 ``_PartialEvaluator``) runs per (block, group) sub-table instead: ONE pass
 over the corpus emits one pickled partial per (block, group), the driver
-merges partials per group (all states are associative), and each group gets
-the same GX-shaped ``SuiteValidationResult`` that ``validate`` produces —
+merges partials per group (all states are associative), and each group goes
+through the engine's own merged-state finisher (engine.py ``_finish_suite``)
+— the same GX-shaped ``SuiteValidationResult`` that ``validate`` produces,
 row-count semantics, vacuous truth, ``mostly``, partial-unexpected samples
 and all.
 
@@ -29,18 +30,18 @@ histogram, chi-square vs a partition object) — every family whose finish
 needs only the merged partials (uniqueness per group = dup rows from the
 group's exact value counts; a per-group VC overflow fails that EVR with
 guidance).  Two-phase rules (z-scores, outliers) run in NARROW mode via
-one extra pass: each group's thresholds derive from its phase-1 merge,
-then :func:`_grouped_two_phase` evaluates every group's rows against ITS
-thresholds (wide mode and the mergeable state reject them — no per-group
-second pass there).  Families that need their own exchange per group (KS
-tests, cross-table, queried SQL, ordered, compound uniqueness) raise a
-clear ValueError; run those through ``validate`` per slice (ordered
-checks per group = ``validate`` with partition_by/order_by).
+one extra pass: each group's thresholds derive from its phase-1 merge
+(engine.py ``_two_phase_rules``), then :func:`_grouped_two_phase`
+evaluates every group's rows against ITS thresholds (wide mode and the
+mergeable state reject them — no per-group second pass there).  Families
+that need their own exchange per group (KS tests, cross-table, queried
+SQL, ordered, compound uniqueness) raise a clear ValueError; run those
+through ``validate`` per slice (ordered checks per group = ``validate``
+with partition_by/order_by).
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Optional
 
 import numpy as np
@@ -48,58 +49,21 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.core.results import (
-    ExpectationValidationResult,
-    MapPartialState,
-    SuiteValidationResult,
-    calc_validation_statistics,
-    format_map_result,
-    mostly_success,
     PARTIAL_UNEXPECTED_COUNT_DEFAULT,
+    SuiteValidationResult,
 )
 from great_expectations_ray.core.suite import ExpectationSuite
 from great_expectations_ray.engine import (
-    FAIL_ON_EMPTY_TYPES,
-    TABLE_RULES,
+    CONTRIB_AGG_VC_TYPES,
     _dataset_arrow_schema,
+    _finish_suite,
+    _fold_phase2,
     _merge_partials,
     _PartialEvaluator,
+    _result_format_opts,
+    _two_phase_rules,
     compile_suite,
 )
-from great_expectations_ray.functions.aggregates import (
-    AGG_EXPECTATIONS,
-    NumericAggState,
-    validate_metric_value_between,
-)
-
-def _grouped_vc_columns(plan) -> set:
-    """VC columns the grouped evaluators must track: the plan's own plus
-    single-column uniqueness (finished from per-group value counts here —
-    the engine's shuffle phase is per-dataset, not per-group).  Raises on
-    the sub-cases grouped validation cannot finish from merged state."""
-    from great_expectations_ray.engine import CONTRIB_AGG_VC_TYPES
-
-    cols = set(plan.vc_columns)
-    for _, cfg in plan.unique_rules:
-        if cfg.expectation_type != "expect_column_values_to_be_unique":
-            raise ValueError(
-                "grouped validation supports single-column uniqueness only; "
-                f"{cfg.expectation_type} needs the per-dataset shuffle phase "
-                "— run it through validate() per slice.")
-        cols.add(cfg.kwargs["column"])
-    for _, cfg in plan.vc_rules:
-        t = cfg.expectation_type
-        if t in CONTRIB_AGG_VC_TYPES:
-            raise ValueError(
-                f"grouped validation does not support {t} (contrib VC rule "
-                "with its own finishing pass) — run it through validate() "
-                "per slice.")
-        if cfg.kwargs.get("allow_relative_error") or cfg.kwargs.get("approximate"):
-            raise ValueError(
-                f"grouped validation computes {t} EXACTLY from per-group "
-                "value counts; drop the allow_relative_error/approximate "
-                "knob, or run it through validate() per slice.")
-    return cols
-
 
 _UNSUPPORTED_FAMILIES = (
     ("ks_rules", "KS tests (per-group exact KS: functions/ks.py "
@@ -121,6 +85,53 @@ _UNSUPPORTED_WIDE = (
 ) + _UNSUPPORTED_FAMILIES
 
 
+def _compile_mergeable(
+    suite: ExpectationSuite,
+    unsupported: tuple,
+    caller: str,
+    index_cols: Optional[list[str]] = None,
+    include_rows: bool = False,
+):
+    """Compile ``suite`` for a merged-state finish (``_finish_suite`` with
+    ``ds=None``) and build its phase-1 evaluator.  Raises a named
+    ValueError for the families and sub-cases merged state cannot finish.
+    The evaluator tracks value counts for the plan's VC columns plus
+    single-column uniqueness (finished from per-group counts — the engine's
+    shuffle phase is per-dataset, not per-group)."""
+    plan = compile_suite(suite)
+    bad = [label for attr, label in unsupported if getattr(plan, attr)]
+    if bad:
+        raise ValueError(
+            f"{caller} cannot finish these families from merged partials — "
+            f"unsupported families in this suite: {', '.join(bad)}. "
+            "Run those expectations through validate() per slice.")
+    vc_cols = set(plan.vc_columns)
+    for _, cfg in plan.unique_rules:
+        if cfg.expectation_type != "expect_column_values_to_be_unique":
+            raise ValueError(
+                "grouped validation supports single-column uniqueness only; "
+                f"{cfg.expectation_type} needs the per-dataset shuffle phase "
+                "— run it through validate() per slice.")
+        vc_cols.add(cfg.kwargs["column"])
+    for _, cfg in plan.vc_rules:
+        t = cfg.expectation_type
+        if t in CONTRIB_AGG_VC_TYPES:
+            raise ValueError(
+                f"grouped validation does not support {t} (contrib VC rule "
+                "with its own finishing pass) — run it through validate() "
+                "per slice.")
+        if cfg.kwargs.get("allow_relative_error") or cfg.kwargs.get("approximate"):
+            raise ValueError(
+                f"grouped validation computes {t} EXACTLY from per-group "
+                "value counts; drop the allow_relative_error/approximate "
+                "knob, or run it through validate() per slice.")
+    evaluator = _PartialEvaluator(
+        plan.map_rules, plan.agg_columns, plan.count_columns, vc_cols,
+        index_cols, hist_specs=plan.hist_specs or None,
+        include_rows=include_rows)
+    return plan, evaluator
+
+
 def _norm_by(by) -> tuple[list[str], bool]:
     """Normalize the ``by`` argument: a column name or a list of names
     (multi-column partition keys — the reference's batch definitions
@@ -138,6 +149,18 @@ def _key_col_names(by_cols: list[str], single: bool) -> list[str]:
     return ["__key"] if single else [f"__key{j}" for j in range(len(by_cols))]
 
 
+def _partials_by_key(rows, by) -> dict[Any, list[bytes]]:
+    """Group ``_GroupedEvaluator`` output rows' partials by group key."""
+    by_cols, single = _norm_by(by)
+    key_names = _key_col_names(by_cols, single)
+    out: dict[Any, list[bytes]] = {}
+    for row in rows:
+        key = (row[key_names[0]] if single
+               else tuple(row[n] for n in key_names))
+        out.setdefault(key, []).append(row["partial"])
+    return out
+
+
 class _GroupedEvaluator:
     """Per-block: dictionary-encode the key column(s), run an evaluator on
     each group's sub-table, emit one (key, partial) row per group present in
@@ -146,28 +169,16 @@ class _GroupedEvaluator:
     codes with one ``np.unique(axis=0)`` — no string concatenation, no
     composite-radix overflow.
 
-    Two modes share the group-iteration machinery: a FIXED ``evaluator``
-    (phase 1 — every group runs the same fused rules), or ``per_key_rules``
-    (phase 2 of the two-phase family — each group gets ITS threshold-baked
-    rule list; groups absent from the map are skipped).  Group keys are the
-    column value for a single ``by``, a tuple of values for a list."""
+    ``evaluators`` is ONE evaluator for every group (phase 1), or a
+    ``{group key: evaluator}`` dict (phase 2 of the two-phase family — each
+    group gets ITS threshold-baked rules; groups absent from the dict are
+    skipped).  Group keys are the column value for a single ``by``, a tuple
+    of values for a list."""
 
-    def __init__(self, by, evaluator: Optional[_PartialEvaluator] = None,
-                 *, per_key_rules: Optional[dict] = None):
-        if (evaluator is None) == (per_key_rules is None):
-            raise ValueError("exactly one of evaluator / per_key_rules")
+    def __init__(self, by, evaluators):
         self.by, self.single = _norm_by(by)
         self.key_names = _key_col_names(self.by, self.single)
-        self.evaluator = evaluator
-        self.per_key_rules = per_key_rules
-
-    def _evaluator_for(self, kval):
-        if self.evaluator is not None:
-            return self.evaluator
-        rules = self.per_key_rules.get(kval)
-        if not rules:
-            return None
-        return _PartialEvaluator(rules, set(), set(), set(), None)
+        self.evaluators = evaluators
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
         ncol = len(self.by)
@@ -193,7 +204,8 @@ class _GroupedEvaluator:
                 for j in range(ncol))
             if self.single:
                 kval = kval[0]
-            ev = self._evaluator_for(kval)
+            ev = (self.evaluators.get(kval) if isinstance(self.evaluators, dict)
+                  else self.evaluators)
             if ev is None:
                 continue
             sub = tbl.filter(pa.array(inverse == ui))
@@ -214,7 +226,7 @@ def validate_grouped(
     ds,
     suite: ExpectationSuite,
     *,
-    by: str,
+    by: str | list[str],
     result_format: str | dict = "SUMMARY",
     partial_unexpected_count: int = PARTIAL_UNEXPECTED_COUNT_DEFAULT,
     catch_exceptions: bool = True,
@@ -228,27 +240,15 @@ def validate_grouped(
     group, the same result ``validate(ds.filter(key == k), suite)`` produces
     for the supported rule families (pinned by tests).  Null keys map to
     ``None`` (single column) / ``None`` tuple elements (multi-column; the
-    dict key is a tuple).
+    dict key is a tuple).  ``result_format`` takes the same GX dict form as
+    ``validate`` (``include_unexpected_rows``,
+    ``unexpected_index_column_names``).
     """
-    if isinstance(result_format, dict):
-        rf = dict(result_format)
-        result_format = rf.get("result_format", "SUMMARY")
-        partial_unexpected_count = rf.get(
-            "partial_unexpected_count", partial_unexpected_count)
-
-    plan = compile_suite(suite)
-    bad = [label for attr, label in _UNSUPPORTED_FAMILIES
-           if getattr(plan, attr)]
-    if bad:
-        raise ValueError(
-            "validate_grouped cannot finish these families from merged "
-            f"partials — unsupported families in this suite: {', '.join(bad)}. "
-            "Run those expectations through validate() per slice.")
-
-    evaluator = _PartialEvaluator(
-        plan.map_rules, plan.agg_columns, plan.count_columns,
-        _grouped_vc_columns(plan), None,
-        hist_specs=plan.hist_specs or None)
+    result_format, partial_unexpected_count, include_rows, index_cols = (
+        _result_format_opts(result_format, partial_unexpected_count))
+    plan, evaluator = _compile_mergeable(
+        suite, _UNSUPPORTED_FAMILIES, "validate_grouped", index_cols,
+        include_rows)
     mat = ds.map_batches(
         _GroupedEvaluator(by, evaluator),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -262,27 +262,20 @@ def validate_grouped(
             "use validate_grouped_wide(), which merges and finishes each "
             "group inside ONE bucketed exchange and returns a verdict "
             "Dataset instead of driver-side result objects.")
+    merged_by_key = {k: _merge_partials(p)
+                     for k, p in _partials_by_key(mat.take_all(), by).items()}
 
-    by_cols, single = _norm_by(by)
-    key_names = _key_col_names(by_cols, single)
-    by_key: dict[Any, list[bytes]] = {}
-    for row in mat.take_all():
-        key = (row["__key"] if single
-               else tuple(row[n] for n in key_names))
-        by_key.setdefault(key, []).append(row["partial"])
-    merged_by_key = {k: _merge_partials(p) for k, p in by_key.items()}
-
-    two_phase = (_grouped_two_phase(ds, by, plan, merged_by_key)
+    two_phase = (_grouped_two_phase(ds, by, plan, merged_by_key, index_cols)
                  if plan.two_phase_rules else {})
 
     schema = _dataset_arrow_schema(ds)
-    configs = suite.resolved_expectations()
     out: dict[Any, SuiteValidationResult] = {}
     for key, merged in merged_by_key.items():
-        out[key] = _finish_group(
-            suite, plan, configs, merged, schema,
+        out[key] = _finish_suite(
+            plan, suite, merged, schema,
             result_format=result_format,
             partial_unexpected_count=partial_unexpected_count,
+            include_unexpected_rows=include_rows,
             catch_exceptions=catch_exceptions,
             two_phase_states=two_phase.get(key),
         )
@@ -291,77 +284,31 @@ def validate_grouped(
     return out
 
 
-def _grouped_two_phase(ds, by: str, plan, merged_by_key: dict) -> dict:
-    """Per-group phase 2 for z-score / outlier rules: derive each group's
-    thresholds (mean/std, and median/IQR from the group's exact VC) from
-    the phase-1 merges, then ONE more pass evaluates every group's rows
-    against ITS thresholds.  Returns {key: {idx: MapPartialState | str}}
-    (str = phase-1 failure message for that rule).  Narrow mode only — the
-    per-group threshold table lives on the driver, bounded exactly like
-    the phase-1 partials."""
-    from great_expectations_ray.core.suite import (
-        ExpectationConfiguration as _EC,
-    )
-    from great_expectations_ray.functions.aggregates import ValueCountsState
-    from great_expectations_ray.functions.contrib_aggregates import (
-        percentile_linear_from_vc,
-    )
-
+def _grouped_two_phase(ds, by: str | list[str], plan, merged_by_key: dict,
+                       index_cols: Optional[list[str]] = None) -> dict:
+    """Per-group phase 2 for z-score / outlier rules: each group's
+    thresholds come from its phase-1 merge (engine.py ``_two_phase_rules``),
+    then ONE more pass evaluates every group's rows against ITS thresholds.
+    Returns {key: {idx: MapPartialState | str}} (str = failure message for
+    that rule).  Narrow mode only — the per-group threshold table lives on
+    the driver, bounded exactly like the phase-1 partials."""
     rules_by_key: dict[Any, list] = {}
-    states: dict[Any, dict] = {k: {} for k in merged_by_key}
+    states: dict[Any, dict] = {}
     for key, merged in merged_by_key.items():
-        for idx, cfg in plan.two_phase_rules:
-            col = cfg.kwargs["column"]
-            err = merged["errors"].get(("agg", col))
-            if err:
-                states[key][idx] = str(err)
-                continue
-            ag = merged["aggs"].get(col, NumericAggState())
-            k = dict(cfg.kwargs)
-            k["_mean"] = ag.metric("column.mean")
-            k["_std"] = ag.metric("column.standard_deviation")
-            if (cfg.expectation_type
-                    == "expect_column_values_to_not_be_outliers"
-                    and cfg.kwargs.get("method", "iqr") == "iqr"):
-                vc = merged["vcs"].get(col, ValueCountsState())
-                if vc.overflow:
-                    states[key][idx] = (
-                        f"group exceeds {ValueCountsState.CAP} distinct "
-                        f"values in '{col}' — validate this group through "
-                        "validate() per slice (distributed IQR)")
-                    continue
-                q25 = percentile_linear_from_vc(vc, 0.25)
-                q75 = percentile_linear_from_vc(vc, 0.75)
-                k["_median"] = percentile_linear_from_vc(vc, 0.50)
-                k["_iqr"] = (q75 - q25) if q75 is not None else None
-            rules_by_key.setdefault(key, []).append(
-                (idx, _EC(cfg.expectation_type, k, cfg.meta)))
-
+        rules, states[key] = _two_phase_rules(plan, merged)
+        if rules:
+            rules_by_key[key] = rules
     if not rules_by_key:
         return states
 
-    by_cols, single = _norm_by(by)
-    key_names = _key_col_names(by_cols, single)
-    p2_by_key: dict[Any, list[bytes]] = {}
-    for row in ds.map_batches(
-            _GroupedEvaluator(by, per_key_rules=rules_by_key),
-            batch_format="pyarrow", zero_copy_batch=True).take_all():
-        key = (row["__key"] if single
-               else tuple(row[n] for n in key_names))
-        p2_by_key.setdefault(key, []).append(row["partial"])
-    for key, parts in p2_by_key.items():
-        m2 = _merge_partials(parts)
-        for idx, _ in rules_by_key.get(key, []):
-            if idx in m2["errors"]:
-                states[key][idx] = str(m2["errors"][idx])
-            else:
-                states[key][idx] = m2["maps"].get(idx, MapPartialState())
-    # a group whose rows never reached phase 2 (shouldn't happen) or whose
-    # rules all failed phase 1 keeps its message entries; fill any absent
-    # rule with an empty state (vacuous truth semantics in the finisher)
-    for key in merged_by_key:
-        for idx, _ in rules_by_key.get(key, []):
-            states[key].setdefault(idx, MapPartialState())
+    evaluators = {key: _PartialEvaluator(rules, set(), set(), set(), index_cols)
+                  for key, rules in rules_by_key.items()}
+    p2_by_key = _partials_by_key(
+        ds.map_batches(_GroupedEvaluator(by, evaluators),
+                       batch_format="pyarrow", zero_copy_batch=True).take_all(),
+        by)
+    for key, rules in rules_by_key.items():
+        _fold_phase2(states[key], rules, _merge_partials(p2_by_key.get(key, [])))
     return states
 
 
@@ -369,7 +316,7 @@ def validate_grouped_wide(
     ds,
     suite: ExpectationSuite,
     *,
-    by: str,
+    by: str | list[str],
     result_format: str | dict = "SUMMARY",
     partial_unexpected_count: int = PARTIAL_UNEXPECTED_COUNT_DEFAULT,
     include_results: bool = False,
@@ -381,13 +328,14 @@ def validate_grouped_wide(
     Same one-pass per-(block, group) partials, but instead of pulling them
     to the driver, groups are merged AND finished inside ONE bucketed
     exchange (``functions/bucketed.py grouped_apply_bucketed``): each bucket
-    task merges its keys' partials and runs the identical
-    :func:`_finish_group` semantics, emitting one verdict row per group.
-    Returns a Ray Dataset of ``(group_key, success, evaluated_expectations,
-    successful_expectations, unsuccessful_expectations, row_count[,
-    result_json])`` — consume it with ``write_parquet`` / ``filter`` like
-    any other Dataset; the driver never sees per-group state.  Per-group
-    verdicts are pinned equal to :func:`validate_grouped`'s by test.
+    task merges its keys' partials and runs the engine's merged-state
+    finisher (engine.py ``_finish_suite``), emitting one verdict row per
+    group.  Returns a Ray Dataset of ``(group_key, success,
+    evaluated_expectations, successful_expectations,
+    unsuccessful_expectations, row_count[, result_json])`` — consume it with
+    ``write_parquet`` / ``filter`` like any other Dataset; the driver never
+    sees per-group state.  Per-group verdicts are pinned equal to
+    :func:`validate_grouped`'s by test.
 
     ``include_results=True`` adds the full per-group suite result as a JSON
     column (bounded per group by the suite size and the capped unexpected
@@ -396,31 +344,20 @@ def validate_grouped_wide(
 
     import pandas as _pd
 
-    if isinstance(result_format, dict):
-        rf = dict(result_format)
-        result_format = rf.get("result_format", "SUMMARY")
-        partial_unexpected_count = rf.get(
-            "partial_unexpected_count", partial_unexpected_count)
+    from great_expectations_ray.functions.bucketed import (
+        grouped_apply_bucketed,
+    )
 
-    plan = compile_suite(suite)
-    bad = [label for attr, label in _UNSUPPORTED_WIDE
-           if getattr(plan, attr)]
-    if bad:
-        raise ValueError(
-            "validate_grouped_wide cannot finish these families inside the "
-            f"bucketed exchange — unsupported families: {', '.join(bad)}. "
-            "Run those expectations through validate() per slice.")
-
-    evaluator = _PartialEvaluator(
-        plan.map_rules, plan.agg_columns, plan.count_columns,
-        _grouped_vc_columns(plan), None,
-        hist_specs=plan.hist_specs or None)
+    result_format, partial_unexpected_count, include_rows, index_cols = (
+        _result_format_opts(result_format, partial_unexpected_count))
+    plan, evaluator = _compile_mergeable(
+        suite, _UNSUPPORTED_WIDE, "validate_grouped_wide", index_cols,
+        include_rows)
     parts = ds.map_batches(
         _GroupedEvaluator(by, evaluator),
         batch_format="pyarrow", zero_copy_batch=True,
     )
     schema = _dataset_arrow_schema(ds)
-    configs = suite.resolved_expectations()
 
     by_cols, single = _norm_by(by)
     key_names = _key_col_names(by_cols, single)
@@ -436,12 +373,12 @@ def validate_grouped_wide(
             if not isinstance(key, tuple):
                 key = (key,)
             key = tuple(None if _pd.isna(k) else k for k in key)
-            svr = _finish_group(
-                suite, plan, configs,
+            svr = _finish_suite(
+                plan, suite,
                 _merge_partials([bytes(p) for p in sub["partial"]]), schema,
                 result_format=result_format,
                 partial_unexpected_count=partial_unexpected_count,
-                catch_exceptions=True,
+                include_unexpected_rows=include_rows,
             )
             row = dict(zip(out_names, key))
             row.update({
@@ -462,262 +399,5 @@ def validate_grouped_wide(
             rows.append(row)
         return _pd.DataFrame(rows)
 
-    from great_expectations_ray.functions.bucketed import (
-        grouped_apply_bucketed,
-    )
-
     return grouped_apply_bucketed(parts, key_names, finish_bucket,
                                   n_buckets=n_buckets)
-
-
-def _finish_group(
-    suite: ExpectationSuite,
-    plan,
-    configs,
-    merged: dict,
-    schema,
-    *,
-    result_format: str,
-    partial_unexpected_count: int,
-    catch_exceptions: bool,
-    two_phase_states: Optional[dict] = None,
-) -> SuiteValidationResult:
-    """Build one group's suite result from its merged partials — the same
-    finish semantics as engine.validate's map/agg/table sections (vacuous
-    truth, FAIL_ON_EMPTY_TYPES, mostly, exact-sum equality, normaltest)."""
-    evrs: dict[int, ExpectationValidationResult] = {}
-
-    def fail_evr(idx, cfg, msg) -> None:
-        if not catch_exceptions:
-            raise RuntimeError(msg)
-        evrs[idx] = ExpectationValidationResult(
-            success=False,
-            expectation_config=cfg.to_json_dict(),
-            exception_info={"raised_exception": True,
-                            "exception_message": msg},
-        )
-
-    for idx, cfg, msg in plan.errors:
-        fail_evr(idx, cfg, msg)
-
-    row_count = merged["row_count"]
-    for idx, cfg in plan.table_rules:
-        try:
-            ok, result = TABLE_RULES[cfg.expectation_type](
-                schema, row_count, cfg.kwargs)
-            evrs[idx] = ExpectationValidationResult(
-                success=ok, expectation_config=cfg.to_json_dict(),
-                result=result)
-        except Exception as exc:
-            fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
-
-    for idx, cfg in plan.map_rules:
-        if idx in merged["errors"]:
-            fail_evr(idx, cfg, merged["errors"][idx])
-            continue
-        ps = merged["maps"].get(idx, MapPartialState())
-        nonnull = ps.element_count - ps.null_count
-        if ps.element_count == 0 or nonnull == 0:
-            success = cfg.expectation_type not in FAIL_ON_EMPTY_TYPES
-        else:
-            success = mostly_success(
-                nonnull, ps.unexpected_count, cfg.kwargs.get("mostly", 1.0))
-        evrs[idx] = ExpectationValidationResult(
-            success=success,
-            expectation_config=cfg.to_json_dict(),
-            result=format_map_result(
-                result_format=result_format,
-                partial_unexpected_count=partial_unexpected_count,
-                success=success,
-                state=ps,
-            ),
-        )
-
-    # value-count rules: the engine's non-overflow finish needs only the
-    # merged VC state (ds is touched only by the knob / overflow paths,
-    # which _grouped_vc_columns rejects at compile time)
-    from great_expectations_ray.engine import (
-        MAX_RESULT_RECORDS,
-        _finish_vc_rule,
-    )
-    from great_expectations_ray.functions.aggregates import ValueCountsState
-
-    for idx, cfg in plan.vc_rules:
-        err = merged["errors"].get(("vc", cfg.kwargs["column"]))
-        if err:
-            fail_evr(idx, cfg, err)
-            continue
-        vc = merged["vcs"].get(cfg.kwargs["column"], ValueCountsState())
-        if vc.overflow:
-            fail_evr(
-                idx, cfg,
-                f"group exceeds {ValueCountsState.CAP} distinct values in "
-                f"'{cfg.kwargs['column']}' — per-group value counts "
-                "overflowed; validate this group through validate() per "
-                "slice (distributed VC fallback)")
-            continue
-        try:
-            evrs[idx] = _finish_vc_rule(None, cfg, merged)
-        except Exception as exc:
-            fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
-
-    # single-column uniqueness from per-group value counts (the engine's
-    # per-dataset shuffle phase, recast: dup rows = sum of counts > 1)
-    for idx, cfg in plan.unique_rules:
-        col = cfg.kwargs["column"]
-        err = merged["errors"].get(("vc", col))
-        if err:
-            fail_evr(idx, cfg, err)
-            continue
-        vc = merged["vcs"].get(col, ValueCountsState())
-        if vc.overflow:
-            fail_evr(
-                idx, cfg,
-                f"group exceeds {ValueCountsState.CAP} distinct values in "
-                f"'{col}' — validate this group through validate() per "
-                "slice (shuffle-backed uniqueness)")
-            continue
-        try:
-            dup_count = sum(c for c in vc.counts.values() if c > 1)
-            samples = [v for v, c in vc.counts.items()
-                       if c > 1][:MAX_RESULT_RECORDS]
-            total, nonnull = merged["counts"].get(col, (0, 0))
-            ps = MapPartialState(
-                element_count=total,
-                null_count=total - nonnull,
-                unexpected_count=dup_count,
-                unexpected_values=samples,
-            )
-            if ps.element_count == 0 or nonnull == 0:
-                success = cfg.expectation_type not in FAIL_ON_EMPTY_TYPES
-            else:
-                success = mostly_success(
-                    nonnull, dup_count, cfg.kwargs.get("mostly", 1.0))
-            evrs[idx] = ExpectationValidationResult(
-                success=success,
-                expectation_config=cfg.to_json_dict(),
-                result=format_map_result(
-                    result_format=result_format,
-                    partial_unexpected_count=partial_unexpected_count,
-                    success=success,
-                    state=ps,
-                ),
-            )
-        except Exception as exc:
-            fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
-
-    # distribution rules: KL / chi-square finish from VC or histogram
-    # partials alone (engine.py _finish_dist_rule / _finish_continuous_kl
-    # take no dataset)
-    from great_expectations_ray.engine import (
-        _finish_continuous_kl,
-        _finish_dist_rule,
-    )
-
-    for idx, cfg in plan.dist_rules:
-        col = cfg.kwargs["column"]
-        err = (merged["errors"].get(("vc", col))
-               or merged["errors"].get(("count", col))
-               or merged["errors"].get(("hist", idx)))
-        if err:
-            fail_evr(idx, cfg, err)
-            continue
-        po = cfg.kwargs.get("partition_object") or {}
-        try:
-            if (cfg.expectation_type
-                    == "expect_column_kl_divergence_to_be_less_than"
-                    and "bins" in po):
-                evrs[idx] = _finish_continuous_kl(cfg, merged["hists"][idx])
-            else:
-                vc = merged["vcs"].get(col, ValueCountsState())
-                if vc.overflow:
-                    fail_evr(
-                        idx, cfg,
-                        f"group exceeds {ValueCountsState.CAP} distinct "
-                        f"values in '{col}' — validate this group through "
-                        "validate() per slice")
-                    continue
-                evrs[idx] = _finish_dist_rule(cfg, merged)
-        except Exception as exc:
-            fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
-
-    # two-phase rules (narrow grouped mode): phase-2 map states computed by
-    # _grouped_two_phase arrive here; a str entry is a phase-1 failure
-    for idx, cfg in plan.two_phase_rules:
-        info = (two_phase_states or {}).get(idx)
-        if info is None:
-            fail_evr(idx, cfg,
-                     "two-phase rules need the per-group second pass "
-                     "(validate_grouped narrow mode)")
-            continue
-        if isinstance(info, str):
-            fail_evr(idx, cfg, info)
-            continue
-        ps = info
-        nonnull = ps.element_count - ps.null_count
-        if ps.element_count == 0 or nonnull == 0:
-            success = cfg.expectation_type not in FAIL_ON_EMPTY_TYPES
-        else:
-            success = mostly_success(
-                nonnull, ps.unexpected_count, cfg.kwargs.get("mostly", 1.0))
-        evrs[idx] = ExpectationValidationResult(
-            success=success,
-            expectation_config=cfg.to_json_dict(),
-            result=format_map_result(
-                result_format=result_format,
-                partial_unexpected_count=partial_unexpected_count,
-                success=success,
-                state=ps,
-            ),
-        )
-
-    for idx, cfg in plan.agg_rules:
-        err = merged["errors"].get(("agg", cfg.kwargs["column"]))
-        if err:
-            fail_evr(idx, cfg, err)
-            continue
-        try:
-            metric = AGG_EXPECTATIONS[cfg.expectation_type]
-            ag = merged["aggs"].get(cfg.kwargs["column"], NumericAggState())
-            value = ag.metric(metric)
-            if (cfg.expectation_type == "expect_column_skew_to_be_between"
-                    and cfg.kwargs.get("abs") and value is not None):
-                value = abs(value)
-            if cfg.expectation_type == "expect_column_sum_to_be":
-                ok = value == cfg.kwargs["sum_total"]
-                evrs[idx] = ExpectationValidationResult(
-                    success=ok, expectation_config=cfg.to_json_dict(),
-                    result={"observed_value": value})
-                continue
-            if (cfg.expectation_type
-                    == "expect_column_values_to_be_normally_distributed"):
-                from great_expectations_ray.functions.stats_math import (
-                    dagostino_normaltest_p,
-                )
-
-                g1 = ag.metric("column.custom.skew")
-                g2 = ag.metric("column.custom.kurtosis")
-                if g1 is None or g2 is None:
-                    raise ValueError("normaltest needs a non-constant column")
-                value = dagostino_normaltest_p(int(ag.n), g1, g2)
-            ok = validate_metric_value_between(
-                value,
-                cfg.kwargs.get("min_value"), cfg.kwargs.get("max_value"),
-                cfg.kwargs.get("strict_min", False),
-                cfg.kwargs.get("strict_max", False),
-            )
-            evrs[idx] = ExpectationValidationResult(
-                success=ok, expectation_config=cfg.to_json_dict(),
-                result={"observed_value": value})
-        except Exception as exc:
-            fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
-
-    results = [evrs[i] for i in sorted(evrs)] if evrs else []
-    stats = calc_validation_statistics(results)
-    return SuiteValidationResult(
-        success=stats["success"],
-        results=results,
-        statistics=stats,
-        suite_name=suite.name,
-        meta={"result_format": result_format, "row_count": row_count},
-    )

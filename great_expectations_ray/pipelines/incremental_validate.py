@@ -31,17 +31,17 @@ import pyarrow as pa
 from great_expectations_ray.core.suite import ExpectationSuite
 from great_expectations_ray.engine import (
     _dataset_arrow_schema,
+    _finish_suite,
     _merge_partials,
-    _PartialEvaluator,
     compile_suite,
 )
 from great_expectations_ray.pipelines.grouped import (
-    _UNSUPPORTED_WIDE as _UNSUPPORTED_FAMILIES,
-    _finish_group,
-    _grouped_vc_columns,
+    _UNSUPPORTED_WIDE,
+    _compile_mergeable,
 )
 
-_STATE_VERSION = 1
+#: 2: temporal min/max in NumericAggState hold exact int64 epochs
+_STATE_VERSION = 2
 
 
 class SuiteValidationState:
@@ -58,18 +58,8 @@ class SuiteValidationState:
     @classmethod
     def compute(cls, ds, suite: ExpectationSuite) -> "SuiteValidationState":
         """ONE streaming pass over ``ds`` -> this partition's state."""
-        plan = compile_suite(suite)
-        bad = [label for attr, label in _UNSUPPORTED_FAMILIES
-               if getattr(plan, attr)]
-        if bad:
-            raise ValueError(
-                "SuiteValidationState cannot finish these families from "
-                f"merged state — unsupported families: {', '.join(bad)}. "
-                "Run those expectations through validate() per run.")
-        evaluator = _PartialEvaluator(
-            plan.map_rules, plan.agg_columns, plan.count_columns,
-            _grouped_vc_columns(plan), None,
-            hist_specs=plan.hist_specs or None)
+        _, evaluator = _compile_mergeable(
+            suite, _UNSUPPORTED_WIDE, "SuiteValidationState")
         parts = [
             r["partial"]
             for r in ds.map_batches(
@@ -97,15 +87,12 @@ class SuiteValidationState:
 
     def finish(self, *, result_format: str = "SUMMARY",
                catch_exceptions: bool = True):
-        """Corpus-level SuiteValidationResult from the merged state — the
-        same finish semantics as engine.validate's map/agg/table sections."""
+        """Corpus-level SuiteValidationResult from the merged state —
+        engine.validate's own finisher, run without a dataset."""
         suite = ExpectationSuite.from_json_dict(self.suite_json)
-        plan = compile_suite(suite)
-        res = _finish_group(
-            suite, plan, suite.resolved_expectations(),
-            pickle.loads(self.blob), self.schema,
+        res = _finish_suite(
+            compile_suite(suite), suite, pickle.loads(self.blob), self.schema,
             result_format=result_format,
-            partial_unexpected_count=20,
             catch_exceptions=catch_exceptions,
         )
         res.meta["n_partitions"] = self.n_partitions

@@ -140,13 +140,15 @@ def _sloppy_cp1252_bytes(v: str) -> bytes | None:
 
 #: mojibake ANCHOR chars — the cp1252 display of UTF-8 lead bytes that are
 #: rare as genuine text: 0xC2 'Â', 0xC3 'Ã', 0xE2 'â' (when followed by C1
-#: glyphs), 0xEF 'ï' (BOM mojibake 'ï»¿'), 0xF0 'ð' (emoji mojibake).
+#: glyphs), 0xEF 'ï' (BOM mojibake 'ï»¿'), 0xF0 'ð' (emoji mojibake), and
+#: the Greek / Cyrillic leads 0xCE 'Î', 0xCF 'Ï', 0xD0 'Ð', 0xD1 'Ñ'
+#: ('Î±Î²Î³' = 'αβγ', 'ÐŸÑ€Ð¸Ð²ÐµÑ‚' = 'Привет').
 #: Deliberately EXCLUDES the real-word leads Ä Å Æ Ç È É … ß á à (ftfy's
 #: badness heuristics make the same call): without this guard, plausible
 #: text like 'ß—' — whose cp1252 bytes DF 97 happen to be valid UTF-8 —
 #: would be "repaired" into an unrelated NKO codepoint (found by the
 #: round-5 hypothesis sweep).
-_MOJIBAKE_ANCHORS = frozenset("ÂÃâïð")
+_MOJIBAKE_ANCHORS = frozenset("ÂÃâïðÎÏÐÑ")
 
 
 def _repair_mojibake_value(v: str) -> str:

@@ -489,3 +489,36 @@ def test_cramers_phi_distributed_matches_driver(ray_session):
     assert dist.result["observed_value"] == pytest.approx(
         driver.result["observed_value"], rel=1e-9)
     assert dist.success == driver.success
+
+
+def test_cramers_phi_matches_numpy_crosstab(ray_session):
+    """Driver-path φ on a sub-cap table with >=100 levels per column, pinned
+    against a dense numpy crosstab."""
+    import ray.data as rd
+
+    from great_expectations_ray.core.suite import ExpectationConfiguration
+    from great_expectations_ray.engine import _finish_cramers_rule
+
+    rng = np.random.default_rng(11)
+    n = 30_000
+    a = rng.integers(0, 120, n)
+    b = (a + rng.integers(0, 15, n)) % 110
+    ds = rd.from_arrow(pa.table({
+        "a": [f"a{x}" for x in a], "b": [f"b{x}" for x in b],
+    })).repartition(4)
+    cfg = ExpectationConfiguration(
+        expectation_type="expect_column_pair_cramers_phi_value_to_be_less_than",
+        kwargs={"column_A": "a", "column_B": "b", "threshold": 0.5},
+    )
+    got = _finish_cramers_rule(ds, cfg)
+
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    obs = np.zeros((ai.max() + 1, bi.max() + 1))
+    np.add.at(obs, (ai, bi), 1)
+    exp = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / n
+    phi = math.sqrt(((obs - exp) ** 2 / exp).sum() / (n * (min(obs.shape) - 1)))
+    assert "distributed" not in got.result["details"]
+    assert (got.result["details"]["rows"], got.result["details"]["cols"]) == obs.shape
+    assert got.result["observed_value"] == pytest.approx(phi, rel=1e-9)
+    assert got.success == (phi < 0.5)

@@ -392,6 +392,38 @@ def test_grouped_two_phase_rules(ray_session):
         SuiteValidationState.compute(ds, suite)
 
 
+def test_grouped_result_format_dict_rows_and_index(ray_session):
+    """The result_format dict's include_unexpected_rows and
+    unexpected_index_column_names reach every group, narrow and wide, as
+    they do in validate on the slice."""
+    import json
+
+    from great_expectations_ray import validate_grouped_wide
+
+    df = pd.DataFrame({"grp": ["a"] * 5 + ["b"] * 5, "id": range(10),
+                       "v": [1, 2, 99, 3, 4, 5, 98, 6, 7, 97]})
+    suite = ExpectationSuite("rf").add(
+        "expect_column_values_to_be_between", column="v",
+        min_value=0, max_value=50)
+    rf = {"result_format": "SUMMARY", "include_unexpected_rows": True,
+          "unexpected_index_column_names": ["id"]}
+    ds = rd.from_pandas(df).repartition(2)
+    got = validate_grouped(ds, suite, by="grp", result_format=rf)
+    wide = (validate_grouped_wide(ds, suite, by="grp", result_format=rf,
+                                  include_results=True)
+            .to_pandas().set_index("group_key"))
+    for key in ("a", "b"):
+        ref = validate(rd.from_pandas(df[df.grp == key].reset_index(drop=True)),
+                       suite, result_format=rf).results[0].result
+        assert ref["partial_unexpected_index_list"]
+        assert ref["unexpected_rows"]
+        res = got[key].results[0].result
+        w = json.loads(wide.loc[key, "result_json"])["results"][0]["result"]
+        for fld in ("partial_unexpected_index_list", "unexpected_rows"):
+            assert res[fld] == ref[fld], fld
+            assert w[fld] == json.loads(json.dumps(ref[fld])), fld
+
+
 def test_grouped_docs_page(ray_session, tmp_path, capsys):
     """`validate --by --html-out`: one Data Docs page with the per-group
     summary table and per-group EVR sections."""

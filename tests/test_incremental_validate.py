@@ -137,3 +137,28 @@ def test_validate_cli_state_flow(ray_session, tmp_path, capsys):
     assert out["statistics"] == ref.statistics
     assert rc == (0 if ref.success else 1)
     assert out["meta"]["n_partitions"] == 2
+
+
+def test_state_keeps_exact_temporal_extremes(ray_session):
+    """A persisted state carries temporal min/max as exact int64 epochs; a
+    blob from the float64 layout (version 1) is refused by version."""
+    import pickle
+
+    import pyarrow as pa
+
+    t0 = pd.Timestamp("2024-01-15 12:00:00").value
+    suite = ExpectationSuite("ts").add(
+        "expect_column_max_to_be_between", column="t",
+        max_value="2024-01-15 12:00:00")
+    states = [SuiteValidationState.compute(
+        rd.from_arrow(pa.table({"t": pa.array(v, pa.timestamp("ns"))})), suite)
+        for v in ([t0 - 10**9], [t0 + 100])]
+    merged = SuiteValidationState.from_bytes(merge_states(states).to_bytes())
+    evr = merged.finish().results[0]
+    assert evr.result["observed_value"] == pd.Timestamp(t0 + 100)
+    assert not evr.success
+
+    old = pickle.loads(merged.to_bytes())
+    old["version"] = 1
+    with pytest.raises(ValueError, match="unsupported state version"):
+        SuiteValidationState.from_bytes(pickle.dumps(old))

@@ -42,6 +42,13 @@ def test_mojibake_non_single_byte_chars_pass_through():
     assert out.to_pylist() == vals
 
 
+def test_mojibake_repair_greek_cyrillic_leads():
+    # Greek / Cyrillic UTF-8 lead bytes CE CF D0 D1 show as Î Ï Ð Ñ
+    vals = ["ÐŸÑ€Ð¸Ð²ÐµÑ‚", "Î±Î²Î³", "ß—"]
+    out = fix_mojibake_array(pa.array(vals))
+    assert out.to_pylist() == ["Привет", "αβγ", "ß—"]
+
+
 def test_fix_mojibake_dataset():
     ds = ray.data.from_items([
         {"doc_id": 0, "text": "hello cafÃ©"},

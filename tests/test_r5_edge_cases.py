@@ -292,6 +292,62 @@ def test_date_bounds_merge_across_blocks(ray_session):
     assert validate(ds, s).success
 
 
+def test_intraday_string_bound_on_date_column(ray_session):
+    """A bound with a time of day on a date32 column compares against each
+    day's midnight instead of being truncated to its day."""
+    import datetime
+
+    from great_expectations_ray import ExpectationSuite, validate
+
+    ds = rd.from_arrow(pa.table({"d": pa.array(
+        [datetime.date(2024, 1, 15), datetime.date(2024, 1, 16)])}))
+    r = validate(ds, ExpectationSuite("intra").add(
+        "expect_column_values_to_be_between", column="d",
+        min_value="2024-01-15 12:00")).results[0]
+    assert not r.success
+    assert r.result["unexpected_count"] == 1
+    assert r.result["partial_unexpected_list"] == [datetime.date(2024, 1, 15)]
+    # a midnight bound, with or without its time, still compares as a date
+    ok = ExpectationSuite("midnight").add(
+        "expect_column_values_to_be_between", column="d",
+        min_value="2024-01-15", max_value="2024-01-16 00:00")
+    assert validate(ds, ok).success
+
+
+def test_ns_timestamp_min_max_are_exact(ray_session):
+    """Temporal min/max merge as exact int64 epochs: 100 ns past a bound
+    fails although float64 rounds both extremes onto the bound."""
+    from great_expectations_ray import ExpectationSuite, validate
+
+    t0 = pd.Timestamp("2024-01-15 12:00:00").value
+    ns = [t0 - 100, t0 - 10**9, t0 + 10**6, t0 + 100, t0 - 5 * 10**9]
+    assert float(t0 - 100) == float(t0) == float(t0 + 100)
+    ds = rd.from_arrow(pa.table({"t": pa.array(ns, pa.timestamp("ns"))}))
+    s = (ExpectationSuite("ns")
+         .add("expect_column_max_to_be_between", column="t",
+              max_value="2024-01-15 12:00:00.001")
+         .add("expect_column_min_to_be_between", column="t",
+              min_value="2024-01-15 11:59:55"))
+    r = validate(ds.repartition(3), s)
+    mx, mn = (e.result["observed_value"] for e in r.results)
+    assert (mx, mn) == (pd.Timestamp(t0 + 10**6), pd.Timestamp(t0 - 5 * 10**9))
+    assert r.success  # both extremes sit exactly on their bounds
+    at_bound = (ExpectationSuite("at")
+                .add("expect_column_max_to_be_between", column="t",
+                     max_value="2024-01-15 12:00:00")
+                .add("expect_column_min_to_be_between", column="t",
+                     min_value="2024-01-15 12:00:00"))
+    near = rd.from_arrow(pa.table({"t": pa.array([t0 + 100], pa.timestamp("ns"))}))
+    r = validate(near, at_bound)
+    assert r.results[0].result["observed_value"] == pd.Timestamp(t0 + 100)
+    assert not r.results[0].success  # max is 100 ns past the bound
+    assert r.results[1].success
+    below = rd.from_arrow(pa.table({"t": pa.array([t0 - 100], pa.timestamp("ns"))}))
+    r = validate(below, at_bound)
+    assert r.results[0].success
+    assert not r.results[1].success  # min is 100 ns before the bound
+
+
 def test_cli_glob_inputs(ray_session, tmp_path, capsys):
     """Every CLI verb funnels its input through _expand_input — a quoted
     glob pattern (the documented `run` input form) must work for the other

@@ -65,6 +65,26 @@ def test_validate_many_matches_per_suite(ray_session):
     assert many["a"].success and not many["c"].success
 
 
+def test_merged_aggregates_ignore_partial_order():
+    """Blocks finish in any order; the merged moments must not depend on it
+    (the exact observed_value equality above relies on this)."""
+    import itertools
+
+    import pyarrow as pa
+
+    from great_expectations_ray.engine import _merge_partials, _PartialEvaluator
+
+    rng = np.random.default_rng(5)
+    ev = _PartialEvaluator([], {"v"}, set(), set(), None)
+    parts = [ev(pa.table({"v": rng.normal(39.0, 20.0, 75)}))
+             .column("partial")[0].as_py() for _ in range(5)]
+    ref = _merge_partials(parts)["aggs"]["v"]
+    for perm in itertools.permutations(parts):
+        got = _merge_partials(list(perm))["aggs"]["v"]
+        assert (got.mean, got.m2, got.m3, got.m4, got.sum) == (
+            ref.mean, ref.m2, ref.m3, ref.m4, ref.sum)
+
+
 def test_validate_many_error_evr_stays_in_its_span(ray_session):
     ds = rd.from_pandas(_frame())
     good = ExpectationSuite("good").add(
