@@ -4,7 +4,10 @@ Each kernel mirrors one reference map-metric ``.condition``
 (``expectations/metrics/column_map_metrics/*``) but is expressed as an Arrow
 compute expression over a whole batch — never a Python loop per row (the
 reference itself is column-vectorized on every backend, see
-``column_values_match_regex.py:24-25``).
+``column_values_match_regex.py:24-25``).  The one exception is a predicate
+with no Arrow form (dateutil, JSON decoding, jsonschema, and the contrib
+``re``/dateutil/rule kernels): ``_per_distinct`` runs it in Python once per
+distinct value of the batch, never once per row.
 
 Kernel contract::
 
@@ -286,38 +289,67 @@ def _strftime(tbl: pa.Table, kwargs: dict) -> KernelResult:
     return KernelResult(meets, valid, s.combine_chunks(), nulls)
 
 
+def _per_distinct(
+    s: pa.Array,
+    fn: Callable[[Any], bool],
+    accept: Callable[[pa.Array], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Run the per-value Python predicate ``fn`` once per distinct non-null
+    value of ``s`` and gather the answers back to ``np.bool_[len(s)]``;
+    nulls give False.  ``accept(dictionary)`` may mark distinct values True
+    up front, vectorized, so ``fn`` runs only on the rest."""
+    if s.null_count == len(s):
+        return np.zeros(len(s), dtype=bool)
+    enc = pc.dictionary_encode(s)
+    d = enc.dictionary
+    hit = np.zeros(len(d), dtype=bool) if accept is None else accept(d)
+    rest = np.flatnonzero(~hit)
+    hit[rest] = [bool(fn(v)) for v in d.take(rest).to_pylist()]
+    return hit[np.asarray(pc.fill_null(enc.indices, 0))] & _bool_np(pc.is_valid(s))
+
+
+def _iso_dates(d: pa.Array) -> np.ndarray:
+    """Exact vectorized pre-accept for dateutil: ``YYYY-MM-DD`` strings that
+    survive a strptime/strftime round trip unchanged, year 0000 excluded.
+    The round trip is needed because strptime rolls '2020-04-31' into May
+    where dateutil rejects it; dateutil also rejects year 0."""
+    ts = pc.strptime(d, format="%Y-%m-%d", unit="s", error_is_null=True)
+    same = pc.equal(pc.cast(pc.strftime(ts, format="%Y-%m-%d"), d.type), d)
+    return _bool_np(same) & ~_bool_np(pc.starts_with(d, "0000"))
+
+
 @register_condition("expect_column_values_to_be_dateutil_parseable")
 def _dateutil_parseable(tbl: pa.Table, kwargs: dict) -> KernelResult:
     from dateutil import parser as _p
 
+    def parses(v: str) -> bool:
+        try:
+            _p.parse(v)
+        except (ValueError, OverflowError, TypeError):
+            return False
+        return True
+
     col, valid, nulls = _nonnull_domain(tbl, kwargs)
     s = _as_string(col).combine_chunks()
-    out = np.zeros(len(s), dtype=bool)
-    # intentionally per-value: dateutil has no vectorized form; this rule is
-    # for small audit columns, not the content hot path (SURVEY §2.1 #17)
-    for i, v in enumerate(s):
-        if v.is_valid:
-            try:
-                _p.parse(v.as_py())
-                out[i] = True
-            except (ValueError, OverflowError, TypeError):
-                out[i] = False
-    return KernelResult(out, valid, s, nulls)
+    return KernelResult(_per_distinct(s, parses, _iso_dates), valid, s, nulls)
+
+
+_UNDECODABLE = object()
+
+
+def _try_loads(v: str) -> Any:
+    try:
+        return _json.loads(v)
+    except Exception:  # any decoder failure, RecursionError on deep nesting too
+        return _UNDECODABLE
 
 
 @register_condition("expect_column_values_to_be_json_parseable")
 def _json_parseable(tbl: pa.Table, kwargs: dict) -> KernelResult:
     col, valid, nulls = _nonnull_domain(tbl, kwargs)
     s = _as_string(col).combine_chunks()
-    out = np.zeros(len(s), dtype=bool)
-    for i, v in enumerate(s):
-        if v.is_valid:
-            try:
-                _json.loads(v.as_py())
-                out[i] = True
-            except (ValueError, TypeError):
-                out[i] = False
-    return KernelResult(out, valid, s, nulls)
+    meets = _per_distinct(s, lambda v: _try_loads(v) is not _UNDECODABLE)
+    return KernelResult(meets, valid, s, nulls)
 
 
 @register_condition("expect_column_values_to_match_json_schema")
@@ -331,15 +363,12 @@ def _match_json_schema(tbl: pa.Table, kwargs: dict) -> KernelResult:
     s = _as_string(col).combine_chunks()
     schema = kwargs["json_schema"]
     validator = jsonschema.validators.validator_for(schema)(schema)
-    out = np.zeros(len(s), dtype=bool)
-    for i, v in enumerate(s):
-        if v.is_valid:
-            try:
-                obj = _json.loads(v.as_py())
-            except (ValueError, TypeError):
-                continue
-            out[i] = not any(True for _ in validator.iter_errors(obj))
-    return KernelResult(out, valid, s, nulls)
+
+    def conforms(v: str) -> bool:
+        obj = _try_loads(v)
+        return obj is not _UNDECODABLE and validator.is_valid(obj)
+
+    return KernelResult(_per_distinct(s, conforms), valid, s, nulls)
 
 
 # --------------------------------------------------------------------------- #

@@ -30,6 +30,7 @@ from great_expectations_ray.functions.column_map import (
     KernelResult,
     _bool_np,
     _nonnull_domain,
+    _per_distinct,
     register_condition,
 )
 
@@ -45,7 +46,7 @@ SCIENTIFIC_NOTATION_REGEX = (
 def _regex_kernel(regex: str):
     """Vectorized RE2 kernel; patterns RE2 rejects (lookaround, e.g. the
     scientific-notation contrib regex) fall back to compiled Python ``re``
-    over the batch with a by-value cache."""
+    once per distinct value of the batch."""
     import re as _re
 
     try:
@@ -64,20 +65,7 @@ def _regex_kernel(regex: str):
         if use_re2:
             meets = _bool_np(pc.match_substring_regex(s, regex))
         else:
-            cache: dict[str, bool] = {}
-
-            def ok(v) -> bool:
-                if v is None:
-                    return False
-                hit = cache.get(v)
-                if hit is None:
-                    hit = compiled.search(v) is not None
-                    cache[v] = hit
-                return hit
-
-            meets = np.fromiter(
-                (ok(v) for v in s.to_pylist()), dtype=bool, count=len(s)
-            )
+            meets = _per_distinct(s, lambda v: compiled.search(v) is not None)
         return KernelResult(meets, valid, s, nulls)
 
     return kernel
@@ -114,27 +102,16 @@ def _not_future_date(tbl: pa.Table, kwargs: dict) -> KernelResult:
         meets = _bool_np(pc.less_equal(col, bound))
         vals = pc.cast(col, pa.large_string()).combine_chunks()
         return KernelResult(meets, valid, vals, nulls)
-    # string column: dateutil parse per distinct value (cache-by-value keeps
-    # the per-row python cost bounded by the distinct count)
     from dateutil import parser as _p
 
-    s = pc.cast(col, pa.large_string()).combine_chunks()
-    cache: dict[str, bool] = {}
-
-    def ok(v) -> bool:
-        if v is None:
+    def not_future(v: str) -> bool:
+        try:
+            return _p.parse(v).date() <= today
+        except Exception:
             return False
-        hit = cache.get(v)
-        if hit is None:
-            try:
-                hit = _p.parse(v).date() <= today
-            except Exception:
-                hit = False
-            cache[v] = hit
-        return hit
 
-    meets = np.fromiter((ok(v) for v in s.to_pylist()), dtype=bool, count=len(s))
-    return KernelResult(meets, valid, s, nulls)
+    s = pc.cast(col, pa.large_string()).combine_chunks()
+    return KernelResult(_per_distinct(s, not_future), valid, s, nulls)
 
 
 @register_condition("expect_column_values_number_of_decimal_places_to_equal")
@@ -569,20 +546,9 @@ def _follow_rule(tbl: pa.Table, kwargs: dict) -> KernelResult:
         )
     func = eval("lambda " + ",".join(names) + ": " + rule["expr"])  # noqa: S307
     s = pc.cast(col, pa.large_string()).combine_chunks()
-    cache: dict[str, bool] = {}
-
-    def ok(v) -> bool:
-        if v is None:
-            return False  # outside the non-null map domain anyway
-        hit = cache.get(v)
-        if hit is None:
-            hit = bool(func(**{
-                name: str(v[r[0]: r[1]]) for name, r in rule["ranges"].items()
-            }))
-            cache[v] = hit
-        return hit
-
-    meets = np.fromiter((ok(v) for v in s.to_pylist()), dtype=bool, count=len(s))
+    meets = _per_distinct(s, lambda v: func(**{
+        name: str(v[r[0]: r[1]]) for name, r in rule["ranges"].items()
+    }))
     return KernelResult(meets, valid, s, nulls)
 
 

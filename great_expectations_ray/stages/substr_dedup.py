@@ -240,6 +240,52 @@ def duplicate_occurrence_cuts(
     return grouped_apply_bucketed(marks, [id_col], merge_ranges)
 
 
+class _CutRewriter:
+    """Cuts each row's sorted byte ``ranges`` (``{doc id: [(start, end)]}``)
+    out of ``content_col`` and appends ``removed_bytes`` / ``n_cuts``."""
+
+    def __init__(self, cut_ref, id_col: str, content_col: str):
+        import ray
+
+        self.cuts = ray.get(cut_ref) if not isinstance(cut_ref, dict) else cut_ref
+        self.cut_ids = pa.array(list(self.cuts))
+        self.id_col, self.content_col = id_col, content_col
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        ids = tbl.column(self.id_col)
+        content = tbl.column(self.content_col)
+        if isinstance(content, pa.ChunkedArray):
+            content = content.combine_chunks()
+        content = pc.cast(pc.fill_null(content, ""), pa.string())
+        removed = np.zeros(len(ids), dtype=np.int64)
+        n_cuts = np.zeros(len(ids), dtype=np.int64)
+        mask = np.asarray(pc.fill_null(pc.is_in(ids, value_set=self.cut_ids), False))
+        hit = np.flatnonzero(mask)
+        if not len(hit):
+            out_content = content
+        else:
+            # only affected rows are pulled to Python; the rest of the
+            # batch stays on the Arrow buffer (replace_with_mask)
+            reps: list[str] = []
+            for i, d in zip(hit, ids.take(hit).to_pylist()):
+                ranges = self.cuts[d]
+                b = content[i].as_py().encode("utf-8")
+                pieces, last = [], 0
+                for s, e in ranges:
+                    pieces.append(b[last:s])
+                    last = e
+                pieces.append(b[last:])
+                reps.append(b"".join(pieces).decode("utf-8", "replace"))
+                removed[i] = sum(e - s for s, e in ranges)
+                n_cuts[i] = len(ranges)
+            out_content = pc.replace_with_mask(
+                content, pa.array(mask), pa.array(reps, pa.string()))
+        tbl = tbl.set_column(
+            tbl.column_names.index(self.content_col), self.content_col, out_content)
+        return (tbl.append_column("removed_bytes", pa.array(removed))
+                   .append_column("n_cuts", pa.array(n_cuts)))
+
+
 def remove_duplicate_substrings(
     ds,
     *,
@@ -278,47 +324,9 @@ def remove_duplicate_substrings(
         v.sort()
     ref = ray.put(cut_map)
 
-    class _Rewriter:
-        def __init__(self, cut_ref):
-            self.cuts = ray.get(cut_ref) if not isinstance(cut_ref, dict) else cut_ref
-
-        def __call__(self, tbl: pa.Table) -> pa.Table:
-            ids = np.asarray(tbl.column(id_col))
-            content = tbl.column(content_col)
-            if isinstance(content, pa.ChunkedArray):
-                content = content.combine_chunks()
-            content = pc.cast(pc.fill_null(content, ""), pa.string())
-            removed = np.zeros(len(ids), dtype=np.int64)
-            n_cuts = np.zeros(len(ids), dtype=np.int64)
-            hit = [i for i, d in enumerate(ids.tolist()) if d in self.cuts]
-            if not hit:
-                out_content = content
-            else:
-                # only affected rows are pulled to Python; the rest of the
-                # batch stays on the Arrow buffer (replace_with_mask)
-                reps: list[str] = []
-                for i in hit:
-                    ranges = self.cuts[ids[i]]
-                    b = content[i].as_py().encode("utf-8")
-                    pieces, last = [], 0
-                    for s, e in ranges:
-                        pieces.append(b[last:s])
-                        last = e
-                    pieces.append(b[last:])
-                    reps.append(b"".join(pieces).decode("utf-8", "replace"))
-                    removed[i] = sum(e - s for s, e in ranges)
-                    n_cuts[i] = len(ranges)
-                mask = np.zeros(len(ids), dtype=bool)
-                mask[hit] = True
-                out_content = pc.replace_with_mask(
-                    content, pa.array(mask), pa.array(reps, pa.string()))
-            tbl = tbl.set_column(
-                tbl.column_names.index(content_col), content_col, out_content)
-            return (tbl.append_column("removed_bytes", pa.array(removed))
-                       .append_column("n_cuts", pa.array(n_cuts)))
-
     return ds.map_batches(
-        _Rewriter, fn_constructor_kwargs={"cut_ref": ref},
+        _CutRewriter, fn_constructor_kwargs={
+            "cut_ref": ref, "id_col": id_col, "content_col": content_col},
         batch_format="pyarrow", zero_copy_batch=True, concurrency=concurrency)
 
 

@@ -94,6 +94,48 @@ def test_json_parseable(fixture_ds):
     assert r.result["missing_count"] == 10
 
 
+@pytest.mark.parametrize("etype,extra", [
+    ("expect_column_values_to_be_json_parseable", {}),
+    ("expect_column_values_to_match_json_schema", {"json_schema": {"type": "object"}}),
+])
+def test_json_undecodable_deep_nesting_is_unexpected(etype, extra):
+    """json.loads raises RecursionError, not ValueError, on deep nesting:
+    that value is unexpected, the rule does not raise."""
+    import ray.data as rd
+
+    ds = rd.from_arrow(pa.table({"js": ['{"a":1}', "[" * 100000, "nope", None]}))
+    r = _run_one(ds, etype, column="js", **extra)
+    assert r.result["unexpected_count"] == 2
+    assert r.result["missing_count"] == 1
+
+
+def test_dateutil_parses_once_per_distinct_non_iso_value(monkeypatch):
+    import dateutil.parser
+
+    from great_expectations_ray.functions.column_map import CONDITION_KERNELS
+
+    calls = []
+    real_parse = dateutil.parser.parse
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args[0])
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(dateutil.parser, "parse", counting_parse)
+    kernel = CONDITION_KERNELS["expect_column_values_to_be_dateutil_parseable"]
+    iso = [f"2020-{m:02d}-{d:02d}" for m in (1, 2) for d in range(1, 26)]
+    pool = iso + ["nope", "2020-02-30", "31/12/2020"]
+    vals = [pool[i % len(pool)] for i in range(10_000)]
+    r = kernel(pa.table({"c": vals}), {"column": "c"})
+    assert sorted(calls) == ["2020-02-30", "31/12/2020", "nope"]
+    assert r.meets.tolist() == [v != "nope" and v != "2020-02-30" for v in vals]
+
+    calls.clear()
+    kernel(pa.table({"c": pa.array([], pa.string())}), {"column": "c"})
+    kernel(pa.table({"c": pa.array([None] * 5, pa.string())}), {"column": "c"})
+    assert calls == []
+
+
 def test_pair_rules(fixture_ds, fixture_table):
     import pandas as pd
 

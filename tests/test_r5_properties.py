@@ -869,3 +869,149 @@ def test_c4_clean_batch_matches_naive_loop(rows):
         assert out.column("clean_text")[i].as_py() == "\n".join(kept), \
             repr(row)
         assert out.column("keep")[i].as_py() == keep_doc, repr(row)
+
+
+# --------------------------------------------------------------------------- #
+# per-value Python kernels: once per distinct value (_per_distinct) must equal
+# the per-row loop each kernel used to run
+# --------------------------------------------------------------------------- #
+
+_DATE_EDGES = [
+    "2020-01-01", "1999-12-31", "2024-02-29", "2099-07-04",
+    # Arrow's strptime rolls these into the next month; dateutil rejects them
+    "2020-04-31", "1996-02-30", "1900-02-29", "2023-02-29",
+    "0000-01-01", "0001-01-01", "9999-12-31", " 2020-01-01", "2020-1-1",
+    "20200101", "2020-01-01T12:30:00", "2020-01-01 08:00:00+02:00",
+    "2020-13-01", "2020-01-00", "12020-01-01",
+]
+_JSON_FRAGMENTS = [
+    '{"a": 1}', "[1, 2]", '"s"', "null", "{", '{"a":}', "[]", "{}", " 7 ",
+    "NaN", "1e5", "-2.5E-3", "+.5", "0x1F",
+]
+_CELL = st.one_of(
+    st.none(),
+    st.sampled_from(_DATE_EDGES + _JSON_FRAGMENTS),
+    st.text(max_size=12),
+    st.text(alphabet="0123456789-:T .e", max_size=12),
+)
+_LAYOUTS = ["string", "large_string", "dictionary", "chunked", "sliced"]
+
+
+def _string_column(vals, layout):
+    import pyarrow as pa
+
+    if layout == "large_string":
+        return pa.array(vals, pa.large_string())
+    if layout == "dictionary":
+        return pa.array(vals, pa.string()).dictionary_encode()
+    if layout == "chunked":
+        k = len(vals) // 2
+        return pa.chunked_array(
+            [pa.array(vals[:k], pa.string()), pa.array(vals[k:], pa.string())])
+    if layout == "sliced":
+        return pa.array(["pad"] + vals + ["pad"], pa.string()).slice(1, len(vals))
+    return pa.array(vals, pa.string())
+
+
+def _row_oracles():
+    """Per-value predicates exactly as each kernel's per-row loop ran them."""
+    import datetime
+    import json
+    import re
+
+    import jsonschema
+    from dateutil import parser as _p
+
+    from great_expectations_ray.functions.contrib import SCIENTIFIC_NOTATION_REGEX
+
+    def dateutil_ok(v):
+        try:
+            _p.parse(v)
+            return True
+        except (ValueError, OverflowError, TypeError):
+            return False
+
+    def json_ok(v):
+        try:
+            json.loads(v)
+            return True
+        except (ValueError, TypeError):
+            return False
+
+    schema = {"type": "array", "items": {"type": "integer"}}
+    validator = jsonschema.validators.validator_for(schema)(schema)
+
+    def schema_ok(v):
+        try:
+            obj = json.loads(v)
+        except (ValueError, TypeError):
+            return False
+        return not any(True for _ in validator.iter_errors(obj))
+
+    sci = re.compile(SCIENTIFIC_NOTATION_REGEX)
+    today = datetime.date.today()
+
+    def not_future(v):
+        try:
+            return _p.parse(v).date() <= today
+        except Exception:
+            return False
+
+    rule = {"ranges": {"a": [0, 2], "b": [2, 4]}, "expr": "a <= b"}
+    return [
+        ("expect_column_values_to_be_dateutil_parseable", {}, dateutil_ok),
+        ("expect_column_values_to_be_json_parseable", {}, json_ok),
+        ("expect_column_values_to_match_json_schema",
+         {"json_schema": schema}, schema_ok),
+        ("expect_column_values_to_be_valid_scientific_notation", {},
+         lambda v: sci.search(v) is not None),
+        ("expect_column_values_to_not_be_future_date", {}, not_future),
+        ("expect_column_values_to_follow_rule", {"rule": rule},
+         lambda v: bool(v[0:2] <= v[2:4])),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=st.lists(_CELL, max_size=60), reps=st.integers(1, 4),
+       layout=st.sampled_from(_LAYOUTS))
+def test_per_distinct_kernels_match_per_row_loop(vals, reps, layout):
+    import pyarrow as pa
+
+    from great_expectations_ray.functions.column_map import CONDITION_KERNELS
+
+    vals = vals * reps  # heavy duplicates
+    tbl = pa.table({"c": _string_column(vals, layout)})
+    for name, extra, ok in _row_oracles():
+        if name.endswith("follow_rule") and layout == "dictionary":
+            continue  # follow_rule rejects non-string columns (TypeError)
+        res = CONDITION_KERNELS[name](tbl, {"column": "c", **extra})
+        want = [v is not None and ok(v) for v in vals]
+        assert res.meets.tolist() == want, name
+        assert res.considered.tolist() == [v is not None for v in vals], name
+        assert res.values.to_pylist() == vals, name
+
+
+def test_dateutil_kernel_iso_edge_cases():
+    import pyarrow as pa
+
+    from great_expectations_ray.functions.column_map import (
+        CONDITION_KERNELS,
+        _iso_dates,
+    )
+
+    expect = {
+        "2020-01-01": True, "2024-02-29": True, "0001-01-01": True,
+        "9999-12-31": True, " 2020-01-01": True, "2020-1-1": True,
+        "20200101": True, "2020-01-01T12:30:00": True,
+        "2020-04-31": False, "1996-02-30": False, "1900-02-29": False,
+        "2023-02-29": False, "0000-01-01": False, "2020-13-01": False,
+        "12020-01-01": False,
+    }
+    tbl = pa.table({"c": list(expect)})
+    got = CONDITION_KERNELS["expect_column_values_to_be_dateutil_parseable"](
+        tbl, {"column": "c"}).meets
+    assert dict(zip(expect, got.tolist())) == expect
+    # only canonical dates of years 0001-9999 skip dateutil
+    pre = _iso_dates(pa.array(list(expect), pa.large_string()))
+    assert [v for v, p in zip(expect, pre) if p] == [
+        "2020-01-01", "2024-02-29", "0001-01-01", "9999-12-31"]

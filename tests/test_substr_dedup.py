@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
 import ray.data as rd
 
 from great_expectations_ray.stages.substr_dedup import (
+    _CutRewriter,
     duplicate_substrings,
     window_table,
 )
@@ -251,3 +254,47 @@ def test_remove_duplicate_substrings_joined_path_matches_broadcast(ray_session):
     pd.testing.assert_frame_equal(joined[bcast.columns], bcast)
     assert joined["doc_id"].dtype.kind == "i"
     assert (joined[joined.doc_id % 3 == 0].iloc[1:]["removed_bytes"] > 0).all()
+
+
+def _per_row_rewrite(tbl: pa.Table, cuts: dict):
+    """The per-row membership loop the rewriter replaced."""
+    ids = tbl.column("doc_id").to_pylist()
+    texts = pc.fill_null(tbl.column("text"), "").to_pylist()
+    content, removed, n_cuts = [], [], []
+    for d, text in zip(ids, texts):
+        if d not in cuts:
+            content.append(text)
+            removed.append(0)
+            n_cuts.append(0)
+            continue
+        b, pieces, last = text.encode("utf-8"), [], 0
+        for s, e in cuts[d]:
+            pieces.append(b[last:s])
+            last = e
+        pieces.append(b[last:])
+        content.append(b"".join(pieces).decode("utf-8", "replace"))
+        removed.append(sum(e - s for s, e in cuts[d]))
+        n_cuts.append(len(cuts[d]))
+    return content, removed, n_cuts
+
+
+@pytest.mark.parametrize("ids,cuts", [
+    # int ids, hits on the first and the last row
+    ([10, 11, 12, 13], {10: [(0, 2)], 13: [(1, 3), (4, 5)]}),
+    # int32 column against the int64 cut ids, and a null id
+    (pa.array([10, None, 12, 13], pa.int32()), {12: [(0, 1)], 13: [(2, 6)]}),
+    # string ids, hits on the first and the last row
+    (["a", "b", "c", "d"], {"a": [(0, 1)], "d": [(2, 4)], "zz": [(0, 1)]}),
+    # batches with no hits
+    ([10, 11, 12, 13], {99: [(0, 2)]}),
+    (["a", "b", "c", "d"], {"z": [(0, 1)]}),
+    ([10, 11, 12, 13], {}),
+])
+def test_cut_rewriter_matches_per_row_loop(ids, cuts):
+    base = pa.table({"doc_id": ids, "text": ["abcdef", "ghijkl", None, "mnopqr"]})
+    tbl = pa.concat_tables([base.slice(0, 1), base.slice(1)])  # two chunks
+    out = _CutRewriter(cuts, "doc_id", "text")(tbl)
+    content, removed, n_cuts = _per_row_rewrite(tbl, cuts)
+    assert out.column("text").to_pylist() == content
+    assert out.column("removed_bytes").to_pylist() == removed
+    assert out.column("n_cuts").to_pylist() == n_cuts
