@@ -26,7 +26,7 @@ def entry() -> Any:
     )
 
     ds = _derived_corpus("/root/testdata/sf0.001")
-    out = run_quality_filter(ds, QualityFilterConfig(actor_concurrency=2))
+    out = run_quality_filter(ds, QualityFilterConfig())
     return out["scored"]
 
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Benchmark harness.
 
-Headline: the flagship quality-filter pipeline (text stats + langid actor
-pool + perplexity actor pool + fused rule-eval/scrub + parquet sinks +
+Headline: the flagship quality-filter pipeline (one fused per-batch pass of
+text stats + langid + perplexity + rule-eval/scrub + parquet sinks, then the
 rollup) over a deterministic synthetic code corpus sized to the sf, measured
 in files/sec.  Plus per-query timings for a representative slice of the
 operator catalog over $GRAFT_SF_DIR.
@@ -23,7 +23,7 @@ import tempfile
 import time
 
 # corpus sizes chosen so the 8-vs-32-CPU scaling run is compute-dominated
-# (~500 cpu-seconds at sf0.1), not actor-startup / IO-floor dominated
+# (~500 cpu-seconds at sf0.1), not worker-startup / IO-floor dominated
 SF_ROWS = {"sf0.001": 4_000, "sf0.01": 100_000, "sf0.1": 4_000_000}
 
 
@@ -103,22 +103,16 @@ def run_bench() -> dict:
 
         _prepare_model_ref(
             rd.read_parquet(corpus_dir),
-            QualityFilterConfig(perplexity_model_path=f"{corpus_base}/gxr_bench_lm_v4_{n_rows}.npy"),
+            QualityFilterConfig(perplexity_model_path=f"{corpus_base}/gxr_bench_lm_v5_{n_rows}.npy"),
         )
         ray.shutdown()
         return {"metric": "prime", "value": 0, "unit": "sec"}
 
     cfg = QualityFilterConfig(
-        # one fused pool at 3/4 of the CPUs (read/write tasks use the rest);
-        # proportional sizing keeps the N vs 4N comparison apples-to-apples.
-        # At most ncpus - 1 actors: a pool holding every CPU starves the read
-        # tasks and the run hangs (1-2 CPUs)
-        actor_concurrency=max(1, min((ncpus * 3) // 4, ncpus - 1)),
-        autoscale_actors=False,
         batch_size=4096,
-        perplexity_model_path=f"{corpus_base}/gxr_bench_lm_v4_{n_rows}.npy",
+        perplexity_model_path=f"{corpus_base}/gxr_bench_lm_v5_{n_rows}.npy",
     )
-    # best of 3: the first run absorbs actor spin-up jitter, and the box
+    # best of 3: the first run absorbs worker start-up jitter, and the box
     # shows ±25% leg-to-leg variance from host-level memory-bandwidth
     # contention (identical legs measured 17.7-25.6 s in one session) — one
     # extra leg materially raises the odds of catching a quiet window

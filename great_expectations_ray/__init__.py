@@ -7,7 +7,7 @@ semantics as partition-parallel, Arrow-vectorized Ray Data pipelines:
   per-block partial states that merge associatively (the Ray analog of GX's
   metric bundling, see reference ``execution_engine/sparkdf_execution_engine.py:843``).
 - Keep/drop quality filtering, PII scrubbing, language-ID and perplexity
-  scoring run as vectorized / actor-pool stages over zero-copy Arrow batches.
+  scoring run as vectorized per-batch stages over zero-copy Arrow batches.
 - Rollups reproduce GX's ExpectationSuiteValidationResult statistics
   (reference ``validator/validation_statistics.py:19-42``).
 

@@ -76,7 +76,6 @@ def cmd_run(args) -> int:
         cfg_kwargs = dict(
             use_langid=not args.no_langid,
             use_perplexity=not args.no_perplexity,
-            actor_concurrency=args.actors,
         )
         if args.suite:
             with open(args.suite) as f:
@@ -641,11 +640,7 @@ def cmd_embed(args) -> int:
     owned = _init_ray(args.cpus)
     try:
         ds = rd.read_parquet(_expand_input(args.input), columns=[args.id_col, args.text_col])
-        import ray as _ray
-
-        avail = args.cpus or int(_ray.cluster_resources().get("CPU", 8))
-        emb = embed_text(ds, text_col=args.text_col, seed=args.seed,
-                         concurrency=(1, max(2, avail // 2)))
+        emb = embed_text(ds, text_col=args.text_col, seed=args.seed)
         emb.repartition(args.partitions).write_parquet(args.output)
         n = rd.read_parquet(args.output).count()
         print(json.dumps({"rows": n, "dim": 16, "seed": args.seed,
@@ -779,7 +774,6 @@ def main(argv=None) -> int:
     r.add_argument("--output", required=True, help="output root directory")
     r.add_argument("--suite", help="suite JSON path (default: built-in code-quality suite)")
     r.add_argument("--partitions", type=int, default=8)
-    r.add_argument("--actors", type=int, default=4)
     r.add_argument("--cpus", type=int, default=None)
     r.add_argument("--no-langid", action="store_true")
     r.add_argument("--no-perplexity", action="store_true")

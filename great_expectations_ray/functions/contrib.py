@@ -403,7 +403,7 @@ def _multicolumn_equal(tbl: pa.Table, kwargs: dict) -> KernelResult:
 # expect_column_values_to_be_valid_json.py wraps json.loads per value (same
 # contract as #18 json_parseable); ..._to_be_in_set_spark_optimized.py is a
 # Spark-broadcast variant of #3 — on Ray the value set already rides the
-# compiled suite to every actor, so the optimized and plain forms coincide.
+# compiled suite to every worker, so the optimized and plain forms coincide.
 from great_expectations_ray.functions.column_map import CONDITION_KERNELS as _K
 
 register_condition("expect_column_values_to_be_valid_json")(

@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
+
 
 def broadcast_join(ds, small_df: pd.DataFrame, *, on: list[str] | str, how: str = "inner"):
     """Join a Dataset against a SMALL pandas/Arrow table (dimension side).
@@ -44,13 +46,13 @@ def broadcast_join(ds, small_df: pd.DataFrame, *, on: list[str] | str, how: str 
 
     class Joiner:
         def __init__(self):
-            self.small = ray.get(ref)  # once per actor/task worker
+            self.small = ray.get(ref)  # once per worker
 
         def __call__(self, tbl: pa.Table) -> pa.Table:
             out = tbl.join(self.small, keys=on, join_type=join_type)
             return out.combine_chunks()
 
-    return ds.map_batches(Joiner, batch_format="pyarrow", concurrency=(1, 8))
+    return map_per_worker(ds, Joiner, batch_format="pyarrow")
 
 
 def broadcast_semi_anti(ds, keys, *, on: str, anti: bool = False):

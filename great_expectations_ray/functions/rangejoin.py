@@ -3,7 +3,7 @@
 
 The second canonical missing-in-Ray-Data operator from the build brief
 (next to the as-of join).  Scale shape: the interval side is broadcast via
-``ray.put`` (fetched once per actor), the fact side streams through an
+``ray.put`` (fetched once per worker), the fact side streams through an
 embarrassingly-parallel ``map_batches`` — no shuffle at all.  Intervals may
 overlap (a row joins every interval containing it, 1:N output).
 
@@ -21,6 +21,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 
 class _RangeJoiner:
@@ -75,7 +77,6 @@ def range_join_broadcast(
     value_col: str,
     keep_cols: list[str],
     interval_cols: list[str],
-    concurrency: int = 4,
 ):
     """1:N inner range join: output = keep_cols + interval_cols for every
     (row, interval) pair with ``lo <= row[value_col] <= hi``.  ``intervals``
@@ -86,15 +87,9 @@ def range_join_broadcast(
         if c not in intervals.columns:
             raise ValueError(f"intervals must have a {c!r} column")
     ref = ray.put(intervals.reset_index(drop=True))
-    return ds.select_columns(sorted({value_col, *keep_cols})).map_batches(
-        _RangeJoiner,
-        fn_constructor_kwargs={
-            "intervals_ref": ref, "value_col": value_col,
-            "keep_cols": keep_cols, "interval_cols": interval_cols,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        # autoscaling pool: a FIXED pool of size == num_cpus starves any
-        # downstream shuffle stage and deadlocks the stream on small nodes
-        concurrency=(1, concurrency),
+    return map_per_worker(
+        ds.select_columns(sorted({value_col, *keep_cols})), _RangeJoiner,
+        {"intervals_ref": ref, "value_col": value_col,
+         "keep_cols": keep_cols, "interval_cols": interval_cols},
+        batch_format="pyarrow", zero_copy_batch=True,
     )

@@ -17,7 +17,7 @@ Distributed shape:
 2. Sort once on the driver, prefix-sum to ``cnt_less`` per distinct value,
    ``ray.put`` the (values, cnt_less) pair.
 3. One mark pass: ``np.searchsorted`` exact-match lookup per batch
-   (fetched once per actor) → ``pct_rank`` column.
+   (fetched once per worker) → ``pct_rank`` column.
 
 ``cnt_less`` is an integer for every row, so any aggregate of it is
 exactly reproducible in SQL — which is how the catalog oracles this.
@@ -30,11 +30,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
+
 
 def percent_rank_transform(ds, column: str, *,
                            out_col: str = "pct_rank",
-                           max_distinct: int = 5_000_000,
-                           concurrency=(1, 8)):
+                           max_distinct: int = 5_000_000):
     """Appends ``out_col`` (float64 in [0, 1]) and ``cnt_less`` (int64).
     Nulls get null pct_rank and -1 cnt_less."""
     import ray
@@ -97,6 +98,5 @@ def percent_rank_transform(ds, column: str, *,
                        .append_column(out_col, pa.array(
                            pct, pa.float64(), from_pandas=True)))
 
-    return ds.map_batches(
-        _Ranker, fn_constructor_kwargs={"table_ref": ref},
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=concurrency)
+    return map_per_worker(ds, _Ranker, {"table_ref": ref},
+                          batch_format="pyarrow", zero_copy_batch=True)

@@ -26,6 +26,7 @@ from great_expectations_ray.core.row_conditions import compile_row_condition
 from great_expectations_ray.core.suite import ExpectationSuite
 from great_expectations_ray.engine import validate
 from great_expectations_ray.pipelines.quality_filter import RuleEvalScrub
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.ann import brute_force_topk
 from great_expectations_ray.stages.dedup import (
     dedup_exact,
@@ -1551,16 +1552,12 @@ register_query(q_ivf_ann_topk, _fixture_sql(
 
 
 def q_langid_docs(sf_dir: str) -> pd.DataFrame:
-    """Language-ID actor stage over documents (deterministic classifier)."""
+    """Language-ID stage over documents (deterministic classifier)."""
     from great_expectations_ray.stages.langid import LangIdScorer
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    scored = ds.map_batches(
-        LangIdScorer,
-        fn_constructor_kwargs={"column": "text"},
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
+    scored = map_per_worker(ds, LangIdScorer, {"column": "text"},
+                            batch_format="pyarrow")
     rows = scored.select_columns(["doc_id", "lang_pred"]).take_all()
     return pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
 
@@ -1570,7 +1567,7 @@ register_query(q_langid_docs, _fixture_sql(
 
 
 def q_perplexity_docs(sf_dir: str) -> pd.DataFrame:
-    """Perplexity actor stage (broadcast LM) over documents."""
+    """Perplexity stage (broadcast LM) over documents."""
     import ray
 
     from great_expectations_ray.stages.perplexity import (
@@ -1581,13 +1578,12 @@ def q_perplexity_docs(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     model = build_reference_model(ds, sample_rows=200, column="text", id_col="doc_id")
     ref = ray.put(model)
-    scored = ds.map_batches(
-        PerplexityScorer,
+    scored = map_per_worker(
+        ds, PerplexityScorer,
         # precise: float64 accumulation so the 6dp-rounded values are stable
         # against the fixture oracle's independent re-summation
-        fn_constructor_kwargs={"model_ref": ref, "column": "text", "precise": True},
+        {"model_ref": ref, "column": "text", "precise": True},
         batch_format="pyarrow",
-        concurrency=(1, 2),
     )
     rows = scored.select_columns(["doc_id", "perplexity"]).take_all()
     df = pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
@@ -1605,10 +1601,7 @@ def q_bpe_token_stats_docs(sf_dir: str) -> pd.DataFrame:
     from great_expectations_ray.stages.text_stats import TokenCounter
 
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
-    counted = ds.map_batches(
-        TokenCounter, fn_constructor_kwargs={"column": "text"},
-        batch_format="pyarrow", concurrency=(1, 2),
-    )
+    counted = ds.map_batches(TokenCounter(column="text"), batch_format="pyarrow")
 
     def partial(tbl: pa.Table) -> pa.Table:
         t = tbl.select(["lang", "n_tokens_ws", "n_tokens_bpe"])
@@ -1669,12 +1662,8 @@ def q_winnow_fingerprint_docs(sf_dir: str) -> pd.DataFrame:
     from great_expectations_ray.stages.fingerprint import WinnowFingerprinter
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    scored = ds.map_batches(
-        WinnowFingerprinter,
-        fn_constructor_kwargs={"column": "text"},
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
+    scored = ds.map_batches(WinnowFingerprinter(column="text"),
+                            batch_format="pyarrow")
     rows = scored.select_columns(["doc_id", "n_fingerprints", "fp_digest"]).take_all()
     df = pd.DataFrame([
         {"doc_id": r["doc_id"], "n_fingerprints": r["n_fingerprints"],
@@ -1766,7 +1755,7 @@ def q_decontaminate_docs(sf_dir: str) -> pd.DataFrame:
     """Benchmark decontamination (stages/decontaminate.py): docs with
     doc_id %% 37 == 0 act as the 'benchmark set'; every other doc is flagged
     iff it shares a word 5-gram with any benchmark doc.  The benchmark gram
-    hash set is broadcast via ray.put and fetched once per actor."""
+    hash set is broadcast via ray.put and fetched once per worker."""
     from great_expectations_ray.stages.decontaminate import mark_contaminated
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -1777,7 +1766,7 @@ def q_decontaminate_docs(sf_dir: str) -> pd.DataFrame:
 
     bench = ds.map_batches(lambda t: _mod(t, True), batch_format="pyarrow")
     corpus = ds.map_batches(lambda t: _mod(t, False), batch_format="pyarrow")
-    out = mark_contaminated(corpus, bench, n=5, concurrency=2)
+    out = mark_contaminated(corpus, bench, n=5)
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2234,7 +2223,7 @@ register_query(q_tfidf_docs, SQL_TFIDF_DOCS, gate=29)
 def q_fasttext_langid_docs(sf_dir: str) -> pd.DataFrame:
     """fastText-architecture classifier (stages/classifier.py): hashed
     unigram+bigram features, seeded embedding table, Rocchio centroids
-    trained on the doc_id<200 corpus prefix, actor-pool inference.  Oracle:
+    trained on the doc_id<200 corpus prefix, per-batch inference.  Oracle:
     fixture parquet from an independent per-doc reimplementation."""
     from great_expectations_ray.stages.classifier import classify
 
@@ -3319,7 +3308,7 @@ def q_lm_trained_ppl_docs(sf_dir: str) -> pd.DataFrame:
     """Distributed LM training + scoring (stages/perplexity.py
     ``distributed_train_char_lm``): corpus-wide trigram counts via sparse
     per-batch partials and one bucketed groupby(cell) exchange, then the
-    trained model broadcasts once for actor-pool scoring.  Fixture oracle
+    trained model broadcasts once for per-worker scoring.  Fixture oracle
     retrains the same model with an independent pure-python pass."""
     import ray as _ray
 
@@ -3331,11 +3320,9 @@ def q_lm_trained_ppl_docs(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     model = distributed_train_char_lm(ds, column="text")
     ref = _ray.put(model)
-    scored = ds.map_batches(
-        PerplexityScorer,
-        fn_constructor_kwargs={"model_ref": ref, "column": "text", "precise": True},
+    scored = map_per_worker(
+        ds, PerplexityScorer, {"model_ref": ref, "column": "text", "precise": True},
         batch_format="pyarrow",
-        concurrency=(1, 2),
     )
     rows = scored.select_columns(["doc_id", "perplexity"]).take_all()
     df = pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
@@ -3633,7 +3620,7 @@ register_query(q_web_pipeline_docs, SQL_WEB_PIPELINE_DOCS, gate=47, bench=True)
 def q_media_decode_stats(sf_dir: str) -> pd.DataFrame:
     """REAL multimodal decode (stages/multimodal.py): constructs valid
     binary PPM images / PCM WAV audio per row, decodes them in the
-    MediaStats actor pool, and the oracle checks the decoded statistics
+    MediaStats stage, and the oracle checks the decoded statistics
     in closed form — an end-to-end bytes->pixels/samples proof."""
     from great_expectations_ray.stages.multimodal import (
         MediaStats,
@@ -3664,7 +3651,7 @@ def q_media_decode_stats(sf_dir: str) -> pd.DataFrame:
 
     media = ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True)
     out = media.map_batches(
-        MediaStats, batch_format="pyarrow", concurrency=(1, 2), batch_size=256,
+        MediaStats(), batch_format="pyarrow", batch_size=256,
     ).select_columns(["doc_id", "media_type", "mean_val",
                       "width_dec", "height_dec", "n_samples"])
     stats = out.to_pandas()
@@ -3695,9 +3682,8 @@ def q_media_decode_stats(sf_dir: str) -> pd.DataFrame:
     imgs = ds.map_batches(derive_dhash, batch_format="pyarrow",
                           zero_copy_batch=True)
     hashed = imgs.map_batches(
-        ImageHasher, fn_constructor_kwargs={"id_col": "doc_id"},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 2), batch_size=256,
+        ImageHasher(id_col="doc_id"),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=256,
     ).materialize()
     marks = dhash_mark_duplicates(None, id_col="doc_id",
                                   prehashed=hashed).to_pandas()
@@ -3741,9 +3727,8 @@ def q_media_decode_stats(sf_dir: str) -> pd.DataFrame:
     vids = ds.map_batches(derive_video, batch_format="pyarrow",
                           zero_copy_batch=True)
     vhashed = vids.map_batches(
-        VideoFingerprinter, fn_constructor_kwargs={"id_col": "doc_id"},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 2), batch_size=128,
+        VideoFingerprinter(id_col="doc_id"),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=128,
     ).materialize()
     vmarks = video_mark_duplicates(None, id_col="doc_id",
                                    prehashed=vhashed).to_pandas()
@@ -3776,10 +3761,9 @@ def q_media_decode_stats(sf_dir: str) -> pd.DataFrame:
 
     waves = ds.map_batches(derive_logmel, batch_format="pyarrow",
                            zero_copy_batch=True)
-    feats = waves.map_batches(
-        AudioFeaturizer, fn_constructor_kwargs={"id_col": "doc_id"},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 2), batch_size=256,
+    feats = map_per_worker(
+        waves, AudioFeaturizer, {"id_col": "doc_id"},
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=256,
     ).to_pandas()
     fmean = feats["audio_feat"].map(
         lambda v: round(float(np.asarray(v, dtype=np.float64).mean()), 6))
@@ -3905,8 +3889,7 @@ def q_dsir_docs(sf_dir: str) -> pd.DataFrame:
     n = ds.count()
     target = ds.filter(expr="lang == 'en'")
     out = dsir_select(ds, k=max(1, n // 4), column="text", id_col="doc_id",
-                      target_ds=target, raw_ds=ds, concurrency=(1, 4),
-                      flags_only=True)
+                      target_ds=target, raw_ds=ds, flags_only=True)
     rows = out.select_columns(["doc_id", "dsir_logw", "selected"]).take_all()
     df = pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
     return pd.DataFrame({"doc_id": df["doc_id"],
@@ -4476,7 +4459,7 @@ register_query(q_qf_corpus_keep_scrub, SQL_QF_CORPUS_KEEP_SCRUB, gate=9, part=Fa
 
 def q_kmeans_embeddings(sf_dir: str) -> pd.DataFrame:
     """Distributed spherical k-means (fixed-point Lloyd, bit-reproducible
-    under any partitioning) + actor-pool assignment."""
+    under any partitioning) + per-batch assignment."""
     from great_expectations_ray.stages.kmeans import assign_kmeans, fit_kmeans
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
@@ -4562,7 +4545,7 @@ register_query(q_kmeans_cap_embeddings, _fixture_sql(
 
 def q_pq_embeddings(sf_dir: str) -> pd.DataFrame:
     """Product quantization: distributed fixed-point per-subspace Lloyd fit
-    (bit-reproducible under any partitioning), actor-pool encode to packed
+    (bit-reproducible under any partitioning), per-batch encode to packed
     base-16 codes, ADC approximate cosine vs the vec_id=0 query (the
     compression half of the ANN story — 64 floats -> 4 codes per row)."""
     from great_expectations_ray.stages.pq import encode_pq, fit_pq
@@ -4695,7 +4678,7 @@ def q_fingerprint_docs(sf_dir: str) -> pd.DataFrame:
 def q_logreg_docs(sf_dir: str) -> pd.DataFrame:
     """Distributed logistic-regression classifier (rule-distillation shape):
     full-batch GD over every row — exact int64 gradient partials, one fold
-    per iteration, bit-reproducible under any partitioning — then actor-pool
+    per iteration, bit-reproducible under any partitioning — then per-batch
     scoring.  Target: lang == 'en'."""
     from great_expectations_ray.stages.logreg import fit_logreg, score_logreg
 
@@ -4718,7 +4701,7 @@ register_query(q_logreg_docs, _fixture_sql(
 
 
 def q_langid_methods_docs(sf_dir: str) -> pd.DataFrame:
-    """Language-ID / classifier family: the n-gram heuristic actor, the
+    """Language-ID / classifier family: the n-gram heuristic stage, the
     fastText-architecture classifier (heuristic rows: pred_score = 0), and
     the distributed logistic-regression en-vs-rest scorer."""
     heur = _run_part("langid_docs", sf_dir)
@@ -4777,7 +4760,7 @@ def q_kn_ppl_docs(sf_dir: str) -> pd.DataFrame:
     from great_expectations_ray.stages.kn_lm import kn_perplexity
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    scored = kn_perplexity(ds, column="text", concurrency=(1, 4))
+    scored = kn_perplexity(ds, column="text")
     rows = scored.select_columns(["doc_id", "kn_ppl"]).take_all()
     df = pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
     return pd.DataFrame({"doc_id": df["doc_id"],
@@ -4879,7 +4862,7 @@ register_query(q_unigram_train_vocab, _fixture_sql(
 def q_unigram_apply_docs(sf_dir: str) -> pd.DataFrame:
     """END-TO-END trained unigram tokenizer application: learn the vocab
     from the corpus, segment the SAME corpus with the broadcast exact-Viterbi
-    actor pool (stages/unigram.py apply_unigram), report per-language token
+    stage (stages/unigram.py apply_unigram), report per-language token
     totals.  Oracle: independent per-doc fixture aggregated in SQL."""
     from great_expectations_ray.stages.unigram import apply_unigram, train_unigram
 
@@ -4933,7 +4916,7 @@ register_query(q_wordpiece_train_vocab, _fixture_sql(
 def q_wordpiece_apply_docs(sf_dir: str) -> pd.DataFrame:
     """END-TO-END trained WordPiece application: learn the vocab from the
     corpus, encode the SAME corpus greedy-longest-match-first (whole word ->
-    [UNK] on any uncovered position) in the broadcast-vocab actor pool
+    [UNK] on any uncovered position) in the broadcast-vocab stage
     (stages/wordpiece.py apply_wordpiece), report per-language token totals.
     Oracle: independent per-doc fixture aggregated in SQL."""
     from great_expectations_ray.stages.wordpiece import (

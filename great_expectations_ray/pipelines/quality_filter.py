@@ -4,7 +4,8 @@ expectations + PII scrub over a source-code Parquet corpus, Ray-Data-first.
 Stage graph: ONE streaming pass, no mid-pipeline materialization:
 
     read_parquet(columns=[repo,path,commit,lang,content])
-      -> map_batches(FusedQualityStage, concurrency=N)  one actor pool; per batch:
+      -> FusedQualityStage, fused into the read tasks (one instance per
+         worker process, ``stages._per_worker``); per batch:
            TextStats (only the stats the suite judges, Arrow kernels)
            -> LangIdScorer (compile-once)
            -> PerplexityScorer (LM broadcast once via ray.put)
@@ -35,6 +36,7 @@ import pyarrow.compute as pc
 from great_expectations_ray.core.results import calc_validation_statistics, mostly_success
 from great_expectations_ray.core.suite import ExpectationConfiguration, ExpectationSuite
 from great_expectations_ray.functions.column_map import CONDITION_KERNELS
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.langid import LangIdScorer
 from great_expectations_ray.stages.perplexity import PerplexityScorer, build_reference_model
 from great_expectations_ray.stages.scrub import (
@@ -71,15 +73,9 @@ class QualityFilterConfig:
     use_langid: bool = True
     use_perplexity: bool = True
     perplexity_sample_rows: int = 400
-    #: per-pool actor count.  Size BOTH pools plus task slots into the node:
-    #: fixed pools of ~cpus/4 each leave half the CPUs for the task-based
-    #: read/stats/scrub stages (a pool reserving every CPU starves the rest
-    #: and serializes the stream).
+    #: no-ops, accepted for old callers: the fused stage runs as Ray Data
+    #: tasks on pooled workers, so there is no actor pool to size
     actor_concurrency: int = 4
-    #: default True: (1,N) autoscaling pools never deadlock when pools+tasks
-    #: oversubscribe a small CPU budget.  Bench/production set False for
-    #: fixed pools (all actors start in parallel; no ramp-up lag) with
-    #: actor_concurrency sized to ~cpus/4 per pool.
     autoscale_actors: bool = True
     batch_size: Optional[int] = 2048
     rollup_keys: tuple = ("repo", "lang")
@@ -131,14 +127,14 @@ class RuleEvalScrub:
 
 
 class FusedQualityStage:
-    """ONE actor-pool stage running the whole per-row pipeline: text stats ->
+    """ONE per-batch stage running the whole per-row pipeline: text stats ->
     language-ID -> perplexity -> rule eval -> scrub -> (optional) parquet
     sinks -> rollup partial.
 
     Fusing avoids three object-store round-trips of the (wide) content
-    column between operators and lets one pool use every CPU instead of
-    splitting the budget across stages.  The LM table is fetched once per
-    actor from the broadcast ref."""
+    column between operators, and running it through
+    ``stages._per_worker.map_per_worker`` fuses it into the read tasks.  The
+    LM table is fetched once per worker process from the broadcast ref."""
 
     def __init__(
         self,
@@ -370,7 +366,7 @@ def run_quality_filter(
     *,
     output_dir: Optional[str] = None,
 ):
-    """End-to-end run through ONE fused actor-pool stage (no content column
+    """End-to-end run through ONE fused per-batch stage (no content column
     ever crosses an operator boundary).
 
     With ``output_dir``: the terminal stage writes kept rows (scrubbed
@@ -390,10 +386,6 @@ def run_quality_filter(
                 "corpus.write_corpus_parquet for the reference layout "
                 "(repo, path, commit, lang, content).")
     model_ref = _prepare_model_ref(ds, config)
-    conc = (
-        (1, config.actor_concurrency) if config.autoscale_actors
-        else config.actor_concurrency
-    )
     rule_configs = config.suite.resolved_expectations()
     if not config.use_perplexity:
         # scorer disabled -> its score column never exists; drop rules on it
@@ -415,13 +407,9 @@ def run_quality_filter(
     )
 
     if output_dir is None:
-        scored = ds.map_batches(
-            FusedQualityStage,
-            fn_constructor_kwargs=common,
-            batch_format="pyarrow",
-            batch_size=config.batch_size,
-            concurrency=conc,
-            zero_copy_batch=True,
+        scored = map_per_worker(
+            ds, FusedQualityStage, common, batch_format="pyarrow",
+            batch_size=config.batch_size, zero_copy_batch=True,
         ).materialize()  # test scale only
         kept = scored.filter(expr="keep == True")
         report = rollup(scored, effective_suite, config.rollup_keys)
@@ -441,14 +429,10 @@ def run_quality_filter(
 
         from great_expectations_ray.stages.dedup import dedup_exact
 
-        kept = ds.map_batches(
-            FusedQualityStage,
-            fn_constructor_kwargs=dict(
-                common, data_dir=None, lineage_dir=lineage_dir, emit="kept_rows"
-            ),
-            batch_format="pyarrow",
-            batch_size=config.batch_size,
-            concurrency=conc,
+        kept = map_per_worker(
+            ds, FusedQualityStage,
+            dict(common, data_dir=None, lineage_dir=lineage_dir, emit="kept_rows"),
+            batch_format="pyarrow", batch_size=config.batch_size,
             zero_copy_batch=True,
         )
         deduped = dedup_exact(kept, ["scrubbed_sha256"], order_by="path")
@@ -467,13 +451,10 @@ def run_quality_filter(
                       "duplicates_removed": kept_before - kept_after},
         }
 
-    partials = ds.map_batches(
-        FusedQualityStage,
-        fn_constructor_kwargs=dict(common, data_dir=data_dir, lineage_dir=lineage_dir),
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-        concurrency=conc,
-        zero_copy_batch=True,
+    partials = map_per_worker(
+        ds, FusedQualityStage,
+        dict(common, data_dir=data_dir, lineage_dir=lineage_dir),
+        batch_format="pyarrow", batch_size=config.batch_size, zero_copy_batch=True,
     )
     report = _rollup_from_partials(partials, effective_suite, config.rollup_keys)
     return {"data_dir": data_dir, "lineage_dir": lineage_dir, "rollup": report}

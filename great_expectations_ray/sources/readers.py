@@ -87,7 +87,7 @@ def read_batch(
     return ds
 
 
-def _file_decode_reader(paths, decode_one, concurrency=8):
+def _file_decode_reader(paths, decode_one):
     """Shared shape for formats Ray lacks a native reader for: stream file
     bytes via ``read_binary_files`` (one row per file) and decode each file
     to an Arrow table inside ``map_batches`` — distributed, no driver-side
@@ -102,8 +102,7 @@ def _file_decode_reader(paths, decode_one, concurrency=8):
         tables = [decode_one(v.as_py()) for v in batch.column("bytes")]
         return pa.concat_tables(tables, promote_options="default")
 
-    return raw.map_batches(decode, batch_format="pyarrow", batch_size=1,
-                           concurrency=concurrency)
+    return raw.map_batches(decode, batch_format="pyarrow", batch_size=1)
 
 
 def read_orc(paths, **kwargs):

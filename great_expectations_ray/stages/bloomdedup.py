@@ -10,7 +10,7 @@ bloom shape bounds the exchange to the overlap:
 1. **Snapshot bloom** — one embarrassingly-parallel pass builds per-batch
    Bloom partials (``num_bits``-bit arrays, vectorized double hashing); the
    driver ORs them (the filter is KBs–MBs, independent of corpus size) and
-   broadcasts the result via ``ray.put`` (fetched once per actor).
+   broadcasts the result via ``ray.put`` (fetched once per worker).
 2. **Candidate filter** — new rows whose key misses the bloom are definitely
    novel and never shuffle.  Survivors (true dups + the ~(1-e^{-kn/m})^k
    false-positive sliver) proceed.
@@ -40,6 +40,7 @@ from great_expectations_ray.functions.bucketed import (
     grouped_apply_bucketed,
     poly_hash_strings,
 )
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 
 def key_hash64(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
@@ -119,8 +120,8 @@ def build_bloom(ds, col: str, *, num_bits: int = 1 << 22, num_hashes: int = 4) -
 
 
 class _BloomFilterStage:
-    """Actor-pool stage marking rows whose key possibly appears in the
-    broadcast bloom (``ray.put`` handle, fetched once per actor)."""
+    """Per-batch stage marking rows whose key possibly appears in the
+    broadcast bloom (``ray.put`` handle, fetched once per worker)."""
 
     def __init__(self, bloom_ref, *, col: str, num_bits: int, num_hashes: int,
                  keep: str = "all"):
@@ -154,7 +155,6 @@ def mark_known(
     num_bits: int = 1 << 22,
     num_hashes: int = 4,
     n_buckets: int = 64,
-    concurrency=(1, 4),
     bloom_words: np.ndarray | None = None,
 ):
     """Dataset of ``(id_col, is_known)`` for every row of ``new_ds`` —
@@ -180,12 +180,10 @@ def mark_known(
                                           num_bits=num_bits,
                                           num_hashes=num_hashes))
     flt = dict(num_bits=num_bits, num_hashes=num_hashes)
-    tagged = new_ds.select_columns([id_col, key_col]).map_batches(
-        _BloomFilterStage,
-        fn_constructor_kwargs={"bloom_ref": bloom_s_ref, "col": key_col, **flt},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
+    tagged = map_per_worker(
+        new_ds.select_columns([id_col, key_col]), _BloomFilterStage,
+        {"bloom_ref": bloom_s_ref, "col": key_col, **flt},
+        batch_format="pyarrow", zero_copy_batch=True,
     )
     def _novel_fn(t: pa.Table) -> pa.Table:
         sub = t.filter(pc.invert(t.column("__maybe")))
@@ -207,13 +205,10 @@ def mark_known(
     # reverse bloom: prune the snapshot to rows that could match a candidate
     bloom_c_ref = ray.put(build_bloom(candidates, key_col, num_bits=num_bits,
                                       num_hashes=num_hashes))
-    snap_pruned = snapshot_ds.select_columns([key_col]).map_batches(
-        _BloomFilterStage,
-        fn_constructor_kwargs={"bloom_ref": bloom_c_ref, "col": key_col,
-                               "keep": "maybe", **flt},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
+    snap_pruned = map_per_worker(
+        snapshot_ds.select_columns([key_col]), _BloomFilterStage,
+        {"bloom_ref": bloom_c_ref, "col": key_col, "keep": "maybe", **flt},
+        batch_format="pyarrow", zero_copy_batch=True,
     )
 
     # exact verify: one bucketed exchange over (pruned candidates ∪ pruned

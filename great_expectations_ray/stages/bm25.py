@@ -8,7 +8,7 @@ The scale shape (and why it isn't a groupby):
   parallel pass emits a tiny partial per batch (n_docs, n_tokens, one df
   counter per query term); the driver sums.  Zero exchange.
 - **Score pass**: (term hashes, idf, avgdl) broadcast via ``ray.put``
-  (fetched once per actor); each batch computes per-doc term frequencies
+  (fetched once per worker); each batch computes per-doc term frequencies
   vectorized (``np.searchsorted`` against the sorted query-term hashes +
   ``bincount``), scores every matching doc, and emits its LOCAL top-k.
   The driver merges ≤ k × #batches rows — same merge shape as
@@ -31,6 +31,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.neardup import _token_poly_hashes
 from great_expectations_ray.stages.repetition import _round6, tokenize_nonempty
 
@@ -96,8 +97,8 @@ def bm25_stats(ds, terms: list[str], *, text_col: str = "text"):
 
 
 class _BM25Scorer:
-    """Actor-pool score stage: broadcast (hashes, idf, avgdl) fetched once
-    per actor; emits the batch-local top-k (rounded score, id)."""
+    """Score stage: broadcast (hashes, idf, avgdl) fetched once per worker;
+    emits the batch-local top-k (rounded score, id)."""
 
     def __init__(self, bcast_ref, *, text_col: str, id_col: str, k: int,
                  k1: float, b: float):
@@ -144,7 +145,6 @@ def bm25_topk(
     b: float = 0.75,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency=(1, 4),
 ) -> pd.DataFrame:
     """Global top-k (id, score) for the query ``terms`` — Okapi BM25 with
     Lucene's non-negative idf ``ln((N - df + 0.5)/(df + 0.5) + 1)``."""
@@ -163,18 +163,12 @@ def bm25_topk(
     idf_q = np.log(((n - dfs_f) + 0.5) / (dfs_f + 0.5) + 1.0)
     ref = ray.put((hashes_sorted, idf_q, pos_q, avgdl))
 
-    parts = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(
-            _BM25Scorer,
-            fn_constructor_kwargs={"bcast_ref": ref, "text_col": text_col,
-                                   "id_col": id_col, "k": k, "k1": k1, "b": b},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=concurrency,
-        )
-        .to_pandas()
-    )
+    parts = map_per_worker(
+        ds.select_columns([id_col, text_col]), _BM25Scorer,
+        {"bcast_ref": ref, "text_col": text_col, "id_col": id_col,
+         "k": k, "k1": k1, "b": b},
+        batch_format="pyarrow", zero_copy_batch=True,
+    ).to_pandas()
     parts = parts.sort_values(["score", id_col], ascending=[False, True],
                               kind="mergesort")
     return parts.head(k).reset_index(drop=True)

@@ -12,7 +12,7 @@ Two passes:
    ``groupby(line)`` exchange moves at most |distinct lines| rows per
    batch — then filter df >= min_docs.
 2. rewrite: the frequent-line set is broadcast once via ``ray.put``
-   (fetched per actor in ``__init__``), each batch filters its flattened
+   (fetched per worker in ``__init__``), each batch filters its flattened
    line array with one ``is_in`` and rebuilds content with
    ``ListArray.from_arrays`` + ``binary_join`` — no Python per row.
 
@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 
 def _line_list(content: pa.Array | pa.ChunkedArray) -> pa.ListArray:
@@ -305,10 +307,7 @@ def remove_boilerplate(
         )
     drop = pa.array([r["line"] for r in head], pa.large_string())
     ref = ray.put(drop)
-    return ds.map_batches(
-        _BoilerplateRewriter,
-        fn_constructor_args=(ref, content_col),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 8),
+    return map_per_worker(
+        ds, _BoilerplateRewriter, {"lines_ref": ref, "content_col": content_col},
+        batch_format="pyarrow", zero_copy_batch=True,
     )

@@ -21,8 +21,8 @@ dict, because the dict is Zipf-small relative to the corpus):
    count, then lexicographically smallest (left, right).
 
 Apply-side, :func:`apply_bpe` broadcasts the learned merge ranks once via
-``ray.put`` and encodes batches inside an actor pool (fetch in
-``__init__``, per ``map_batches`` convention).
+``ray.put`` and encodes batches with one instance per worker (fetch in
+``__init__``, ``stages._per_worker``).
 
 Pre-tokenization spec (shared with the oracle fixture): split on runs of
 ASCII whitespace ``[ \\t\\n\\r\\f\\v]``; a word's initial symbols are its
@@ -39,6 +39,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 _WS_SPLIT = "[ \t\n\r\f\v]+"
 
@@ -240,11 +242,9 @@ def apply_bpe(
     text_col: str = "content",
     id_col: str,
     keep_cols: tuple[str, ...] = (),
-    concurrency=(1, 8),
 ):
     """Per-doc token counts under the learned tokenizer: broadcast the merge
-    ranks once (``ray.put``), encode inside an actor pool with a per-actor
-    word cache (Zipf makes the cache hit rate high).  Returns a Dataset of
+    ranks once (``ray.put``), encode with a per-worker word cache (Zipf makes the cache hit rate high).  Returns a Dataset of
     (id_col, *keep_cols, bpe_tokens)."""
     import ray
 
@@ -281,9 +281,5 @@ def apply_bpe(
             cols["bpe_tokens"] = pa.array(out)
             return pa.table(cols)
 
-    return ds.select_columns([id_col, *keep_cols, text_col]).map_batches(
-        _Encoder,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+    return map_per_worker(ds.select_columns([id_col, *keep_cols, text_col]),
+                          _Encoder, batch_format="pyarrow", zero_copy_batch=True)

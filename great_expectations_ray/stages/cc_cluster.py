@@ -30,6 +30,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
+
 
 def minhash_bucket_edges(
     ds,
@@ -299,7 +301,7 @@ def cluster_near_duplicates(
 
     When the candidate-edge set fits the driver cap, the label map is built
     by driver union-find and BROADCAST (``ray.put`` once, fetched once per
-    actor — the ``_ParagraphRewriter`` pattern), replacing the assignment
+    worker — the ``_ParagraphRewriter`` pattern), replacing the assignment
     hash join; lookups are vectorized ``np.searchsorted`` for numeric ids.
     Above the cap the distributed propagation + bucketed join path runs.
     Both paths emit identical rows."""
@@ -334,7 +336,7 @@ def cluster_near_duplicates(
             ref = ray.put(labels)
 
         class _Assign:
-            """Fetches the label map once per actor; vectorized lookup."""
+            """Fetches the label map once per worker; vectorized lookup."""
 
             def __init__(self):
                 self.m = ray.get(ref)
@@ -361,10 +363,8 @@ def cluster_near_duplicates(
                     "keep": pc.equal(ids, cl),
                 })
 
-        return ds.select_columns([id_col]).map_batches(
-            _Assign, batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
+        return map_per_worker(ds.select_columns([id_col]), _Assign,
+                              batch_format="pyarrow", zero_copy_batch=True)
 
     comp = connected_components(edges, max_iters=max_iters,
                                 n_buckets=n_buckets, max_driver_edges=0)

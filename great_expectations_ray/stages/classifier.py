@@ -13,8 +13,8 @@ Scale shape:
 - **Training** touches only the sample rows (``doc_id < sample_n`` — an
   order-free predicate, so the sample is identical however blocks arrive),
   pulled once to the driver; centroids are a tiny (n_classes × dim) matrix.
-- **Inference** is a stateless-per-batch actor pool: the embedding table
-  (~4 MiB) regenerates from its seed ONCE per actor in ``__init__`` (cheaper
+- **Inference** is a stateless per-batch stage: the embedding table
+  (~4 MiB) regenerates from its seed ONCE per worker in ``__init__`` (cheaper
   than shipping it), centroids broadcast by value, and the hashed-feature →
   gather → segment-mean pipeline is fully vectorized off the Arrow buffers
   (no per-row Python, no per-token Python).
@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.functions.bucketed import poly_hash_strings
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 DIM = 16          #: embedding dimension
 BUCKETS = 1 << 16  #: hashed feature space
@@ -132,9 +133,9 @@ def train_centroids(
 
 
 class FastTextClassifier:
-    """``ds.map_batches(FastTextClassifier, fn_constructor_kwargs={...},
-    concurrency=(1, N), batch_format="pyarrow")`` — adds ``pred_label`` and
-    ``pred_score`` (rounded 6dp dot product against the winning centroid)."""
+    """``map_per_worker(ds, FastTextClassifier, {...},
+    batch_format="pyarrow")`` (``stages._per_worker``) — adds ``pred_label``
+    and ``pred_score`` (rounded 6dp dot product against the winning centroid)."""
 
     def __init__(
         self,
@@ -145,7 +146,7 @@ class FastTextClassifier:
         seed: int = 41,
         sep: str = " ",
     ):
-        self.E = embedding_table(seed)  # regenerated once per actor
+        self.E = embedding_table(seed)  # regenerated once per worker
         self.classes = np.array(classes, dtype=object)
         self.C = np.asarray(centroids, dtype=np.float64)
         self.column = column
@@ -173,20 +174,17 @@ class FastTextClassifier:
 
 def classify(ds, *, label_col: str = "lang", text_col: str = "text",
              id_col: str = "doc_id", sample_n: int = 200, seed: int = 41,
-             sep: str = " ", concurrency=(1, 8)):
+             sep: str = " "):
     """Train on the corpus prefix sample, then classify every row."""
     classes, cents = train_centroids(
         ds, label_col=label_col, text_col=text_col, id_col=id_col,
         sample_n=sample_n, seed=seed, sep=sep,
     )
-    return ds.map_batches(
-        FastTextClassifier,
-        fn_constructor_kwargs={
-            "classes": classes, "centroids": cents,
-            "column": text_col, "seed": seed, "sep": sep,
-        },
+    return map_per_worker(
+        ds, FastTextClassifier,
+        {"classes": classes, "centroids": cents, "column": text_col,
+         "seed": seed, "sep": sep},
         batch_format="pyarrow",
-        concurrency=concurrency,
     )
 
 
@@ -197,9 +195,9 @@ class TextEmbedder:
     directly into the embedding operators (ANN / k-means / PCA /
     SemDeDup / embedding-cosine near-dup) without an external model.
 
-    ``ds.map_batches(TextEmbedder, fn_constructor_kwargs={"text_col":
-    "text"}, concurrency=(1, N), batch_format="pyarrow")`` — the ~4 MiB
-    embedding table regenerates from its seed ONCE per actor (cheaper
+    ``map_per_worker(ds, TextEmbedder, {"text_col": "text"},
+    batch_format="pyarrow")`` (``stages._per_worker``) — the ~4 MiB
+    embedding table regenerates from its seed ONCE per worker (cheaper
     than shipping it); the per-batch path is the same vectorized
     hash → gather → segment-mean used by the classifier, emitted as
     float32 (deterministic quantization of the float64 pipeline)."""
@@ -223,12 +221,10 @@ class TextEmbedder:
 
 def embed_text(ds, *, text_col: str = "text", seed: int = 41,
                sep: str = " ", out_col: str = "text_emb",
-               concurrency=(1, 8), batch_size: int = 4096):
+               batch_size: int = 4096):
     """Dataset -> Dataset with a pooled hashed-feature embedding column."""
-    return ds.map_batches(
-        TextEmbedder,
-        fn_constructor_kwargs={"text_col": text_col, "seed": seed,
-                               "sep": sep, "out_col": out_col},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, batch_size=batch_size,
+    return map_per_worker(
+        ds, TextEmbedder,
+        {"text_col": text_col, "seed": seed, "sep": sep, "out_col": out_col},
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
     )

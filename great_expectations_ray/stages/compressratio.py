@@ -6,7 +6,7 @@ compresses at all).
 Per row: ``zlib.compress`` at a FIXED level straight off the Arrow UTF-8
 data buffer (``memoryview`` slices via ``scrub._string_buffer_views`` — no
 ``as_py()`` decode, no per-row Python string).  zlib is a C call that
-releases the GIL on multi-KB payloads, so actor parallelism stacks.  The
+releases the GIL on multi-KB payloads, so worker parallelism stacks.  The
 ratio is a single float64 division of two exact ints — deterministic for a
 fixed zlib, which is what lets the catalog carry a per-doc fixture oracle.
 

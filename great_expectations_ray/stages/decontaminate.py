@@ -9,9 +9,9 @@ Scale shape (the part that matters at 100 TB):
 
 - The benchmark side is SMALL by construction (eval sets are MBs, not TBs):
   its n-gram hash set is collected once on the driver, sorted, and shipped
-  via ``ray.put`` — every actor fetches it ONCE in ``__init__`` from the
+  via ``ray.put`` — every worker fetches it ONCE in ``__init__`` from the
   object store (zero-copy reads thereafter), never per batch.
-- The corpus side never shuffles: one embarrassingly-parallel actor-pool
+- The corpus side never shuffles: one embarrassingly-parallel
   ``map_batches`` computes per-doc gram hashes off the Arrow buffer and
   membership via ``np.searchsorted`` against the broadcast sorted array.
 
@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 
 from great_expectations_ray.stages.neardup import _concat_aranges
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.repetition import ngram_windows, tokenize_nonempty
 
 
@@ -63,9 +64,9 @@ def collect_benchmark_ngrams(bench_ds, *, text_col: str = "text", n: int = 5) ->
 
 
 class ContaminationMarker:
-    """Actor-pool stage: flag docs sharing any n-gram with the broadcast
+    """Per-batch stage: flag docs sharing any n-gram with the broadcast
     benchmark gram set.  ``bench_ref`` is a ``ray.put`` handle — fetched once
-    per actor here in ``__init__``, not per batch."""
+    per worker here in ``__init__``, not per batch."""
 
     def __init__(self, bench_ref, *, text_col: str = "text", id_col: str = "doc_id", n: int = 5):
         import ray
@@ -100,18 +101,14 @@ def mark_contaminated(
     text_col: str = "text",
     id_col: str = "doc_id",
     n: int = 5,
-    concurrency: int = 4,
 ):
     """Dataset of (id_col, contaminated) for every row of ``ds``."""
     import ray
 
     bench = collect_benchmark_ngrams(bench_ds, text_col=text_col, n=n)
     bench_ref = ray.put(bench)
-    return ds.select_columns([id_col, text_col]).map_batches(
-        ContaminationMarker,
-        fn_constructor_kwargs={"bench_ref": bench_ref, "text_col": text_col,
-                               "id_col": id_col, "n": n},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
+    return map_per_worker(
+        ds.select_columns([id_col, text_col]), ContaminationMarker,
+        {"bench_ref": bench_ref, "text_col": text_col, "id_col": id_col, "n": n},
+        batch_format="pyarrow", zero_copy_batch=True,
     )

@@ -23,9 +23,9 @@ matches at TOKEN granularity (policy dictionaries are token phrases):
 4. Scatter matched distinct grams back to occurrences, ``np.bincount`` per
    doc.
 
-The dictionary rides ``ray.put`` once and is fetched per actor in
+The dictionary rides ``ray.put`` once and is fetched per worker in
 ``__init__`` (never per batch).  One streaming pass, no shuffle; memory is
-O(|dictionary|) per actor.
+O(|dictionary|) per worker.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 TOKEN_SPLIT_RE = "[^a-z0-9_]+"
 
@@ -139,9 +141,9 @@ def match_counts(col, pdict: PhraseDict) -> np.ndarray:
 
 
 class PhraseDictTagger:
-    """Actor-pool map_batches callable: appends ``dict_hits`` (match
+    """Per-batch map_batches callable: appends ``dict_hits`` (match
     occurrences) and ``dict_flag`` (any match).  The compiled dictionary is
-    fetched from the object store ONCE per actor."""
+    fetched from the object store ONCE per worker."""
 
     def __init__(self, dict_ref, content_col: str = "content"):
         import ray
@@ -159,13 +161,12 @@ class PhraseDictTagger:
 
 
 def tag_phrases(ds, phrases: tuple[str, ...] = DEFAULT_PHRASES, *,
-                content_col: str = "content", concurrency=(1, 8)):
+                content_col: str = "content"):
     """Dataset form: broadcast the compiled dictionary, tag every row."""
     import ray
 
     ref = ray.put(PhraseDict(phrases))
-    return ds.map_batches(
-        PhraseDictTagger,
-        fn_constructor_kwargs={"dict_ref": ref, "content_col": content_col},
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=concurrency,
+    return map_per_worker(
+        ds, PhraseDictTagger, {"dict_ref": ref, "content_col": content_col},
+        batch_format="pyarrow", zero_copy_batch=True,
     )

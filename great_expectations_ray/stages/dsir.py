@@ -13,7 +13,7 @@ Three distributed pieces, each a standard Ray Data shape:
    broadcastable.  This is the same sparse-partials/one-exchange shape as
    ``perplexity.distributed_train_char_lm``.
 2. **Importance weighting** (``DsirWeigher``): the log-ratio vector rides
-   ``ray.put`` and is fetched ONCE per actor in ``__init__``; each batch
+   ``ray.put`` and is fetched ONCE per worker in ``__init__``; each batch
    computes ``logw(doc) = sum_f c_f * (log p_f - log q_f)`` with numpy
    (``np.unique`` per doc over crc32-hashed unigram+bigram buckets, then a
    dot against the broadcast vector).
@@ -37,6 +37,8 @@ from zlib import crc32
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 #: hashed feature dimensionality (buckets) — DSIR's default ballpark
 D = 16384
@@ -192,9 +194,9 @@ def fit_hashed_bag_pair(
 
 
 class DsirWeigher:
-    """Actor-pool stage: adds ``dsir_logw`` per row.  The log-ratio vector
+    """Per-batch stage: adds ``dsir_logw`` per row.  The log-ratio vector
     (``log p_target - log q_raw``) is fetched from the object store ONCE per
-    actor here in ``__init__`` — never re-shipped per batch."""
+    worker here in ``__init__`` — never re-shipped per batch."""
 
     def __init__(self, log_ratio_ref, column: str = "text"):
         import ray
@@ -238,8 +240,7 @@ def gumbel_keys(doc_ids: np.ndarray, logw: np.ndarray, seed: int = 0) -> np.ndar
 def dsir_select(ds, *, k: int, column: str = "text", id_col: str = "doc_id",
                 target_ds=None, raw_ds=None, seed: int = 0,
                 log_ratio: np.ndarray | None = None,
-                concurrency=(1, 8), batch_size: int = 1024,
-                flags_only: bool = False):
+                batch_size: int = 1024, flags_only: bool = False):
     """Full DSIR pass: fit target/raw bag models (unless a precomputed
     ``log_ratio`` is given — both models share ONE streaming execution via
     ``fit_hashed_bag_pair``), weigh every doc, and flag the Gumbel-top-k
@@ -263,10 +264,9 @@ def dsir_select(ds, *, k: int, column: str = "text", id_col: str = "doc_id",
     ref = ray.put(log_ratio)
 
     src = ds.select_columns([id_col, column]) if flags_only else ds
-    weighted = src.map_batches(
-        DsirWeigher, fn_constructor_kwargs={"log_ratio_ref": ref, "column": column},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, batch_size=batch_size,
+    weighted = map_per_worker(
+        src, DsirWeigher, {"log_ratio_ref": ref, "column": column},
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
     )
 
     def add_key(tbl: pa.Table) -> pa.Table:

@@ -64,7 +64,7 @@ def winnow_fingerprints_batch(
 
 
 class WinnowFingerprinter:
-    """Actor-pool stage: adds ``fingerprints`` (list<uint64>),
+    """Per-batch stage: adds ``fingerprints`` (list<uint64>),
     ``n_fingerprints`` and ``fp_digest`` (xor-fold of the set — a cheap
     whole-set equality probe) per row."""
 

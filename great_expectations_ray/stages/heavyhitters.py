@@ -44,6 +44,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.neardup import _token_poly_hashes
 from great_expectations_ray.stages.repetition import tokenize_nonempty
 
@@ -86,9 +87,9 @@ def _candidate_batch(flat: pa.Array, capacity: int) -> pa.Table:
 
 
 class _CandidateCounter:
-    """Actor-pool pass-2 stage: exact in-batch counts of the broadcast
-    candidate set.  The sorted hash array is fetched from the object store
-    ONCE per actor (``__init__``), never per batch."""
+    """Pass-2 stage: exact in-batch counts of the broadcast candidate set.
+    The sorted hash array is fetched from the object store ONCE per worker
+    (``__init__``), never per batch."""
 
     def __init__(self, hashes_ref, *, col: str, mode: str):
         import ray
@@ -131,7 +132,6 @@ def heavy_hitters(
     k: int = 10,
     capacity: int = 4096,
     mode: str = "words",
-    concurrency=(1, 4),
 ) -> pd.DataFrame:
     """Exact top-k most frequent words (``mode="words"``) or column values
     (``mode="values"``) of ``ds[col]``, ordered (cnt DESC, value ASC).
@@ -182,12 +182,10 @@ def heavy_hitters(
     totals = np.zeros(len(hashes_sorted), dtype=np.int64)
     grand_total = 0
     for b in (
-        proj.map_batches(
-            _CandidateCounter,
-            fn_constructor_kwargs={"hashes_ref": hashes_ref, "col": col, "mode": mode},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=concurrency,
+        map_per_worker(
+            proj, _CandidateCounter,
+            {"hashes_ref": hashes_ref, "col": col, "mode": mode},
+            batch_format="pyarrow", zero_copy_batch=True,
         ).iter_batches(batch_format="pyarrow", batch_size=None)
     ):
         ci = np.asarray(b.column("cand_idx"), dtype=np.int64)

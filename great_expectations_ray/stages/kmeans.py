@@ -211,8 +211,8 @@ def fit_kmeans(ds, k: int = 8, iters: int = 6, *, id_col: str = "vec_id",
 
 
 class KMeansAssigner:
-    """Actor-pool assignment stage: centroids land once per actor in
-    ``__init__``; ``__call__`` is one matmul + argmax per batch.  Adds
+    """Per-batch assignment stage: ``__call__`` is one matmul + argmax per
+    batch.  Adds
     ``cluster`` (int64) and ``sim`` (cosine to the assigned centroid,
     rounded to ``round_dp``)."""
 
@@ -235,11 +235,8 @@ class KMeansAssigner:
 
 
 def assign_kmeans(ds, centroids: np.ndarray, *, emb_col: str = "embedding",
-                  round_dp: int = 6, concurrency=(1, 4)):
+                  round_dp: int = 6):
     return ds.map_batches(
-        KMeansAssigner,
-        fn_constructor_kwargs={"centroids": centroids, "emb_col": emb_col,
-                               "round_dp": round_dp},
+        KMeansAssigner(centroids, emb_col=emb_col, round_dp=round_dp),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency,
     )

@@ -42,7 +42,7 @@ Distributed shape (the perplexity.py / dsir.py pattern):
    partitioning).
 2. **Scoring** (``KnScorer``): the model (sorted cell array + count array
    + two dense length-``W`` int64 vectors) rides ``ray.put`` and is
-   fetched ONCE per actor in ``__init__``; each batch tokenizes via Arrow
+   fetched ONCE per worker in ``__init__``; each batch tokenizes via Arrow
    kernels (``utf8_lower`` + ``split_pattern_regex``), crc32-hashes once
    per DISTINCT token (dictionary encode — the Zipf head does the work),
    forms same-doc transition cells, binary-searches the sorted cell array
@@ -62,6 +62,8 @@ from zlib import crc32
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 #: hashed word-vocabulary size (spec constant)
 W = 4096
@@ -197,8 +199,8 @@ def kn_log2_probs(model: dict, cells: np.ndarray) -> np.ndarray:
 
 
 class KnScorer:
-    """Actor-pool stage: appends ``kn_ppl`` per row.  The model rides
-    ``ray.put`` and is fetched ONCE per actor here in ``__init__``."""
+    """Per-batch stage: appends ``kn_ppl`` per row.  The model rides
+    ``ray.put`` and is fetched ONCE per worker here in ``__init__``."""
 
     def __init__(self, model_ref, column: str = "text",
                  out_col: str = "kn_ppl"):
@@ -235,23 +237,18 @@ class KnScorer:
 
 
 def kn_perplexity(ds, *, column: str = "text", model: dict | None = None,
-                  concurrency=(1, 4), batch_size: int = 1024,
-                  out_col: str = "kn_ppl"):
+                  batch_size: int = 1024, out_col: str = "kn_ppl"):
     """Full pass: train the hashed KN bigram LM on ``ds`` (unless a
     precomputed ``model`` is given), broadcast it, score every document."""
     import ray
 
     if model is None:
         model = distributed_train_kn(ds, column=column)
-    # broadcast as a TUPLE: Ray Data's schema-dedup hasher chokes on dict
-    # constructor args (harmless but noisy "Failed to hash the schemas"
-    # warning per actor); the scorer rebuilds the dict
+    # broadcast as a TUPLE; the scorer rebuilds the dict
     ref = ray.put(tuple(model[k] for k in
                         ("cells", "cnts", "c_ctx", "n1_after", "n1_before",
                          "n_types")))
-    return ds.map_batches(
-        KnScorer, fn_constructor_kwargs={"model_ref": ref, "column": column,
-                                         "out_col": out_col},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, batch_size=batch_size,
+    return map_per_worker(
+        ds, KnScorer, {"model_ref": ref, "column": column, "out_col": out_col},
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
     )

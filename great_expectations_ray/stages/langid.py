@@ -1,10 +1,10 @@
-"""Language identification — stateful actor-pool stage.
+"""Language identification — a compile-once per-batch stage.
 
 A fastText-style linear classifier over character/keyword n-gram features,
 with deterministic hand-set weights (the sandbox has no fastText binary; the
 Ray-side shape — callable class, compile-once ``__init__``, vectorized
-``__call__``, ``map_batches(cls, concurrency=N)`` — is the real contract per
-the north rule).  Scores every batch with one RE2 count pass per feature and
+``__call__``, one instance per worker via ``stages._per_worker`` — is the
+real contract per the north rule).  Scores every batch with one RE2 count pass per feature and
 a numpy argmax; no Python loop over rows.
 
 Output columns: ``lang_pred`` (string), ``langid_score`` (float in [0,1],
@@ -73,8 +73,8 @@ UNKNOWN_LANG = "unknown"
 
 
 class LangIdScorer:
-    """Actor-pool stage: ``ds.map_batches(LangIdScorer, concurrency=N,
-    batch_format="pyarrow")``.  Feature spec compiled once per actor."""
+    """Per-batch stage: ``map_per_worker(ds, LangIdScorer,
+    batch_format="pyarrow")``.  Feature spec compiled once per instance."""
 
     def __init__(self, column: str = "content", features: dict | None = None):
         self.column = column

@@ -41,6 +41,7 @@ from great_expectations_ray.stages.classifier import (
     _feature_ids,
     embedding_table,
 )
+from great_expectations_ray.stages._per_worker import map_per_worker
 
 SCALE_X = 20  #: doc-vector fixed point (|v| < 1 -> |xq| < 2^20)
 SCALE_G = 40  #: per-row gradient fixed point (|g| <= 1 -> |gq| <= 2^40)
@@ -146,8 +147,8 @@ def fit_logreg(ds, *, y_col: str, text_col: str = "text", iters: int = 8,
 
 
 class LogregScorer:
-    """Actor-pool scoring stage: the embedding table regenerates from its
-    seed once per actor, weights arrive by value.  Adds ``prob`` (sigmoid
+    """Per-batch scoring stage: the embedding table regenerates from its
+    seed once per worker, weights arrive by value.  Adds ``prob`` (sigmoid
     margin rounded to ``round_dp``) and ``pred`` (int64 0/1 at 0.5)."""
 
     def __init__(self, w: np.ndarray, *, column: str = "text",
@@ -171,11 +172,9 @@ class LogregScorer:
 
 
 def score_logreg(ds, w: np.ndarray, *, column: str = "text", seed: int = 41,
-                 sep: str = " ", round_dp: int = 6, concurrency=(1, 8)):
-    return ds.map_batches(
-        LogregScorer,
-        fn_constructor_kwargs={"w": w, "column": column, "seed": seed,
-                               "sep": sep, "round_dp": round_dp},
+                 sep: str = " ", round_dp: int = 6):
+    return map_per_worker(
+        ds, LogregScorer,
+        {"w": w, "column": column, "seed": seed, "sep": sep, "round_dp": round_dp},
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency,
     )

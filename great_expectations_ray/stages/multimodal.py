@@ -1,5 +1,5 @@
 """Multimodal columns — binary payloads with typed metadata, REAL decoders
-for the container-native formats, actor-pool decode/feature stages.
+for the container-native formats, per-batch decode/feature stages.
 
 Images/audio/video are opaque ``binary`` columns plus metadata columns.
 Formats that need no external codec are decoded for REAL, pure
@@ -14,9 +14,11 @@ exercising plumbing without real payloads.
 
 Scale notes baked into the design:
 - binary payloads make rows WIDE: callers should drop ``batch_size`` to keep
-  ``batch_size × payload × concurrency`` inside worker heaps (e.g. 64 rows of
-  4 MB images × 8 actors ≈ 2 GB in flight)
-- decode/feature stages are actor pools (codec init is expensive)
+  ``batch_size × payload × CPUs`` inside worker heaps (e.g. 64 rows of
+  4 MB images × 8 CPUs ≈ 2 GB in flight)
+- decode/feature stages are classes whose ``__init__`` does the one-off set-up
+  (codec init is expensive); run them with
+  ``stages._per_worker.map_per_worker`` so each worker builds one instance
 - outputs are separate feature columns, never re-encoded payloads, so the
   heavy bytes stay in their original blocks
 """
@@ -156,8 +158,8 @@ def _fake_decode(payload: bytes, media_type: str) -> np.ndarray:
 
 
 class MediaDecoder:
-    """Actor-pool stage: ``ds.map_batches(MediaDecoder, concurrency=N,
-    batch_size=SMALL, fn_constructor_kwargs={"use_fake": True})``.
+    """Per-batch stage: ``map_per_worker(ds, MediaDecoder, {"use_fake": True},
+    batch_size=SMALL)``.
 
     Emits ``feat`` (list<float> pooled feature vector) + ``payload_sha256``;
     never mutates or re-emits the payload column downstream (project it away
@@ -212,9 +214,9 @@ def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 class MediaResizer:
-    """Actor-pool stage: decode -> nearest-neighbor resize -> pooled feature.
-    ``ds.map_batches(MediaResizer, concurrency=N, batch_size=SMALL,
-    fn_constructor_kwargs={"use_fake": True, "out_h": 16, "out_w": 16})``."""
+    """Per-batch stage: decode -> nearest-neighbor resize -> pooled feature.
+    ``map_per_worker(ds, MediaResizer, {"use_fake": True, "out_h": 16,
+    "out_w": 16}, batch_size=SMALL)``."""
 
     def __init__(self, use_fake: bool = False, out_h: int = 16, out_w: int = 16):
         self.decode = _fake_decode if use_fake else _real_decode
@@ -239,7 +241,7 @@ class MediaResizer:
 
 
 class FrameSampler:
-    """Video frame sampling as a flat-map-shaped actor stage: each payload
+    """Video frame sampling as a flat-map-shaped per-batch stage: each payload
     row expands to one row per sampled frame (uniform stride from
     ``duration_ms`` at ``fps``), each with a pooled frame feature.  The frame
     DECODE is behind the same stub; the sampling math (which frames, how
@@ -295,7 +297,7 @@ class FrameSampler:
 
 
 class MediaStats:
-    """Actor-pool stage: REAL decode -> exact per-payload statistics.
+    """Per-batch stage: REAL decode -> exact per-payload statistics.
 
     For PPM/PGM images: ``mean_val`` = mean pixel / 255.0, plus width and
     height.  For WAV audio: ``mean_val`` = mean int16 sample / 32768.0,
@@ -378,7 +380,7 @@ def hamming64(a: np.ndarray, b: np.ndarray | np.uint64) -> np.ndarray:
 
 
 class ImageHasher:
-    """Actor-pool stage: decode -> dHash; emits ``dhash`` (uint64) next to
+    """Per-batch stage: decode -> dHash; emits ``dhash`` (uint64) next to
     the id columns, payload dropped so the heavy bytes stop here."""
 
     def __init__(self, use_fake: bool = False, id_col: str = "media_id"):
@@ -465,12 +467,11 @@ def dhash_mark_duplicates(
     id_col: str = "media_id",
     max_distance: int = 3,
     use_fake: bool = False,
-    concurrency=(1, 4),
     batch_size: int = 64,
     prehashed=None,
 ):
-    """Image near-duplicate marking: decode -> dHash in an actor pool with
-    a SMALL batch_size (payload bytes are wide), then the shared 64-bit
+    """Image near-duplicate marking: decode -> dHash per batch with a SMALL
+    batch_size (payload bytes are wide), then the shared 64-bit
     band-blocked Hamming dedup (``hash64_mark_duplicates``)."""
     if prehashed is not None:
         # caller already ran ImageHasher (and may reuse its output): skip
@@ -478,10 +479,8 @@ def dhash_mark_duplicates(
         hashed = prehashed
     else:
         hashed = ds.map_batches(
-            ImageHasher, fn_constructor_kwargs={"use_fake": use_fake,
-                                                "id_col": id_col},
-            batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=concurrency, batch_size=batch_size,
+            ImageHasher(use_fake=use_fake, id_col=id_col),
+            batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
         )
     return hash64_mark_duplicates(hashed, id_col=id_col, hash_col="dhash",
                                   max_distance=max_distance)
@@ -509,7 +508,7 @@ def audio_fp64(samples: np.ndarray) -> np.uint64:
 
 
 class AudioFingerprinter:
-    """Actor-pool stage: WAV decode -> energy fingerprint; emits ``afp``
+    """Per-batch stage: WAV decode -> energy fingerprint; emits ``afp``
     (uint64) next to the id column, payload dropped."""
 
     def __init__(self, id_col: str = "media_id"):
@@ -533,21 +532,19 @@ def audio_mark_duplicates(
     *,
     id_col: str = "media_id",
     max_distance: int = 3,
-    concurrency=(1, 4),
     batch_size: int = 64,
     prehashed=None,
 ):
     """Audio near-duplicate marking over PCM WAV payloads: decode ->
-    energy fingerprint in an actor pool, then the shared band-blocked
+    energy fingerprint per batch, then the shared band-blocked
     Hamming dedup (``hash64_mark_duplicates``) — gain-shifted re-encodes of
     the same clip mark; unrelated clips verify apart."""
     if prehashed is not None:
         hashed = prehashed
     else:
         hashed = ds.map_batches(
-            AudioFingerprinter, fn_constructor_kwargs={"id_col": id_col},
-            batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=concurrency, batch_size=batch_size,
+            AudioFingerprinter(id_col=id_col),
+            batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
         )
     return hash64_mark_duplicates(hashed, id_col=id_col, hash_col="afp",
                                   max_distance=max_distance)
@@ -612,7 +609,7 @@ def video_fp64(frame_hashes: "np.ndarray") -> "np.uint64":
 
 
 class VideoFingerprinter:
-    """Actor-pool stage: ``video/ppms`` payload -> per-frame dHash; emits
+    """Per-batch stage: ``video/ppms`` payload -> per-frame dHash; emits
     ``vfp`` (uint64 majority-vote signature), ``n_frames`` and the distinct
     ``frame_hashes`` (list<uint64>) next to the id column — payload dropped
     so the heavy bytes stop here and only (id, a-few-hashes) rows travel."""
@@ -645,7 +642,6 @@ def video_mark_duplicates(
     *,
     id_col: str = "media_id",
     min_overlap: float = 0.6,
-    concurrency=(1, 4),
     batch_size: int = 64,
     prehashed=None,
 ):
@@ -655,7 +651,7 @@ def video_mark_duplicates(
     frames (which a whole-video 64-bit signature is not: over k distinct
     frame hashes a per-bit majority flips wherever the rest split evenly).
 
-    Shape: decode -> per-frame dHash in an actor pool; explode distinct
+    Shape: decode -> per-frame dHash per batch; explode distinct
     (id, frame_hash, n_frames) rows; ONE bucketed exchange keyed on the
     exact frame hash emits star edges (bucket keeper = min id -> member)
     carrying both frame counts — O(videos sharing the frame), never
@@ -674,9 +670,8 @@ def video_mark_duplicates(
         hashed = prehashed
     else:
         hashed = ds.map_batches(
-            VideoFingerprinter, fn_constructor_kwargs={"id_col": id_col},
-            batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=concurrency, batch_size=batch_size,
+            VideoFingerprinter(id_col=id_col),
+            batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
         )
 
     def explode(tbl: pa.Table) -> pa.Table:
@@ -752,7 +747,7 @@ def video_mark_duplicates(
 
 
 def _hann(n: int) -> np.ndarray:
-    # periodic Hann (the STFT convention), computed once per actor
+    # periodic Hann (the STFT convention), computed once per instance
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
@@ -811,11 +806,11 @@ def log_mel_pooled(samples: np.ndarray, rate: int, *, n_mels: int = 24,
 
 
 class AudioFeaturizer:
-    """Actor-pool stage: WAV decode -> pooled log-mel feature vector.
+    """Per-batch stage: WAV decode -> pooled log-mel feature vector.
 
     Emits ``audio_feat`` (list<float32>, 2*n_mels) + ``n_frames`` next to
     the id column; payload dropped (features leave the stage, bytes don't).
-    The Hann window and mel filterbank are built ONCE per actor in
+    The Hann window and mel filterbank are built ONCE per instance in
     ``__init__`` (per the stateful-stage convention); non-audio or empty
     payloads yield a zero vector and n_frames = 0.
 

@@ -23,6 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
+
 _MERSENNE = (1 << 61) - 1
 
 
@@ -413,7 +415,7 @@ def ngram_jaccard_mark_duplicates(
          bands by one 16-byte-row exchange;
       3. the deduplicated pair list (ids only; guarded by
          ``max_candidate_pairs``) is broadcast once via ``ray.put``, the
-         corpus streams through an actor pool that computes shingle sets for
+         corpus streams through a per-batch stage that computes shingle sets for
          CANDIDATE rows only and routes them keyed by representative —
          member sets ship once per pair, each representative's set ships
          ONCE — then one bucketed group computes every pair's exact Jaccard.
@@ -492,7 +494,7 @@ def ngram_jaccard_mark_duplicates(
     })
 
     class _RouteSets:
-        """Per-actor: fetch the pair routing once; per batch: shingle the
+        """Per worker: fetch the pair routing once; per batch: shingle the
         candidate rows and emit set-carrying rows keyed by representative."""
 
         def __init__(self):
@@ -543,12 +545,8 @@ def ngram_jaccard_mark_duplicates(
                 "sh": pa.array(out_sh, sh_type),
             })
 
-    routed = ds.select_columns([id_col, text_col]).map_batches(
-        _RouteSets,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 8),
-    )
+    routed = map_per_worker(ds.select_columns([id_col, text_col]), _RouteSets,
+                            batch_format="pyarrow", zero_copy_batch=True)
 
     def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out_b: list[int] = []

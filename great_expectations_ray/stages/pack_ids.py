@@ -12,8 +12,8 @@ Distributed shape (two wide steps, both unavoidable for cross-document
 sequences):
 
 1. ``encode_token_ids`` — broadcast the trained vocab once (``ray.put``)
-   into an actor pool; greedy longest-match WordPiece encode per word with a
-   per-actor word→ids cache; emits one ``list<int32>`` row per document.
+   to every worker; greedy longest-match WordPiece encode per word with a
+   per-worker word→ids cache; emits one ``list<int32>`` row per document.
 2. ``pack_sequences`` —
    a. sort by the unique order column (the ONE sort; payload rides along),
       materialize;
@@ -44,6 +44,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.bpe_train import _WS_SPLIT
 from great_expectations_ray.stages.wordpiece import encode_word
 
@@ -89,7 +90,6 @@ def encode_token_ids(
     id_col: str,
     unk_id: int | None = None,
     eos_id: int | None = None,
-    concurrency=(1, 16),
 ):
     """Per-document token-id lists under a trained WordPiece vocab.
 
@@ -148,12 +148,8 @@ def encode_token_ids(
                 "n_tokens": n,
             })
 
-    return ds.select_columns([id_col, text_col]).map_batches(
-        _Encoder,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+    return map_per_worker(ds.select_columns([id_col, text_col]), _Encoder,
+                          batch_format="pyarrow", zero_copy_batch=True)
 
 
 def pack_sequences(
@@ -300,7 +296,6 @@ def decode_token_ids(
     unk_id: int | None = None,
     eos_id: int | None = None,
     unk_token: str = "[UNK]",
-    concurrency=(1, 16),
 ):
     """Inverse of :func:`encode_token_ids` — token-id lists back to text,
     fully vectorized: one broadcast id→piece table, one numpy gather per
@@ -365,6 +360,5 @@ def decode_token_ids(
             text = pc.binary_join(lists, "")
             return pa.table({id_col: tbl.column(id_col), "text": text})
 
-    return ds_ids.select_columns([id_col, ids_col]).map_batches(
-        _Decoder, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency)
+    return map_per_worker(ds_ids.select_columns([id_col, ids_col]), _Decoder,
+                          batch_format="pyarrow", zero_copy_batch=True)

@@ -37,6 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.scrub import sha256_column
 
 
@@ -147,7 +148,7 @@ def _rebuild_batch_arrow(
 
 
 class _ParagraphRewriter:
-    """Broadcast-rebuild actor: the drop map is fetched ONCE per actor in
+    """Broadcast-rebuild stage: the drop map is fetched ONCE per worker in
     ``__init__`` (the ``_BoilerplateRewriter`` pattern — no per-batch
     ``ray.get``).  Batches with no affected doc take the Arrow-native fast
     path: append a zero ``n_dropped`` column, no pandas conversion, no
@@ -229,12 +230,10 @@ def dedup_paragraphs(
             }
         ref = ray.put(drop_map)
 
-        return ds.map_batches(
-            _ParagraphRewriter,
-            fn_constructor_args=(ref, text_col, id_col, sep),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
+        return map_per_worker(
+            ds, _ParagraphRewriter,
+            {"drops_ref": ref, "text_col": text_col, "id_col": id_col, "sep": sep},
+            batch_format="pyarrow", zero_copy_batch=True,
         )
 
     # large-drops path: aggregate per doc, bucketed join, rebuild per batch

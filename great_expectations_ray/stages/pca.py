@@ -150,8 +150,7 @@ def fit_pca(ds, n_components: int = 4, *, emb_col: str = "embedding") -> PCAMode
 
 
 class PCAProjector:
-    """Actor-pool projection stage: the model lands once per actor; each
-    batch is one centered matmul.  Adds ``pc1..pc<d>`` float64 columns
+    """Per-batch projection stage: each batch is one centered matmul.  Adds ``pc1..pc<d>`` float64 columns
     rounded to ``round_dp``."""
 
     def __init__(self, model: PCAModel, *, emb_col: str = "embedding",
@@ -175,11 +174,8 @@ class PCAProjector:
 
 
 def project_pca(ds, model: PCAModel, *, emb_col: str = "embedding",
-                round_dp: int = 6, concurrency=(1, 4)):
+                round_dp: int = 6):
     return ds.map_batches(
-        PCAProjector,
-        fn_constructor_kwargs={"model": model, "emb_col": emb_col,
-                               "round_dp": round_dp},
+        PCAProjector(model, emb_col=emb_col, round_dp=round_dp),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency,
     )

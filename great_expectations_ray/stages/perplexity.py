@@ -1,11 +1,11 @@
-"""KenLM-style character n-gram perplexity scoring — stateful actor pool.
+"""KenLM-style character n-gram perplexity scoring — a broadcast-model stage.
 
 Model: interpolated add-k byte-trigram LM held as ONE dense float32 logprob
 table of shape (256^2, 256) ≈ 64 MiB.  The table is built once on the driver
 (deterministically, from a seeded sample of the corpus itself), published to
-the object store with ``ray.put``, and each actor fetches it ONCE in
-``__init__`` — the broadcast-small-side pattern; the model is never
-re-shipped per batch.
+the object store with ``ray.put``, and each worker fetches it ONCE in
+``__init__`` (``stages._per_worker``) — the broadcast-small-side pattern;
+the model is never re-shipped per batch.
 
 Scoring is fully vectorized: content bytes -> trigram context ids via numpy
 stride tricks -> one fancy-index gather -> mean negative log2 prob ->
@@ -22,7 +22,7 @@ V = 256  # byte vocabulary
 
 #: trigram contexts (c-2, c-1) are HASH-BUCKETED into this many rows, so the
 #: whole logprob table is N_CTX × 256 float16 = 4 MiB — it stays resident in
-#: shared LLC under 30 concurrent actors instead of thrashing DRAM with
+#: shared LLC under 30 concurrent workers instead of thrashing DRAM with
 #: random 32 MiB gathers (measured: full-table scoring scaled at 0.34
 #: efficiency 8→32 CPUs; the shared resource was memory bandwidth).
 #: Bucketing merges ~8 contexts per row — a compressed n-gram model, still a
@@ -73,8 +73,8 @@ def perplexity_of(table: np.ndarray, text: str, cap_bytes: int = 65536) -> float
 
 
 class PerplexityScorer:
-    """``ds.map_batches(PerplexityScorer, fn_constructor_kwargs=
-    {"model_ref": ref}, concurrency=N, batch_format="pyarrow")``.
+    """``map_per_worker(ds, PerplexityScorer, {"model_ref": ref},
+    batch_format="pyarrow")`` (``stages._per_worker``).
 
     ``model_ref`` may be a ``ray.ObjectRef`` (broadcast) or a plain ndarray
     (tests)."""
@@ -89,7 +89,7 @@ class PerplexityScorer:
         elif isinstance(model_ref, np.ndarray):
             self.table = model_ref
         else:
-            self.table = ray.get(model_ref)  # once per actor
+            self.table = ray.get(model_ref)  # once per worker
         self.column = column
         self.cap_bytes = cap_bytes
         # precise=True: float64 log-prob accumulation — per-row sums are
@@ -182,17 +182,17 @@ class PerplexityScorer:
 def build_reference_model(
     ds, sample_rows: int = 500, column: str = "content", id_col: str | None = None
 ) -> np.ndarray:
-    """Train the LM from a prefix sample of the corpus (the KenLM analog of
-    training on held-out clean text).
+    """Train the LM from an order-free sample of the corpus (the KenLM
+    analog of training on held-out clean text).
 
-    With ``id_col`` set, the sample is the ORDER-FREE predicate
-    ``id_col < sample_rows`` — block arrival order in Ray's streaming
-    executor is not deterministic, so ``limit()`` picks a different row set
-    run-to-run; a predicate sample is reproducible (and training itself is
-    selection-set-dependent only: trigram counts are exact integer adds, so
-    sample order never matters).  Without an id column, ``limit`` keeps the
-    stream-pruning behavior and the model varies only in WHICH rows train
-    it — fine for threshold-loose filtering, not for oracle parity."""
+    Block arrival order in Ray's streaming executor is not deterministic, so
+    the sample is chosen by row contents alone and the model is the same for
+    the same rows however they are split or ordered (training is
+    selection-set-dependent only: trigram counts are exact integer adds).
+    With ``id_col`` set, it is the predicate ``id_col < sample_rows``.
+    Without, it is the ``sample_rows`` non-empty rows with the smallest
+    content hash: each batch keeps its own ``sample_rows`` smallest, and the
+    driver merges those as they stream in."""
     if id_col is not None:
         def pick(tbl: pa.Table) -> pa.Table:
             return tbl.filter(pc.less(tbl.column(id_col), sample_rows))
@@ -202,10 +202,26 @@ def build_reference_model(
             .map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
             .take_all()
         )
-    else:
-        sample = ds.select_columns([column]).limit(sample_rows).take_all()
-    texts = [r[column] for r in sample if r[column]]
-    return train_char_lm(texts)
+        texts = [r[column] for r in sample if r[column]]
+        return train_char_lm(texts)
+
+    from great_expectations_ray.functions.bucketed import poly_hash_strings
+
+    order = [("__h", "ascending"), (column, "ascending")]
+
+    def smallest(tbl: pa.Table) -> pa.Table:
+        col = pc.cast(tbl.column(column), pa.large_string())
+        col = col.filter(pc.fill_null(pc.greater(pc.binary_length(col), 0), False))
+        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        return pa.table({"__h": pa.array(poly_hash_strings(col), pa.uint64()),
+                         column: col}).sort_by(order).slice(0, sample_rows)
+
+    best = smallest(pa.table({column: pa.array([], pa.large_string())}))
+    for part in ds.select_columns([column]).map_batches(
+            smallest, batch_format="pyarrow", zero_copy_batch=True,
+    ).iter_batches(batch_format="pyarrow", batch_size=None):
+        best = pa.concat_tables([best, part]).sort_by(order).slice(0, sample_rows)
+    return train_char_lm(best.column(column).to_pylist())
 
 
 class _TrigramCounter:

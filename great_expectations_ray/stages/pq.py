@@ -14,8 +14,8 @@ Pieces (each a standard Ray Data shape):
   — one ``map_batches`` emits ``m × ncodes`` partial rows per block
   (subspace, code, count, int64 qsum), the driver folds them exactly.  No
   shuffle anywhere; ``iters`` passes total, same as ``stages/kmeans``.
-- ``encode_pq``: actor-pool ``map_batches`` — codebooks land once per actor
-  in ``__init__``; each batch is m small matmuls + argmax.  Emits the packed
+- ``encode_pq``: per-batch ``map_batches`` — codebooks land once per
+  instance in ``__init__``; each batch is m small matmuls + argmax.  Emits the packed
   int64 ``code`` (base-``ncodes`` digits, subspace 0 least significant) and,
   when a query is supplied, the ADC approximate cosine ``adc``.
 - ADC (asymmetric distance computation): the query stays un-quantized; a
@@ -233,9 +233,9 @@ def fit_pq(ds, m: int = 4, ncodes: int = 16, iters: int = 6, *,
 
 
 class PQEncoder:
-    """Actor-pool encode stage: codebooks (and the optional ADC LUT) land
-    once per actor in ``__init__``; ``__call__`` is m small matmuls + an
-    O(m)-per-row LUT sum.  Adds ``code`` (packed int64) and, when a query
+    """Per-batch encode stage: the codebooks and the optional ADC LUT are
+    built in ``__init__``; ``__call__`` is m small matmuls + an O(m)-per-row
+    LUT sum.  Adds ``code`` (packed int64) and, when a query
     was supplied, ``adc`` (approximate cosine, rounded to ``round_dp``)."""
 
     def __init__(self, codebooks: np.ndarray, *, emb_col: str = "embedding",
@@ -261,14 +261,10 @@ class PQEncoder:
 
 
 def encode_pq(ds, model: PQModel, *, emb_col: str = "embedding",
-              query: np.ndarray | None = None, round_dp: int = 6,
-              concurrency=(1, 4)):
+              query: np.ndarray | None = None, round_dp: int = 6):
     return ds.map_batches(
-        PQEncoder,
-        fn_constructor_kwargs={"codebooks": model.C, "emb_col": emb_col,
-                               "query": query, "round_dp": round_dp},
+        PQEncoder(model.C, emb_col=emb_col, query=query, round_dp=round_dp),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 

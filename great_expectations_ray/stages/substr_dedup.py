@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.scrub import _string_buffer_views
 
 
@@ -292,7 +293,6 @@ def remove_duplicate_substrings(
     content_col: str = "text",
     id_col: str = "doc_id",
     window: int = 40,
-    concurrency=(1, 8),
     max_broadcast_cuts: int = 2_000_000,
 ):
     """ExactSubstr REMOVAL (the rewrite half of Lee et al. 2022): returns
@@ -303,8 +303,8 @@ def remove_duplicate_substrings(
     cut dataset is counted, and above ``max_broadcast_cuts`` rows the
     rewrite switches to a bucketed join of per-doc cut lists onto the
     corpus (ids/ranges stay in the object store); at or below the cap the
-    map is collected once and broadcast via ``ray.put`` (fetched per actor
-    — the _BoilerplateRewriter pattern; cheaper, no corpus exchange).  Cuts
+    map is collected once and broadcast via ``ray.put`` (fetched once per
+    worker — the _BoilerplateRewriter pattern; cheaper, no corpus exchange).  Cuts
     are BYTE ranges; on non-ASCII content a cut can split a UTF-8 sequence,
     decoded with errors='replace' (deterministic, and byte==char on the
     ASCII testdata)."""
@@ -324,10 +324,10 @@ def remove_duplicate_substrings(
         v.sort()
     ref = ray.put(cut_map)
 
-    return ds.map_batches(
-        _CutRewriter, fn_constructor_kwargs={
-            "cut_ref": ref, "id_col": id_col, "content_col": content_col},
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=concurrency)
+    return map_per_worker(
+        ds, _CutRewriter,
+        {"cut_ref": ref, "id_col": id_col, "content_col": content_col},
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _remove_cuts_joined(ds, cuts_ds, *, content_col: str, id_col: str):

@@ -180,7 +180,7 @@ BPE_SPLIT_RE = r"'(?:s|t|re|ve|m|ll|d)| ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+|\s+"
 
 
 class TokenCounter:
-    """Actor-pool stage: per-row token counts — whitespace tokens
+    """Per-batch stage: per-row token counts — whitespace tokens
     (``\\S+``) and BPE-ish pre-tokenizer pieces (``BPE_SPLIT_RE``) — both
     single vectorized RE2 scans.  The standard length signal for LLM
     training-data budgeting."""

@@ -11,8 +11,8 @@ Scalable shape (ONE narrow exchange, then a broadcast and a stateless pass):
   bucketed exchange (``functions/bucketed.py``) sums them — the exchange
   carries ≤ |batch vocab| rows per batch, never token volume.
 - **Broadcast**: the (term → df) table — optionally capped by ``min_df`` /
-  ``max_vocab`` — is published once via ``ray.put`` and fetched once per
-  actor, the standard small-side pattern (at web scale the full open vocab
+  ``max_vocab`` — rides the pass-B function by value, the standard small-side
+  pattern (at web scale the full open vocab
   doesn't broadcast: cap it, or swap pass B's map for a bucketed term join).
 - **Pass B (TF + top-k)**: documents never split across rows, so term
   frequencies and the per-doc top-k are BATCH-LOCAL — a vectorized pandas
@@ -90,8 +90,6 @@ def tfidf_topk(
 ):
     """Top-``k`` terms per document by smooth tf-idf.  Output columns:
     ``(id_col, term, tf, df, tfidf)``; ``tfidf`` rounded to 6dp."""
-    import ray
-
     n_docs = ds.count()
     df_tbl = document_frequencies(
         ds, text_col=text_col, id_col=id_col, sep=sep, n_buckets=n_buckets
@@ -102,37 +100,32 @@ def tfidf_topk(
         df_tbl = df_tbl.sort_values(["df", "term"], ascending=[False, True], kind="mergesort")
         df_tbl = df_tbl.head(max_vocab)
     df_map = df_tbl.set_index("term")["df"]
-    ref = ray.put(df_map)
 
-    class TopK:
-        def __init__(self):
-            self.df = ray.get(ref)  # once per actor
+    def top_k(tbl: pa.Table) -> pd.DataFrame:
+        pairs = _explode_terms(tbl, text_col, id_col, sep)
+        tf = (
+            pairs.groupby([id_col, "term"], sort=False)
+            .size()
+            .rename("tf")
+            .reset_index()
+        )
+        tf["df"] = tf["term"].map(df_map)
+        tf = tf.dropna(subset=["df"])
+        tf["df"] = tf["df"].astype(np.int64)
+        # rank by the tf-idf value itself (rounded to 6dp so the key is
+        # reproducible across engines), term as tie-break — a rational
+        # surrogate like tf*(N+1)/(1+df) is NOT monotone in tf-idf
+        # across differing tf, so it can select lower-scoring terms
+        tf["tfidf"] = np.round(
+            tf["tf"].to_numpy()
+            * (np.log((1.0 + n_docs) / (1 + tf["df"].to_numpy())) + 1.0),
+            6,
+        )
+        tf = tf.sort_values(
+            [id_col, "tfidf", "term"], ascending=[True, False, True],
+            kind="mergesort",
+        )
+        top = tf.groupby(id_col, sort=False).head(k)
+        return top.reset_index(drop=True)
 
-        def __call__(self, tbl: pa.Table) -> pd.DataFrame:
-            pairs = _explode_terms(tbl, text_col, id_col, sep)
-            tf = (
-                pairs.groupby([id_col, "term"], sort=False)
-                .size()
-                .rename("tf")
-                .reset_index()
-            )
-            tf["df"] = tf["term"].map(self.df)
-            tf = tf.dropna(subset=["df"])
-            tf["df"] = tf["df"].astype(np.int64)
-            # rank by the tf-idf value itself (rounded to 6dp so the key is
-            # reproducible across engines), term as tie-break — a rational
-            # surrogate like tf*(N+1)/(1+df) is NOT monotone in tf-idf
-            # across differing tf, so it can select lower-scoring terms
-            tf["tfidf"] = np.round(
-                tf["tf"].to_numpy()
-                * (np.log((1.0 + n_docs) / (1 + tf["df"].to_numpy())) + 1.0),
-                6,
-            )
-            tf = tf.sort_values(
-                [id_col, "tfidf", "term"], ascending=[True, False, True],
-                kind="mergesort",
-            )
-            top = tf.groupby(id_col, sort=False).head(k)
-            return top.reset_index(drop=True)
-
-    return ds.map_batches(TopK, batch_format="pyarrow", concurrency=(1, 8))
+    return ds.map_batches(top_k, batch_format="pyarrow")

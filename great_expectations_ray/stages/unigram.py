@@ -6,8 +6,8 @@ same pipeline shape as :mod:`stages/bpe_train` (the other tokenizer family
 in this repo): the ONLY corpus-sized step is the distributed word-count
 exchange (map-side ``value_counts`` pre-combine, one bucketed sum, bounded
 top-K cut) — training itself runs on the driver over the Zipf-small word
-dict, and application broadcasts the learned vocab once (``ray.put``) into
-an actor pool.
+dict, and application broadcasts the learned vocab once (``ray.put``) to
+every worker.
 
 Deviation from Kudo, chosen for bit-exact reproducibility: **hard EM**
 (Viterbi E-step; expected counts become integer occurrence counts weighted
@@ -47,6 +47,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.bpe_train import (
     _WS_SPLIT,
     distributed_word_counts,
@@ -210,11 +211,10 @@ def apply_unigram(
     id_col: str,
     keep_cols: tuple[str, ...] = (),
     max_piece_len: int = 5,
-    concurrency=(1, 16),
 ):
     """Per-doc token counts under the learned unigram vocab: broadcast the
-    (piece, cnt) table once via ``ray.put``, segment inside an actor pool
-    with a per-actor word cache.  Returns (id_col, *keep_cols,
+    (piece, cnt) table once via ``ray.put``, segment with a per-worker word
+    cache.  Returns (id_col, *keep_cols,
     unigram_tokens)."""
     import ray
 
@@ -254,9 +254,5 @@ def apply_unigram(
             cols["unigram_tokens"] = pa.array(out)
             return pa.table(cols)
 
-    return ds.select_columns([id_col, *keep_cols, text_col]).map_batches(
-        _Segmenter,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+    return map_per_worker(ds.select_columns([id_col, *keep_cols, text_col]),
+                          _Segmenter, batch_format="pyarrow", zero_copy_batch=True)

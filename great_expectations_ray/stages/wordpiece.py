@@ -20,7 +20,7 @@ Pipeline shape is shared with the siblings: the ONLY corpus-sized step is
 the distributed word-count exchange (:func:`bpe_train.distributed_word_counts`
 — map-side ``value_counts`` pre-combine, one bucketed sum, bounded top-K
 cut); training runs on the driver over the Zipf-small word dict; application
-broadcasts the vocab once (``ray.put``) into an actor pool with a per-actor
+broadcasts the vocab once (``ray.put``) with a per-worker
 word cache.
 
 Determinism spec (shared with the independent fixture oracle in
@@ -47,6 +47,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.bpe_train import (
     _WS_SPLIT,
     distributed_word_counts,
@@ -297,10 +298,9 @@ def apply_wordpiece(
     text_col: str = "content",
     id_col: str,
     keep_cols: tuple[str, ...] = (),
-    concurrency=(1, 16),
 ):
     """Per-doc WordPiece token counts: broadcast the vocab once (``ray.put``),
-    encode inside an actor pool with a per-actor word cache.  Returns
+    encode with a per-worker word cache.  Returns
     (id_col, *keep_cols, wordpiece_tokens)."""
     import ray
 
@@ -334,9 +334,5 @@ def apply_wordpiece(
             cols["wordpiece_tokens"] = pa.array(out)
             return pa.table(cols)
 
-    return ds.select_columns([id_col, *keep_cols, text_col]).map_batches(
-        _Encoder,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+    return map_per_worker(ds.select_columns([id_col, *keep_cols, text_col]),
+                          _Encoder, batch_format="pyarrow", zero_copy_batch=True)

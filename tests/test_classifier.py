@@ -112,7 +112,7 @@ def test_embed_text_matches_driver_math(ray_session):
     df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
     out = {r["doc_id"]: np.asarray(r["text_emb"], dtype=np.float32)
            for r in embed_text(rd.from_pandas(df).repartition(3),
-                               concurrency=(1, 2), batch_size=2).take_all()}
+                               batch_size=2).take_all()}
     E = embedding_table(41)
     ids, counts = _feature_ids(pa.array(texts, pa.string()))
     want = _doc_vectors(E, ids, counts).astype(np.float32)
@@ -143,7 +143,7 @@ def test_embed_text_chains_into_embedding_neardup(ray_session):
                 "completely unrelated words about cooking pasta tonight"])
     df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
     emb = embed_text(rd.from_pandas(df).repartition(2),
-                     concurrency=(1, 2), batch_size=2)
+                     batch_size=2)
     marked = {r["doc_id"]: r["max(is_neardup)"]
               for r in embedding_mark_duplicates(
                   emb, emb_col="text_emb", id_col="doc_id",

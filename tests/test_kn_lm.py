@@ -75,7 +75,7 @@ def _scored_df(n_parts):
     ds = rd.from_pandas(pd.DataFrame({
         "doc_id": np.arange(len(DOCS), dtype=np.int64), "text": DOCS,
     })).repartition(n_parts)
-    out = kn_perplexity(ds, column="text", concurrency=(1, 2), batch_size=2)
+    out = kn_perplexity(ds, column="text", batch_size=2)
     df = pd.DataFrame(out.select_columns(["doc_id", "kn_ppl"]).take_all())
     return df.sort_values("doc_id").reset_index(drop=True)
 

@@ -40,3 +40,21 @@ def test_trained_model_prefers_in_domain_text(ray_session):
     in_dom = perplexity_of(table, "hello world this is a test")
     out_dom = perplexity_of(table, "zzqxj vvkpw qqq///\\\\###!!!")
     assert in_dom < out_dom
+
+
+def test_default_lm_sample_ignores_block_order_and_count(ray_session):
+    """Without an id column the default LM's sample depends on row contents
+    only: the same rows under two block orders and two block counts train a
+    byte-identical table."""
+    from great_expectations_ray.corpus import corpus_dataset
+    from great_expectations_ray.stages.perplexity import build_reference_model
+
+    tables = [
+        build_reference_model(
+            corpus_dataset(1200, blocks=blocks).materialize()
+            .randomize_block_order(seed=seed).select_columns(["content"]),
+            sample_rows=100,
+        ).tobytes()
+        for blocks in (4, 9) for seed in (1, 2)
+    ]
+    assert len(set(tables)) == 1

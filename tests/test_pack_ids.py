@@ -51,7 +51,7 @@ def vocab():
 def test_encode_token_ids_matches_naive(ray_session, vocab):
     ds = rd.from_items(DOCS)
     out = (encode_token_ids(ds, vocab, text_col="text", id_col="doc_id",
-                            eos_id=len(vocab) + 1, concurrency=(1, 2))
+                            eos_id=len(vocab) + 1)
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     exp = _naive_ids(vocab)
     for _, row in out.iterrows():
@@ -65,7 +65,7 @@ def test_pack_sequences_matches_concat_slice(ray_session, vocab, seq_len,
                                              drop_last):
     ds = rd.from_items(DOCS)
     enc = encode_token_ids(ds, vocab, text_col="text", id_col="doc_id",
-                           eos_id=len(vocab) + 1, concurrency=(1, 2))
+                           eos_id=len(vocab) + 1)
     packed = (pack_sequences(enc, order_col="doc_id", seq_len=seq_len,
                              drop_last=drop_last)
               .to_pandas().sort_values("seq_id").reset_index(drop=True))
@@ -88,7 +88,7 @@ def test_pack_sequences_many_blocks_cross_doc(ray_session, vocab):
             for i in range(60)]
     ds = rd.from_items(docs).repartition(8)
     enc = encode_token_ids(ds, vocab, text_col="text", id_col="doc_id",
-                           eos_id=len(vocab) + 1, concurrency=(1, 2))
+                           eos_id=len(vocab) + 1)
     packed = (pack_sequences(enc, order_col="doc_id", seq_len=7,
                              drop_last=False)
               .to_pandas().sort_values("seq_id").reset_index(drop=True))
@@ -228,9 +228,9 @@ def test_decode_round_trip(ray_session, vocab):
 
     ds = rd.from_items(DOCS).repartition(2)
     enc = encode_token_ids(ds, vocab, text_col="text", id_col="doc_id",
-                           eos_id=len(vocab) + 1, concurrency=(1, 2))
+                           eos_id=len(vocab) + 1)
     dec = (decode_token_ids(enc, vocab, id_col="doc_id",
-                            eos_id=len(vocab) + 1, concurrency=(1, 2))
+                            eos_id=len(vocab) + 1)
            .to_pandas().set_index("doc_id")["text"])
     for d in DOCS:
         want = " ".join(
@@ -251,7 +251,7 @@ def test_decode_real_docs_round_trip(ray_session):
                           columns=["doc_id", "text"]).limit(50)
     vocab = train_wordpiece(ds, text_col="text", num_merges=30)
     enc = encode_token_ids(ds, vocab, text_col="text", id_col="doc_id",
-                           eos_id=len(vocab) + 1, concurrency=(1, 2))
+                           eos_id=len(vocab) + 1)
     dec = (decode_token_ids(enc, vocab, id_col="doc_id",
                             eos_id=len(vocab) + 1)
            .to_pandas().set_index("doc_id")["text"])

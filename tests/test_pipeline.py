@@ -20,7 +20,7 @@ N_ROWS = 1500
 @pytest.fixture(scope="module")
 def pipeline_out():
     ds = corpus_dataset(N_ROWS, blocks=6)
-    cfg = QualityFilterConfig(actor_concurrency=2)
+    cfg = QualityFilterConfig()
     out = run_quality_filter(ds, cfg)
     scored = out["scored"].to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
     return out, scored, cfg
@@ -130,7 +130,7 @@ def test_quality_filter_with_exact_dedup(tmp_path):
 
     import pyarrow.parquet as pq
 
-    cfg = QualityFilterConfig(actor_concurrency=2, dedup="exact",
+    cfg = QualityFilterConfig(dedup="exact",
                               use_langid=False, use_perplexity=False)
     out = run_quality_filter(corpus_dataset(800, blocks=4), cfg,
                              output_dir=str(tmp_path))
@@ -154,7 +154,7 @@ def test_missing_rollup_key_fails_fast():
     """The input schema check covers the configured rollup keys: a missing
     custom key raises before any Ray task runs and names the key, instead
     of failing inside a Ray actor."""
-    cfg = QualityFilterConfig(rollup_keys=("repo", "team"), actor_concurrency=2,
+    cfg = QualityFilterConfig(rollup_keys=("repo", "team"),
                               use_langid=False, use_perplexity=False)
     with pytest.raises(ValueError, match=r"missing column\(s\) \['team'\]"):
         run_quality_filter(corpus_dataset(200, blocks=2), cfg)
@@ -166,7 +166,7 @@ def test_input_without_lang_runs_when_not_a_rollup_key(tmp_path):
     import glob
 
     ds = corpus_dataset(200, blocks=2).drop_columns(["lang"])
-    cfg = QualityFilterConfig(rollup_keys=("repo",), actor_concurrency=2,
+    cfg = QualityFilterConfig(rollup_keys=("repo",),
                               use_perplexity=False)
     out = run_quality_filter(ds, cfg)
     assert sum(r["row_count"] for r in out["rollup"]) == 200

@@ -84,7 +84,7 @@ def test_decontaminate_end_to_end(ray_session):
         {"doc_id": 4, "text": ""},
     ])
     out = (
-        mark_contaminated(corpus, bench, n=5, concurrency=1)
+        mark_contaminated(corpus, bench, n=5)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -99,5 +99,5 @@ def test_decontaminate_empty_benchmark(ray_session):
 
     bench = rd.from_items([{"doc_id": 0, "text": "tiny"}])  # no 5-grams at all
     corpus = rd.from_items([{"doc_id": 1, "text": "some words here for testing okay"}])
-    out = mark_contaminated(corpus, bench, n=5, concurrency=1).to_pandas()
+    out = mark_contaminated(corpus, bench, n=5).to_pandas()
     assert out["contaminated"].tolist() == [False]

@@ -21,7 +21,7 @@ def corpus_files(tmp_path_factory):
 
 
 def _cfg():
-    return QualityFilterConfig(actor_concurrency=2, use_langid=False, use_perplexity=False)
+    return QualityFilterConfig(use_langid=False, use_perplexity=False)
 
 
 def _read_lineage(root: str) -> pd.DataFrame:

@@ -184,7 +184,7 @@ def test_pack_to_shards_end_to_end(ray_session, tmp_path):
                                        num_merges=2, min_pair_count=2)
     ds = rd.from_items(docs).repartition(3)
     enc = encode_token_ids(ds, vocab, text_col="text", id_col="doc_id",
-                           eos_id=len(vocab) + 1, concurrency=(1, 2))
+                           eos_id=len(vocab) + 1)
     packed = pack_sequences(enc, order_col="doc_id", seq_len=16).materialize()
     exp = packed.to_pandas().sort_values("seq_id").reset_index(drop=True)
     out = str(tmp_path / "shards")

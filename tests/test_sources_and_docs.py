@@ -41,7 +41,7 @@ def test_data_docs_action(tmp_path):
     out_root = str(tmp_path / "out")
     res = run_checkpoint(
         str(src) + "/*.parquet", out_root,
-        config=QualityFilterConfig(actor_concurrency=2, use_langid=False,
+        config=QualityFilterConfig(use_langid=False,
                                    use_perplexity=False),
         n_partitions=2,
         actions=[lambda r: write_data_docs(out_root, r)],
@@ -156,7 +156,7 @@ def test_checkpoint_rollup_page_and_actions(tmp_path):
     docs = UpdateDataDocsAction(site_root=out_root)
     res = run_checkpoint(
         str(src) + "/*.parquet", out_root,
-        config=QualityFilterConfig(actor_concurrency=2, use_langid=False,
+        config=QualityFilterConfig(use_langid=False,
                                    use_perplexity=False),
         n_partitions=2,
         actions=[slack, email, docs],
