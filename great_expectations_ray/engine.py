@@ -4,27 +4,36 @@ The reference resolves a per-suite metric dependency graph at runtime
 (``validator/validation_graph.py:214-322``).  Our kernel set is static, so the
 graph collapses at compile time into at most three physical phases:
 
-- **Phase S** (free): schema/table rules from ``Dataset.schema()``.
+- **Phase S** (free): schema/table rules, from the schema the phase-1
+  batches record (``Dataset.schema()`` only when no batch arrives).
 - **Phase 1** (one streaming pass): ONE fused ``map_batches`` over zero-copy
   Arrow blocks evaluates ALL map conditions and updates ALL aggregate /
   value-count partials, emitting one small pickled partial per block; partials
   merge associatively on the driver (no shuffle — the Ray analog of GX's
-  aggregate bundling, ``sparkdf_execution_engine.py:843-915``).
-- **Phase W** (only if the suite asks): wide metrics that genuinely need a
-  shuffle (global uniqueness, high-cardinality distinct) run as
-  per-batch value-counts -> ``groupby(value).sum(count)`` — map-side
-  pre-aggregation before the exchange.
+  aggregate bundling, ``sparkdf_execution_engine.py:843-915``).  The same
+  pass emits, for every uniqueness rule, the batch's typed key counts
+  (``Table.group_by(key columns)``, map-side pre-aggregation) as extra rows
+  of the same output.  The output is materialized once and ONE finishing Ray
+  task reads its blocks: it returns the partial bytes and, per uniqueness
+  rule, the duplicate-row count and the smallest duplicated keys.  Past
+  ``_KEY_TASK_ROW_CAP`` key rows, the key rows take one bucketed exchange
+  instead (``functions/bucketed.py``) — over the materialized rows, never
+  the input.
 - **Phase 2** (only if the suite asks): z-score-style two-phase map rules
   re-stream with the phase-1 aggregates injected
-  (``column_values_z_score.py:124-144``).
+  (``column_values_z_score.py:124-144``).  An IQR outlier rule whose exact
+  value counts already settle it (zero unexpected rows, or a
+  ``BOOLEAN_ONLY`` result) is finished from those counts without the
+  re-stream.
 
 Scale notes: phase-1 partials are O(blocks × rules) bytes, independent of row
 count.  Value-count states cap at 100k distinct keys; overflow falls back to
-the phase-W shuffle path.
+a bucketed exchange per family.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import traceback
 from collections import Counter
@@ -51,7 +60,9 @@ from great_expectations_ray.functions.aggregates import (
     AGG_EXPECTATIONS,
     NumericAggState,
     ValueCountsState,
+    canonical_keys,
     validate_metric_value_between,
+    value_order,
 )
 from great_expectations_ray.functions.column_map import CONDITION_KERNELS, KernelResult
 from great_expectations_ray.functions.table import TABLE_RULES
@@ -330,7 +341,16 @@ def _unique_columns(cfg: ExpectationConfiguration) -> list[str]:
 
 class _PartialEvaluator:
     """The single fused per-block pass.  Stateless; passed as a callable to
-    ``map_batches(batch_format="pyarrow", zero_copy_batch=True)``."""
+    ``map_batches(batch_format="pyarrow", zero_copy_batch=True)``.
+
+    Output: one row whose ``partial`` holds the pickled block state, plus,
+    for each uniqueness key set (a tuple of columns), the block's typed key
+    counts as rows with a null ``partial``: ``__kset`` (the key set's
+    index), ``__cnt`` and the key values in ``__k{set}_{j}``, typed as the
+    input column, with float keys canonical
+    (``functions.aggregates.canonical_keys``).  Every batch gives the same
+    schema.  ``record_schema`` stores the batch's schema (before the
+    dictionary decode) in the partial."""
 
     def __init__(
         self,
@@ -341,6 +361,8 @@ class _PartialEvaluator:
         index_cols: Optional[list[str]],
         hist_specs: Optional[list[tuple[int, str, list]]] = None,
         include_rows: bool = False,
+        key_sets: Optional[list[tuple[str, ...]]] = None,
+        record_schema: bool = False,
     ):
         self.map_rules = []
         for idx, cfg in map_rules:
@@ -353,8 +375,11 @@ class _PartialEvaluator:
         self.index_cols = index_cols
         self.hist_specs = hist_specs or []
         self.include_rows = include_rows
+        self.key_sets = key_sets or []
+        self.record_schema = record_schema
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
+        input_schema = tbl.schema
         # dictionary-encoded inputs (read_csv inference, from_arrow, parquet
         # read_dictionary) break exact-type kernels like pc.is_in — decode
         # once per batch so every kernel sees plain value types (no-op for
@@ -365,6 +390,8 @@ class _PartialEvaluator:
                     i, f.name, pc.cast(tbl.column(f.name), f.type.value_type))
         state: dict[Any, Any] = {"row_count": tbl.num_rows, "maps": {}, "aggs": {},
                                  "counts": {}, "vcs": {}, "errors": {}}
+        if self.record_schema:
+            state["schema"] = pa.schema([(f.name, f.type) for f in input_schema])
         for idx, cfg, kernel, mask_fn in self.map_rules:
             try:
                 sub = tbl
@@ -411,7 +438,44 @@ class _PartialEvaluator:
                     state["hists"][idx] = (counts.astype(np.int64), below, above, len(vals))
                 except Exception:
                     state["errors"][("hist", idx)] = traceback.format_exc(limit=3)
-        return pa.table({"partial": pa.array([pickle.dumps(state)], type=pa.large_binary())})
+        key_counts = {}
+        for i, cols in enumerate(self.key_sets):
+            try:
+                keys = pa.table([canonical_keys(tbl.column(c).combine_chunks()) for c in cols],
+                                names=[f"k{j}" for j in range(len(cols))])
+                key_counts[i] = keys.group_by(keys.column_names).aggregate(
+                    [([], "count_all")])
+            except Exception:
+                state["errors"][("keys", cols)] = traceback.format_exc(limit=3)
+        partial = pa.array([pickle.dumps(state)], type=pa.large_binary())
+        if not self.key_sets:
+            return pa.table({"partial": partial})
+        return self._with_key_rows(partial, key_counts, tbl.schema)
+
+    def _with_key_rows(self, partial: pa.Array, key_counts: dict,
+                       schema: pa.Schema) -> pa.Table:
+        sizes = [key_counts[i].num_rows if i in key_counts else 0
+                 for i in range(len(self.key_sets))]
+        n_keys = sum(sizes)
+        cols = {
+            "partial": pa.concat_arrays([partial, pa.nulls(n_keys, pa.large_binary())]),
+            "__kset": pa.concat_arrays([
+                pa.nulls(1, pa.int32()),
+                pa.array(np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))]),
+            "__cnt": pa.concat_arrays(
+                [pa.nulls(1, pa.int64())]
+                + [key_counts[i].column("count_all").combine_chunks()
+                   for i in key_counts]),
+        }
+        for i, key_cols in enumerate(self.key_sets):
+            for j, c in enumerate(key_cols):
+                t = schema.field(c).type if c in schema.names else pa.null()
+                chunks = [pa.nulls(1, t)]
+                for i2, n in enumerate(sizes):
+                    chunks.append(key_counts[i].column(f"k{j}").combine_chunks().cast(t)
+                                  if i2 == i and n else pa.nulls(n, t))
+                cols[f"__k{i}_{j}"] = pa.concat_arrays(chunks)
+        return pa.table(cols)
 
     def _eval_map(
         self, tbl: pa.Table, cfg: ExpectationConfiguration, kernel
@@ -457,11 +521,13 @@ class _PartialEvaluator:
 
 def _merge_partials(raw_partials: list[bytes]) -> dict:
     merged: dict[Any, Any] = {"row_count": 0, "maps": {}, "aggs": {}, "counts": {},
-                              "vcs": {}, "errors": {}}
+                              "vcs": {}, "errors": {}, "schema": None}
     aggs: dict[str, list[NumericAggState]] = {}
     for raw in raw_partials:
         st = pickle.loads(raw)
         merged["row_count"] += st["row_count"]
+        if merged["schema"] is None:
+            merged["schema"] = st.get("schema")
         for idx, ps in st["maps"].items():
             if idx in merged["maps"]:
                 merged["maps"][idx].merge(ps)
@@ -503,77 +569,196 @@ def _merge_partials(raw_partials: list[bytes]) -> dict:
 # --------------------------------------------------------------------------- #
 
 
+#: key rows of the phase-1 output above which the uniqueness counts take a
+#: bucketed exchange instead of the one finishing task, which holds them all
+#: in one worker.  Measured on 4 Ray CPUs with (int64, string) keys, task vs
+#: exchange wall time: 1M rows 1.1 vs 3.7 s, 2M 1.6 vs 3.5 s, 4M 3.0 vs
+#: 4.5-5.2 s, 6M 5.4-5.5 vs 5.5-7.0 s, 8M 7.0 vs 6.3-6.7 s; the task's peak
+#: RSS grows about 200 MB per million rows (0.9 GB at 4M).  The cap sits
+#: below the crossover, where the task is still the faster in every run.
+_KEY_TASK_ROW_CAP = 4_000_000
+
+
+def _unique_keys(plan: "_CompiledSuite") -> tuple[list, list[tuple[int, int, bool]]]:
+    """The distinct key column tuples of the suite's uniqueness rules (phase
+    1 emits one key set per tuple), and per rule ``(rule idx, key set
+    index, drop null keys)``: single-column uniqueness ignores nulls,
+    compound keys count them."""
+    key_sets = sorted({tuple(_unique_columns(cfg)) for _, cfg in plan.unique_rules})
+    return key_sets, [(idx, key_sets.index(tuple(_unique_columns(cfg))),
+                       cfg.expectation_type == "expect_column_values_to_be_unique")
+                      for idx, cfg in plan.unique_rules]
+
+
+def _key_rows(tbl: pa.Table, kset: int, width: int) -> pa.Table:
+    """One key set's rows of phase-1 output as ``(k0.., cnt)``."""
+    rows = tbl.filter(pc.fill_null(pc.equal(tbl.column("__kset"), kset), False))
+    return pa.table([rows.column(f"__k{kset}_{j}") for j in range(width)]
+                    + [rows.column("__cnt")],
+                    names=[f"k{j}" for j in range(width)] + ["cnt"])
+
+
+def _key_counts(rows: pa.Table, width: int) -> pa.Table:
+    """``(k0.., cnt)`` rows merged to one row per distinct key."""
+    keys = [f"k{j}" for j in range(width)]
+    g = rows.group_by(keys).aggregate([("cnt", "sum")])
+    return pa.table([g.column(k) for k in keys] + [g.column("cnt_sum")],
+                    names=keys + ["cnt"])
+
+
+def _smallest_keys(keys: pa.Table, k: int = MAX_RESULT_RECORDS) -> pa.Table:
+    """The ``k`` smallest distinct keys in key order (column by column,
+    NaN after numbers, nulls last)."""
+    order = pc.sort_indices(keys, sort_keys=[(c, "ascending") for c in keys.column_names])
+    return keys.take(order[:k])
+
+
+def _dup_stats(counts: pa.Table, drop_null: bool) -> tuple[int, pa.Table]:
+    """From merged key counts ``(k0.., cnt)``: the number of rows whose key
+    occurs more than once, and the smallest such keys (``k0..`` columns)."""
+    if drop_null:
+        counts = counts.filter(pc.is_valid(counts.column(0)))
+    dup = counts.filter(pc.greater(counts.column("cnt"), 1))
+    total = pc.sum(dup.column("cnt")).as_py() or 0
+    return int(total), _smallest_keys(dup.drop_columns(["cnt"]))
+
+
+def _render_keys(keys: pa.Table) -> list:
+    """Sample keys as result values: the value for one column, the list of
+    key values (``[55623, "AIR"]``) for a compound key."""
+    cols = [c.to_pylist() for c in keys.columns]
+    return cols[0] if len(cols) == 1 else [list(r) for r in zip(*cols)]
+
+
+def _finish_phase1_task(widths: list[int], dup_specs: list, *blocks: pa.Table):
+    """The one finishing task of phase 1: the partial bytes of every block,
+    and ``{rule idx: (dup count, rendered sample keys)}`` from the merged
+    key counts.  Runs in a worker, so the key rows never reach the driver."""
+    partials, key_rows = [], []
+    for b in blocks:
+        if not b.num_rows:
+            continue
+        is_partial = pc.is_valid(b.column("partial"))
+        partials.extend(b.column("partial").filter(is_partial).to_pylist())
+        if dup_specs:
+            key_rows.append(b.filter(pc.invert(is_partial)).drop_columns(["partial"]))
+    dups = {}
+    if key_rows:
+        rows = pa.concat_tables(key_rows, promote_options="default")
+        for kset, width in enumerate(widths):
+            counts = _key_counts(_key_rows(rows, kset, width), width)
+            for idx, ks, drop_null in dup_specs:
+                if ks == kset:
+                    n, keys = _dup_stats(counts, drop_null)
+                    dups[idx] = (n, _render_keys(keys))
+    return partials, dups
+
+
+def _exchange_rows(tbl: pa.Table, kset: int, width: int, n_buckets: int) -> pa.Table:
+    from great_expectations_ray.functions.bucketed import add_bucket
+
+    return add_bucket(_key_rows(tbl, kset, width), [f"k{j}" for j in range(width)],
+                      n_buckets)
+
+
+def _exchange_reduce(t: pa.Table, width: int, specs: list) -> pa.Table:
+    """One bucket: its merged key counts -> pickled ``{rule idx: (dup
+    count, smallest dup keys)}``."""
+    counts = _key_counts(t, width)
+    out = {idx: _dup_stats(counts, drop_null) for idx, drop_null in specs}
+    return pa.table({"stats": pa.array([pickle.dumps(out)], pa.large_binary())})
+
+
+def _partial_rows(tbl: pa.Table) -> pa.Table:
+    return tbl.select(["partial"]).filter(pc.is_valid(tbl.column("partial")))
+
+
+def _phase1_exchange(mat, widths: list[int], dup_specs: list,
+                     n_buckets: int = 64) -> tuple[list, dict]:
+    """``_finish_phase1_task``'s results when the key rows are too many for
+    one task: the partial rows are collected, and each key set's rows take
+    one bucketed exchange whose reduce merges the counts and returns the
+    per-bucket dup count and smallest keys.  Reads ``mat`` only."""
+    partials = [r["partial"] for r in
+                mat.map_batches(_partial_rows, batch_format="pyarrow").take_all()]
+    dups = {}
+    for kset, width in enumerate(widths):
+        specs = [(idx, drop_null) for idx, ks, drop_null in dup_specs if ks == kset]
+        if not specs:
+            continue
+        per_bucket = [
+            pickle.loads(r["stats"]) for r in
+            mat.map_batches(_exchange_rows, fn_args=(kset, width, n_buckets),
+                            batch_format="pyarrow")
+            .groupby("__bucket")
+            .map_groups(_exchange_reduce, fn_args=(width, specs), batch_format="pyarrow")
+            .take_all()]
+        for idx, _ in specs:
+            stats = [b[idx] for b in per_bucket]
+            samples = [t for _, t in stats if t.num_rows]
+            dups[idx] = (sum(n for n, _ in stats),
+                         _render_keys(_smallest_keys(
+                             pa.concat_tables(samples, promote_options="default")))
+                         if samples else [])
+    return partials, dups
+
+
+_FINISH_TASK = None
+
+
+def _phase1(ds, evaluator: _PartialEvaluator, dup_specs: list) -> tuple[list, dict]:
+    """Run phase 1 once over ``ds``: ``(partial bytes, uniqueness stats)``."""
+    global _FINISH_TASK
+    import ray
+
+    mat = ds.map_batches(evaluator, batch_format="pyarrow",
+                         zero_copy_batch=True).materialize()
+    widths = [len(k) for k in evaluator.key_sets]
+    # count() of a materialized dataset reads block metadata, no pull
+    if dup_specs and mat.count() > _KEY_TASK_ROW_CAP:
+        return _phase1_exchange(mat, widths, dup_specs)
+    if _FINISH_TASK is None:
+        _FINISH_TASK = ray.remote(_finish_phase1_task)
+    return ray.get(_FINISH_TASK.remote(widths, dup_specs, *mat.to_arrow_refs()))
+
+
 def _grouped_value_counts(ds, columns: list[str], n_buckets: int = 256):
     """Exact value counts of a (composite) key via map-side pre-aggregation:
-    per-batch ``pc.value_counts`` -> tiny (value, cnt, bucket) rows -> ONE
-    ``groupby(bucket)`` exchange -> vectorized in-bucket combine.
+    per-batch ``Table.group_by`` -> tiny typed ``(k0.., cnt)`` rows -> ONE
+    ``groupby(__bucket)`` exchange -> vectorized in-bucket combine.  Returns
+    ``Dataset[k0.., cnt]``, ``k{j}`` holding ``columns[j]``'s values: the
+    positional names cannot collide with a key column's own name.
 
     Why buckets and not ``groupby(value).sum``: Ray's aggregate pays
     per-GROUP overhead, which is pathological for high-cardinality keys
     (measured: 10M distinct keys ~300 s vs ~6 s with 64 buckets on the same
-    shuffle volume).  Bucketing by ``hash(value) % n_buckets`` keeps the
-    exchange identical but makes the reduce side |buckets| vectorized
-    ``pa.Table.group_by`` calls — C-speed regardless of key cardinality.
-    Composite keys are joined into one string key per row (null-safe)
-    before counting; single columns keep their NATIVE type (distinct-set
-    verdicts compare typed values against the typed value_set)."""
+    shuffle volume).  Bucketing by the typed key hash
+    (``functions/bucketed.add_bucket``) keeps the exchange identical but
+    makes the reduce side |buckets| vectorized ``pa.Table.group_by`` calls —
+    C-speed regardless of key cardinality.  Keys keep their column types,
+    floats canonical (``-0.0`` -> ``0.0``, one NaN); a single column drops
+    its nulls, a composite key counts them as values."""
+    from great_expectations_ray.functions.bucketed import add_bucket
+
+    width = len(columns)
+    names = [f"k{j}" for j in range(width)]
 
     def vc_batch(tbl: pa.Table) -> pa.Table:
-        from great_expectations_ray.functions.bucketed import hash_bucket_of
+        keys = pa.table([canonical_keys(tbl.column(c).combine_chunks()) for c in columns],
+                        names=names)
+        if width == 1:
+            keys = keys.filter(pc.is_valid(keys.column(0)))
+        g = keys.group_by(names).aggregate([([], "count_all")])
+        out = pa.table([g.column(k) for k in names] + [g.column("count_all")],
+                       names=[*names, "cnt"])
+        return add_bucket(out, names, n_buckets)
 
-        if len(columns) == 1:
-            key = tbl.column(columns[0]).combine_chunks()
-            valid = pc.is_valid(key)
-            key = key.filter(valid)
-        else:
-            parts = [pc.cast(tbl.column(c).combine_chunks(), pa.string()) for c in columns]
-            key = pc.binary_join_element_wise(
-                *parts, "\x1f", null_handling="replace", null_replacement="\x00"
-            )
-        vc = pc.value_counts(key)
-        vals = vc.field("values")
-        # deterministic vectorized hash of the key value (any dtype)
-        return pa.table({
-            "value": vals,
-            "cnt": pc.cast(vc.field("counts"), pa.int64()),
-            "bucket": pa.array(hash_bucket_of(vals, n_buckets)),
-        })
-
-    def combine(t: pa.Table) -> pa.Table:
-        agg = t.group_by("value").aggregate([("cnt", "sum")])
-        return pa.table({"value": agg.column("value"),
-                         "sum(cnt)": agg.column("cnt_sum")})
-
-    grouped = (
+    return (
         ds.select_columns(list(columns))
         .map_batches(vc_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(combine, batch_format="pyarrow")
+        .groupby("__bucket")
+        .map_groups(_key_counts, fn_args=(width,), batch_format="pyarrow")
     )
-    return grouped  # Dataset[value, sum(cnt)]
-
-
-def _dup_stats(vc_ds) -> tuple[int, list]:
-    """From a value-counts dataset: (#rows whose key occurs >1 time, sample
-    duplicated keys)."""
-
-    def dup_partial(tbl: pa.Table) -> pa.Table:
-        cnt = tbl.column("sum(cnt)")
-        dup_mask = pc.greater(cnt, 1)
-        dup_rows = tbl.filter(dup_mask)
-        total = pc.sum(dup_rows.column("sum(cnt)")).as_py() or 0
-        samples = dup_rows.column("value").slice(0, MAX_RESULT_RECORDS).to_pylist()
-        return pa.table(
-            {"partial": pa.array([pickle.dumps((int(total), samples))], type=pa.large_binary())}
-        )
-
-    total, samples = 0, []
-    for row in vc_ds.map_batches(dup_partial, batch_format="pyarrow").take_all():
-        t, s = pickle.loads(row["partial"])
-        total += t
-        if len(samples) < MAX_RESULT_RECORDS:
-            samples.extend(s[: MAX_RESULT_RECORDS - len(samples)])
-    return total, samples
 
 
 # --------------------------------------------------------------------------- #
@@ -589,7 +774,7 @@ def _quantile_from_value_counts(
     round-half-even(q*(n-1)).  ``lower``/``higher`` take floor/ceil — exactly
     SQL-expressible (ORDER BY ... OFFSET floor(q*(n-1))), used by oracle
     parity queries."""
-    items = sorted(vc.counts.items())
+    items = vc.sorted_items()
     n = vc.nonnull
     if n == 0:
         return [None] * len(quantiles)
@@ -652,6 +837,7 @@ def validate(
         plan.map_rules or plan.agg_rules or plan.two_phase_rules or plan.vc_rules
         or plan.unique_rules or plan.table_rules or plan.dist_rules or plan.ks_rules
     ):
+        key_sets, dup_specs = _unique_keys(plan)
         evaluator = _PartialEvaluator(
             plan.map_rules,
             plan.agg_columns,
@@ -660,11 +846,12 @@ def validate(
             index_cols,
             plan.hist_specs,
             include_rows=include_rows,
+            key_sets=key_sets,
+            record_schema=True,
         )
-        partial_rows = ds.map_batches(
-            evaluator, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()
-        merged = _merge_partials([r["partial"] for r in partial_rows])
+        raw_partials, dups = _phase1(ds, evaluator, dup_specs)
+        merged = _merge_partials(raw_partials)
+        merged["dups"] = dups
     else:
         merged = _merge_partials([])
         if plan.cross_rules or plan.global_sql_rules:
@@ -674,6 +861,9 @@ def validate(
     two_phase_states = None
     if plan.two_phase_rules:
         rules, two_phase_states = _two_phase_rules(plan, merged, ds)
+        rules = [(idx, cfg) for idx, cfg in rules
+                 if not _finish_outliers_from_counts(
+                     two_phase_states, idx, cfg, merged, result_format)]
         if rules:
             partial_rows = ds.map_batches(
                 _PartialEvaluator(rules, set(), set(), set(), index_cols),
@@ -682,8 +872,11 @@ def validate(
             _fold_phase2(two_phase_states, rules,
                          _merge_partials([r["partial"] for r in partial_rows]))
 
+    schema = merged["schema"]
+    if schema is None and plan.table_rules:
+        schema = _dataset_arrow_schema(ds)  # no batch arrived
     return _finish_suite(
-        plan, suite, merged, _dataset_arrow_schema(ds), ds,
+        plan, suite, merged, schema, ds,
         result_format=result_format,
         partial_unexpected_count=partial_unexpected_count,
         include_unexpected_rows=include_rows,
@@ -769,6 +962,35 @@ def _two_phase_rules(plan: _CompiledSuite, merged: dict, ds=None) -> tuple[list,
     return rules, states
 
 
+def _finish_outliers_from_counts(states: dict, idx: int, cfg: ExpectationConfiguration,
+                                 merged: dict, result_format: str) -> bool:
+    """Finish a baked IQR outlier rule from its column's exact value counts
+    when they settle it without a re-stream: no value is unexpected, or the
+    result is ``BOOLEAN_ONLY`` (no samples shown).  The rule's own condition
+    kernel runs once over the distinct values, each weighted by its count.
+    Records its state and returns True; False leaves the rule to phase 2."""
+    k = cfg.kwargs
+    col = k.get("column")
+    vc = merged["vcs"].get(col)
+    if (cfg.expectation_type != "expect_column_values_to_not_be_outliers"
+            or k.get("method", "iqr") != "iqr" or k.get("row_condition")
+            or vc is None or vc.overflow or col not in merged["counts"]):
+        return False
+    try:
+        res = CONDITION_KERNELS[cfg.expectation_type](
+            pa.table({col: pa.array(list(vc.counts))}), k)
+    except Exception:
+        return False  # phase 2 reports the kernel's error on the rows
+    cnt = np.fromiter(vc.counts.values(), dtype=np.int64, count=len(vc.counts))
+    unexpected = int(cnt[res.considered & ~res.meets].sum())
+    if unexpected and result_format != "BOOLEAN_ONLY":
+        return False
+    total, nonnull = merged["counts"][col]
+    states[idx] = MapPartialState(element_count=total, null_count=total - nonnull,
+                                  unexpected_count=unexpected)
+    return True
+
+
 def _fold_phase2(states: dict, rules: list, merged2: dict) -> None:
     """Record each phase-2 rule's merged map state (or its error) in
     ``states``; a rule with no rows keeps an empty (vacuous) state."""
@@ -799,10 +1021,11 @@ def _finish_suite(
     (``pipelines/incremental_validate.py``).
 
     ``ds`` is the validated dataset, or None when only merged state exists.
-    Without it, uniqueness comes from the merged value counts and a
-    value-count overflow fails its EVR with guidance; families that need
-    their own pass over the data (ordered, KS, Cramér's φ, cross-table,
-    paired, SQL) must be rejected by such callers up front.
+    With it, uniqueness comes from ``merged["dups"]`` (the phase-1 key
+    counts, :func:`_phase1`).  Without it, uniqueness comes from the merged
+    value counts and a value-count overflow fails its EVR with guidance;
+    families that need their own pass over the data (ordered, KS, Cramér's
+    φ, cross-table, paired, SQL) must be rejected by such callers up front.
     ``two_phase_states`` maps each two-phase rule to its phase-2
     ``MapPartialState`` or a failure message (:func:`_two_phase_rules`)."""
     evrs: dict[int, ExpectationValidationResult] = {}
@@ -942,12 +1165,14 @@ def _finish_suite(
         except Exception as exc:
             fail_evr(idx, cfg, f"{type(exc).__name__}: {exc}")
 
-    # ---- global-uniqueness rules (shuffle; merged value counts w/o ds) ---- #
+    # ---- global-uniqueness rules (phase-1 key counts; value counts w/o ds) #
     for idx, cfg in plan.unique_rules:
         cols = _unique_columns(cfg)
         keys = [("count", c) for c in cols]
         if ds is None:
             keys += [("vc", c) for c in cols]
+        else:
+            keys.append(("keys", tuple(cols)))
         err = col_error(*keys)
         if err:
             fail_evr(idx, cfg, err)
@@ -959,11 +1184,11 @@ def _finish_suite(
                 vc = merged["vcs"].get(cols[0], ValueCountsState())
                 if vc.overflow:
                     raise ValueError(_overflowed(cols[0]))
-                dups = [(v, c) for v, c in vc.counts.items() if c > 1]
+                dups = [(v, c) for v, c in vc.sorted_items() if c > 1]
                 dup_count = sum(c for _, c in dups)
                 samples = [v for v, _ in dups]
             else:
-                dup_count, samples = _dup_stats(_grouped_value_counts(ds, cols))
+                dup_count, samples = merged["dups"].get(idx, (0, []))
             if cfg.expectation_type == "expect_column_values_to_be_unique":
                 total, nonnull = merged["counts"].get(cols[0], (0, 0))
                 nulls = total - nonnull
@@ -1292,6 +1517,16 @@ def validate_many(
     return out
 
 
+def _py_key(v: Any) -> Any:
+    """A Python key value with every NaN the one ``math.nan`` object, so
+    NaNs meet in sets and dicts (as ``ValueCountsState`` keys do)."""
+    return math.nan if v != v else v
+
+
+def _value_set(cfg: ExpectationConfiguration) -> set:
+    return {_py_key(v) for v in cfg.kwargs["value_set"]}
+
+
 def _finish_vc_rule(
     ds, cfg: ExpectationConfiguration, merged: dict,
     vc_ds_cache: Optional[dict] = None,
@@ -1361,15 +1596,15 @@ def _finish_vc_rule(
 
     if t == "expect_column_distinct_values_to_be_in_set":
         observed = set(vc.counts)
-        ok = observed.issubset(set(cfg.kwargs["value_set"]))
+        ok = observed.issubset(_value_set(cfg))
         return evr(ok, {"observed_value": sorted(observed, key=str)})
     if t == "expect_column_distinct_values_to_contain_set":
         observed = set(vc.counts)
-        ok = set(cfg.kwargs["value_set"]).issubset(observed)
+        ok = _value_set(cfg).issubset(observed)
         return evr(ok, {"observed_value": sorted(observed, key=str)})
     if t == "expect_column_distinct_values_to_equal_set":
         observed = set(vc.counts)
-        ok = observed == set(cfg.kwargs["value_set"])
+        ok = observed == _value_set(cfg)
         return evr(ok, {"observed_value": sorted(observed, key=str)})
     if t == "expect_column_unique_value_count_to_be_between":
         approx = cfg.kwargs.get("approximate")
@@ -1404,10 +1639,10 @@ def _finish_vc_rule(
         modes = sorted([v for v, c in vc.counts.items() if c == top], key=str)
         # ties -> list (column_most_common_value.py:26); success iff every
         # tied mode is in the allowed set
-        ok = all(m in set(cfg.kwargs["value_set"]) for m in modes)
+        ok = all(m in _value_set(cfg) for m in modes)
         ties_okay = cfg.kwargs.get("ties_okay", False)
         if ties_okay and len(modes) > 1:
-            ok = any(m in set(cfg.kwargs["value_set"]) for m in modes)
+            ok = any(m in _value_set(cfg) for m in modes)
         return evr(ok, {"observed_value": modes})
     if t == "expect_column_median_to_be_between":
         median = _median_from_vc(vc)
@@ -1580,40 +1815,24 @@ def _finish_contrib_aggregate(
 def _finish_entropy_distributed(
     ds, cfg: ExpectationConfiguration
 ) -> ExpectationValidationResult:
-    """Exact entropy at any cardinality: per-batch value-count pre-agg ->
-    ONE bucketed exchange on the value -> per-bucket (sum c*ln c, sum c)
-    partials -> driver combine.  No driver key collection."""
+    """Exact entropy at any cardinality: the column's typed value counts
+    (:func:`_grouped_value_counts`, one bucketed exchange) -> per-block
+    (sum c*ln c, sum c) partials -> driver combine.  No driver key
+    collection."""
     import math as _math
-
-    import pandas as pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
     col = cfg.kwargs["column"]
     base = float(cfg.kwargs.get("base", _math.e))
 
-    def preagg(tbl: pa.Table) -> pa.Table:
-        t_ = tbl.select([col]).drop_null().group_by([col]).aggregate(
-            [([], "count_all")]
-        )
-        return pa.table({
-            col: t_.column(col),
-            "__c": pc.cast(t_.column("count_all"), pa.int64()),
-        })
+    def partial(tbl: pa.Table) -> pa.Table:
+        c = np.asarray(tbl.column("cnt"), dtype=np.float64)
+        return pa.table({"clnc": [float((c * np.log(c)).sum())], "n": [float(c.sum())]})
 
-    pre = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby(col, sort=False)["__c"].sum().to_numpy(dtype=np.float64)
-        return pd.DataFrame({
-            "clnc": [float((c * np.log(c)).sum())],
-            "n": [float(c.sum())],
-        })
-
-    parts = grouped_apply_bucketed(pre, [col], bucket).to_pandas()
-    n = float(parts["n"].sum()) if len(parts) else 0.0
+    parts = _grouped_value_counts(ds, [col]).map_batches(
+        partial, batch_format="pyarrow").take_all()
+    n = sum(p["n"] for p in parts)
     h = (
-        (_math.log(n) - float(parts["clnc"].sum()) / n) / _math.log(base)
+        (_math.log(n) - sum(p["clnc"] for p in parts) / n) / _math.log(base)
         if n > 0 else None
     )
     ok = validate_metric_value_between(
@@ -1632,7 +1851,7 @@ def _median_from_vc(vc: ValueCountsState) -> Optional[float]:
     n = vc.nonnull
     if n == 0:
         return None
-    items = sorted(vc.counts.items())
+    items = vc.sorted_items()
     cum = np.cumsum([c for _, c in items])
     lo_i = (n - 1) // 2
     hi_i = n // 2
@@ -1816,13 +2035,11 @@ def _finish_cramers_rule(
     vc_ds = _grouped_value_counts(ds, [a_col, b_col]).materialize()
     if vc_ds.count() > max_driver_cells:
         return _finish_cramers_distributed(vc_ds, cfg)
-    cells: dict[tuple[str, str], int] = {}
-    for row in vc_ds.take_all():
-        a, b = row["value"].split("\x1f", 1)
-        cells[(a, b)] = row["sum(cnt)"]
+    cells = {(_py_key(r["k0"]), _py_key(r["k1"])): r["cnt"] for r in vc_ds.take_all()}
     n = sum(cells.values())
-    rows = sorted({k[0] for k in cells})
-    cols = sorted({k[1] for k in cells})
+    # a fixed category order keeps the χ² float sum the same in every run
+    rows = sorted({k[0] for k in cells}, key=value_order)
+    cols = sorted({k[1] for k in cells}, key=value_order)
     if n == 0 or len(rows) < 2 or len(cols) < 2:
         phi = 0.0
     else:
@@ -1854,36 +2071,26 @@ def _finish_cramers_distributed(
     """High-cardinality Cramér's φ: χ² from the identity
     ``χ² = n·(Σ_observed o²/(row_tot·col_tot) − 1)`` — the Σe term over ALL
     cells equals n, so only observed cells contribute.  Everything runs over
-    the (materialized) joint value-count dataset — |distinct cells| rows,
-    never the corpus: marginals are two bucketed sums over the cells, joined
-    back with two bucketed joins, and the driver sees only scalar partials
-    (Σcnt, Σ o²/(ra·cb)) plus the two marginal counts."""
+    the (materialized) joint value-count dataset — |distinct cells| typed
+    ``(A, B, cnt)`` rows, never the corpus: marginals are two bucketed sums
+    over the cells, joined back with two bucketed joins, and the driver sees
+    only scalar partials (Σcnt, Σ o²/(ra·cb)) plus the two marginal
+    counts."""
     import math
 
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
     from great_expectations_ray.functions.joins import hash_bucket_join
 
-    def split(tbl: pa.Table) -> pa.Table:
-        parts = pc.split_pattern(
-            pc.cast(tbl.column("value"), pa.string()), "\x1f", max_splits=1)
-        return pa.table({
-            "av": pc.list_element(parts, 0),
-            "bv": pc.list_element(parts, 1),
-            "cnt": pc.cast(tbl.column("sum(cnt)"), pa.int64()),
-        })
-
-    cells = vc_ds.map_batches(split, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
+    cells = vc_ds.rename_columns({"k0": "av", "k1": "bv"})
 
     def marg(key: str, out: str):
-        def f(g):
-            agg = g.groupby(key, sort=False)["cnt"].sum().reset_index()
-            agg.columns = [key, out]
-            return agg
+        def f(g: pa.Table) -> pa.Table:
+            agg = g.group_by(key).aggregate([("cnt", "sum")])
+            return pa.table({key: agg.column(key), out: agg.column("cnt_sum")})
 
         return grouped_apply_bucketed(
             cells.select_columns([key, "cnt"]), [key], f,
-            n_buckets=64).materialize()
+            n_buckets=64, batch_format="pyarrow").materialize()
 
     marg_a = marg("av", "ra")
     marg_b = marg("bv", "cb")
@@ -1993,13 +2200,13 @@ def _finish_vc_rule_distributed(
         )
 
     def sample_values(d, k: int = MAX_RESULT_RECORDS) -> list:
-        return [r["value"] for r in d.take(k)]
+        return [r["k0"] for r in d.take(k)]
 
     if t == "expect_column_distinct_values_to_be_in_set":
         allowed = pa.array(list(cfg.kwargs["value_set"]))
 
         def violators(tbl: pa.Table) -> pa.Table:
-            m = pc.is_in(tbl.column("value"), value_set=allowed)
+            m = pc.is_in(tbl.column("k0"), value_set=allowed)
             return tbl.filter(pc.invert(m))
 
         bad = vc_ds.map_batches(violators, batch_format="pyarrow").materialize()
@@ -2015,10 +2222,10 @@ def _finish_vc_rule_distributed(
         allowed = pa.array(required)
 
         def members(tbl: pa.Table) -> pa.Table:
-            return tbl.filter(pc.is_in(tbl.column("value"), value_set=allowed))
+            return tbl.filter(pc.is_in(tbl.column("k0"), value_set=allowed))
 
         # the matching subset is ≤ |value_set| rows — safe to collect
-        present = {r["value"] for r in
+        present = {r["k0"] for r in
                    vc_ds.map_batches(members, batch_format="pyarrow").take_all()}
         contains = set(required).issubset(present)
         if t == "expect_column_distinct_values_to_contain_set":
@@ -2042,10 +2249,10 @@ def _finish_vc_rule_distributed(
         )
         return evr(ok, {"observed_value": prop})
     if t == "expect_column_most_common_value_to_be_in_set":
-        top = vc_ds.max("sum(cnt)")
+        top = vc_ds.max("cnt")
 
         def eq_top(tbl: pa.Table) -> pa.Table:
-            return tbl.filter(pc.equal(tbl.column("sum(cnt)"), top))
+            return tbl.filter(pc.equal(tbl.column("cnt"), top))
 
         modes_ds = vc_ds.map_batches(eq_top, batch_format="pyarrow")
         modes = sorted(sample_values(modes_ds, 1000), key=str)

@@ -239,6 +239,25 @@ AGG_EXPECTATIONS: dict[str, str] = {
 }
 
 
+def canonical_keys(arr: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
+    """Float keys as DuckDB ``GROUP BY`` and pandas ``duplicated`` compare
+    them: ``-0.0`` becomes ``0.0`` and every NaN one NaN (Arrow hashes a
+    float by its bits, so it would keep them apart).  Other types pass
+    through unchanged."""
+    t = arr.type
+    if not (pa.types.is_float32(t) or pa.types.is_float64(t)):
+        return arr
+    return pc.if_else(pc.is_nan(arr), pa.scalar(math.nan, t),
+                      pc.add(arr, pa.scalar(0.0, t)))
+
+
+def value_order(v: Any) -> tuple:
+    """Sort key for the values of one column: values ascending, then NaN,
+    then null (DuckDB's ``ORDER BY`` and Arrow's sort)."""
+    missing = v is None or v != v
+    return (missing, v is None, 0 if missing else v)
+
+
 @dataclass
 class ValueCountsState:
     """Exact per-column value counts; backs distinct-set / most-common /
@@ -249,15 +268,29 @@ class ValueCountsState:
     distinct-set expectations target exactly those. High-cardinality
     distinct counting should use the wide path (groupby) instead; the
     engine chooses based on a cap.
+
+    Float keys are canonical (:func:`canonical_keys`), and a NaN key is
+    always the ``math.nan`` object, also after unpickling, so NaNs from
+    different blocks count as one value.
     """
 
     counts: dict = field(default_factory=dict)
     nonnull: int = 0
     overflow: bool = False
+    has_nan: bool = False
     CAP: int = 100_000
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if state.get("has_nan"):
+            self.counts = {(math.nan if k != k else k): c for k, c in self.counts.items()}
+
+    def sorted_items(self) -> list[tuple[Any, int]]:
+        """``(value, count)`` in value order, NaN last (DuckDB's order)."""
+        return sorted(self.counts.items(), key=lambda kv: value_order(kv[0]))
+
     def update(self, col: pa.ChunkedArray) -> None:
-        vc = pc.value_counts(col.combine_chunks())
+        vc = pc.value_counts(canonical_keys(col.combine_chunks()))
         vals, cnts = vc.field("values"), vc.field("counts")
         mask = pc.is_valid(vals)
         vals, cnts = vals.filter(mask), cnts.filter(mask)
@@ -270,7 +303,12 @@ class ValueCountsState:
             self.counts.clear()  # drop partial keys: no partial-pickle cost
             return
         # one C-level conversion, then dict updates (no per-item as_py)
-        for v, c in zip(vals.to_pylist(), cnts.to_pylist()):
+        keys = vals.to_pylist()
+        if pa.types.is_floating(vals.type):
+            for i in np.flatnonzero(np.asarray(pc.is_nan(vals))):
+                keys[i] = math.nan
+                self.has_nan = True
+        for v, c in zip(keys, cnts.to_pylist()):
             if v in self.counts:
                 self.counts[v] += c
             elif len(self.counts) < self.CAP:
@@ -283,6 +321,7 @@ class ValueCountsState:
     def merge(self, o: "ValueCountsState") -> "ValueCountsState":
         self.nonnull += o.nonnull
         self.overflow |= o.overflow
+        self.has_nan |= o.has_nan
         if self.overflow:
             self.counts.clear()
             return

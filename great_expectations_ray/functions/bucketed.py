@@ -67,25 +67,54 @@ def poly_hash_strings(arr: pa.Array) -> np.ndarray:
     return h
 
 
-def hash_bucket_of(arr: pa.Array | pa.ChunkedArray, n_buckets: int) -> np.ndarray:
-    """Deterministic vectorized bucket id per value (any dtype) — integer
-    mix for int keys, buffer polynomial hash for strings; everything else
-    buckets via its string form (bucketing needs only determinism +
-    uniformity)."""
+def column_hash(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """Deterministic vectorized uint64 hash per value, on the value's own
+    type: an integer mix for integer, boolean, temporal and float keys (a
+    float hashes its bits after ``-0.0`` -> ``0.0`` and every NaN -> one
+    NaN, so keys that compare or group equal share a hash), the buffer
+    polynomial hash for strings and binaries, and the string form for any
+    other type.  A null hashes like ``0`` / ``""`` (a bucket needs only
+    determinism and uniformity)."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     t = arr.type
-    if pa.types.is_integer(t):
-        target = pa.uint64() if pa.types.is_unsigned_integer(t) else pa.int64()
-        x = np.asarray(pc.fill_null(pc.cast(arr, target), 0)).astype(np.uint64)
-        h = (x * _MIX1) ^ (x >> np.uint64(31))
-        h *= _MIX2
-    else:
-        if not (pa.types.is_string(t) or pa.types.is_large_string(t)
-                or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
-            arr = pc.cast(arr, pa.string())
-        h = poly_hash_strings(pc.fill_null(arr, ""))
-    return (h % np.uint64(n_buckets)).astype(np.int64)
+    if pa.types.is_floating(t):
+        x = np.asarray(pc.fill_null(pc.cast(arr, pa.float64()), 0.0)) + 0.0
+        x[np.isnan(x)] = np.nan
+        return _int_mix(x.view(np.uint64))
+    if pa.types.is_boolean(t):
+        arr = pc.cast(arr, pa.int8())
+    elif (pa.types.is_timestamp(t) or pa.types.is_date(t)
+          or pa.types.is_time(t) or pa.types.is_duration(t)):
+        arr = arr.view(pa.int64() if t.bit_width == 64 else pa.int32())
+    if pa.types.is_integer(arr.type):
+        target = pa.uint64() if pa.types.is_unsigned_integer(arr.type) else pa.int64()
+        return _int_mix(np.asarray(pc.fill_null(pc.cast(arr, target), 0)).astype(np.uint64))
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        arr = pc.cast(arr, pa.string())
+    return poly_hash_strings(pc.fill_null(arr, ""))
+
+
+def _int_mix(x: np.ndarray) -> np.ndarray:
+    h = (x * _MIX1) ^ (x >> np.uint64(31))
+    return h * _MIX2
+
+
+def hash_bucket_of(arr: pa.Array | pa.ChunkedArray, n_buckets: int) -> np.ndarray:
+    """Bucket id per value of one column (:func:`column_hash` mod
+    ``n_buckets``)."""
+    return (column_hash(arr) % np.uint64(n_buckets)).astype(np.int64)
+
+
+def add_bucket(tbl: pa.Table, key_cols: list[str], n_buckets: int) -> pa.Table:
+    """Append ``__bucket``, the bucket id of each row's (composite) key: the
+    typed per-column hashes combined per row, no string join, so rows with
+    equal keys always share a bucket."""
+    h = column_hash(tbl.column(key_cols[0]))
+    for c in key_cols[1:]:
+        h = _int_mix(h * _POLY_B ^ column_hash(tbl.column(c)))
+    return tbl.append_column("__bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64)))
 
 
 def grouped_apply_bucketed(
@@ -101,23 +130,9 @@ def grouped_apply_bucketed(
     hashes there, including a ``__bucket`` column) and must handle multiple
     keys itself — e.g. ``df.sort_values(key).drop_duplicates(key)`` or
     ``df.groupby(key).agg(...)``.  Exactly one all-to-all exchange."""
-
-    def add_bucket(tbl: pa.Table) -> pa.Table:
-        if len(key_cols) == 1:
-            key = tbl.column(key_cols[0]).combine_chunks()
-        else:
-            parts = [
-                pc.cast(tbl.column(c).combine_chunks(), pa.string()) for c in key_cols
-            ]
-            key = pc.binary_join_element_wise(
-                *parts, "\x1f", null_handling="replace", null_replacement="\x00"
-            )
-        return tbl.append_column(
-            "__bucket", pa.array(hash_bucket_of(key, n_buckets))
-        )
-
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        ds.map_batches(add_bucket, fn_args=(key_cols, n_buckets),
+                       batch_format="pyarrow", zero_copy_batch=True)
         .groupby("__bucket")
         .map_groups(bucket_fn, batch_format=batch_format)
     )

@@ -45,7 +45,7 @@ BENFORD_THRESHOLD = 5.071  # contrib's "90 percent confidence" constant
 def percentile_linear_from_vc(vc, q: float):
     """pandas ``Series.quantile(q)`` (linear interpolation) from exact merged
     value counts."""
-    items = sorted(vc.counts.items())
+    items = vc.sorted_items()
     n = vc.nonnull
     if n == 0:
         return None

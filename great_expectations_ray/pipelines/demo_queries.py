@@ -168,7 +168,7 @@ def q_value_counts_returnflag(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "lineitem", columns=["l_returnflag"])
     rows = _grouped_value_counts(ds, ["l_returnflag"]).take_all()
-    df = pd.DataFrame([{"value": r["value"], "cnt": r["sum(cnt)"]} for r in rows])
+    df = pd.DataFrame([{"value": r["k0"], "cnt": r["cnt"]} for r in rows])
     return df.sort_values("value").reset_index(drop=True)
 
 
