@@ -391,7 +391,7 @@ def cmd_incremental(args) -> int:
     import numpy as np
     import ray.data as rd
 
-    from great_expectations_ray.functions.joins import bucketed_semi_anti
+    from great_expectations_ray.functions.joins import hash_bucket_join
     from great_expectations_ray.stages.bloomdedup import (
         build_bloom,
         load_bloom,
@@ -443,8 +443,8 @@ def cmd_incremental(args) -> int:
                         .select_columns([args.id_col]).materialize())
             n_near = near_ids.count()
             known_ids = known_ids.union(near_ids).materialize()
-        survivors = bucketed_semi_anti(today, known_ids, on=args.id_col,
-                                       anti=True)
+        survivors = hash_bucket_join(today, known_ids, on=args.id_col,
+                                     n_buckets=64, how="anti")
         survivors.repartition(args.partitions).write_parquet(args.output)
         n_out = rd.read_parquet(args.output).count()
 
@@ -484,6 +484,8 @@ def cmd_dedup(args) -> int:
     clone1/2   drop code clones (Type-1 comment/whitespace normalization;
                Type-2 additionally masks string/number literals)
     """
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data as rd
 
     owned = _init_ray(args.cpus)
@@ -496,47 +498,29 @@ def cmd_dedup(args) -> int:
             keys = (args.key_cols.split(",") if args.key_cols
                     else [args.text_col])
             out = dedup_exact(ds, key_columns=keys, order_by=args.id_col)
-        elif args.method in ("minhash", "simhash"):
+        elif args.method in ("minhash", "simhash", "clone1", "clone2"):
             from great_expectations_ray.functions.joins import hash_bucket_join
             from great_expectations_ray.stages import neardup
-
-            if args.method == "minhash":
-                marks = neardup.minhash_lsh_mark_duplicates(
-                    ds, text_col=args.text_col, id_col=args.id_col,
-                    jaccard_threshold=args.jaccard_threshold)
-            else:
-                marks = neardup.simhash_mark_duplicates(
-                    ds, text_col=args.text_col, id_col=args.id_col)
-            # bucketed any-mark reducers emit Ray's aggregate column name
-            # (pandas blocks — Dataset.rename_columns needs Arrow blocks)
-            if "max(is_neardup)" in marks.schema().names:
-                marks = marks.map_batches(
-                    lambda df: df.rename(
-                        columns={"max(is_neardup)": "is_neardup"}),
-                    batch_format="pandas")
-            flagged = marks.filter(expr="is_neardup == True")
-            joined = hash_bucket_join(ds, flagged, on=args.id_col, how="left")
-
-            def keep(df):
-                m = df["is_neardup"].fillna(False).astype(bool)
-                return df[~m].drop(columns=["is_neardup"])
-
-            out = joined.map_batches(keep, batch_format="pandas")
-        elif args.method in ("clone1", "clone2"):
-            from great_expectations_ray.functions.joins import hash_bucket_join
             from great_expectations_ray.stages.code_clone import mark_code_clones
 
-            marks = mark_code_clones(
-                ds, id_col=args.id_col, content_col=args.text_col,
-                level=int(args.method[-1]),
-            ).filter(expr="is_clone == 1").drop_columns(["clone_key"])
-            joined = hash_bucket_join(ds, marks, on=args.id_col, how="left")
-
-            def keep_originals(df):
-                m = df["is_clone"].fillna(0).astype(int) == 1
-                return df[~m].drop(columns=["is_clone"])
-
-            out = joined.map_batches(keep_originals, batch_format="pandas")
+            idc = args.id_col
+            if args.method == "minhash":
+                marks = neardup.minhash_lsh_mark_duplicates(
+                    ds, text_col=args.text_col, id_col=idc,
+                    jaccard_threshold=args.jaccard_threshold)
+            elif args.method == "simhash":
+                marks = neardup.simhash_mark_duplicates(
+                    ds, text_col=args.text_col, id_col=idc)
+            else:
+                marks = mark_code_clones(
+                    ds, id_col=idc, content_col=args.text_col,
+                    level=int(args.method[-1]))
+            # the near-dup marks name their flag ``max(is_neardup)``
+            flag = "is_clone" if args.method.startswith("clone") else "max(is_neardup)"
+            flagged = marks.map_batches(
+                lambda t: t.filter(pc.cast(t.column(flag), pa.bool_())).select([idc]),
+                batch_format="pyarrow").materialize()
+            out = hash_bucket_join(ds, flagged, on=idc, how="anti")
         elif args.method == "paragraph":
             from great_expectations_ray.stages.paragraph_dedup import dedup_paragraphs
 

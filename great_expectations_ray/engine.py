@@ -2072,46 +2072,45 @@ def _finish_cramers_distributed(
     ``χ² = n·(Σ_observed o²/(row_tot·col_tot) − 1)`` — the Σe term over ALL
     cells equals n, so only observed cells contribute.  Everything runs over
     the (materialized) joint value-count dataset — |distinct cells| typed
-    ``(A, B, cnt)`` rows, never the corpus: marginals are two bucketed sums
-    over the cells, joined back with two bucketed joins, and the driver sees
-    only scalar partials (Σcnt, Σ o²/(ra·cb)) plus the two marginal
-    counts."""
+    ``(A, B, cnt)`` rows, never the corpus — as two bucketed passes: one
+    keyed on A turns each cell into ``o²/row_tot``, one keyed on B divides
+    those by ``col_tot`` and sums; the driver sees one scalar row per
+    bucket.  A null is a category (``index_in`` with nulls matching), as the
+    SQL oracle's ``GROUP BY``."""
     import math
 
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
-    from great_expectations_ray.functions.joins import hash_bucket_join
 
-    cells = vc_ds.rename_columns({"k0": "av", "k1": "bv"})
+    def by_key(tbl: pa.Table, key: str) -> tuple[np.ndarray, np.ndarray, int]:
+        # per row: its key's total count; plus the number of distinct keys
+        k = tbl.column(key).combine_chunks()
+        uniq = pc.unique(k)
+        idx = np.asarray(pc.index_in(k, value_set=uniq, skip_nulls=False))
+        cnt = np.asarray(pc.cast(tbl.column("cnt"), pa.float64()))
+        return cnt, np.bincount(idx, weights=cnt)[idx], len(uniq)
 
-    def marg(key: str, out: str):
-        def f(g: pa.Table) -> pa.Table:
-            agg = g.group_by(key).aggregate([("cnt", "sum")])
-            return pa.table({key: agg.column(key), out: agg.column("cnt_sum")})
+    def row_pass(g: pa.Table) -> pa.Table:
+        o, ra, n_a = by_key(g, "k0")
+        rows = np.zeros(len(o), dtype=np.int64)
+        rows[0] = n_a  # this bucket's distinct A values, counted once
+        return pa.table({"k1": g.column("k1"), "cnt": g.column("cnt"),
+                         "w": o * o / ra, "rows": rows})
 
-        return grouped_apply_bucketed(
-            cells.select_columns([key, "cnt"]), [key], f,
-            n_buckets=64, batch_format="pyarrow").materialize()
+    def col_pass(g: pa.Table) -> pa.Table:
+        o, cb, n_b = by_key(g, "k1")
+        w = np.asarray(g.column("w"))
+        return pa.table({"n": [int(o.sum())], "s": [float((w / cb).sum())],
+                         "rows": [int(np.asarray(g.column("rows")).sum())],
+                         "cols": [n_b]})
 
-    marg_a = marg("av", "ra")
-    marg_b = marg("bv", "cb")
-    n_rows, n_cols = marg_a.count(), marg_b.count()
-
-    j1 = hash_bucket_join(cells, marg_a, on="av", n_buckets=64)
-    j2 = hash_bucket_join(j1, marg_b, on="bv", n_buckets=64)
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        o = np.asarray(pc.cast(tbl.column("cnt"), pa.float64()))
-        ra = np.asarray(pc.cast(tbl.column("ra"), pa.float64()))
-        cb = np.asarray(pc.cast(tbl.column("cb"), pa.float64()))
-        return pa.table({
-            "n": pa.array([int(o.sum())], pa.int64()),
-            "s": pa.array([float((o * o / (ra * cb)).sum())], pa.float64()),
-        })
-
-    n, s = 0, 0.0
-    for r in j2.map_batches(partial, batch_format="pyarrow").take_all():
-        n += r["n"]
-        s += r["s"]
+    weighted = grouped_apply_bucketed(vc_ds, ["k0"], row_pass, n_buckets=64,
+                                      batch_format="pyarrow")
+    parts = grouped_apply_bucketed(weighted, ["k1"], col_pass, n_buckets=64,
+                                   batch_format="pyarrow").take_all()
+    n = sum(r["n"] for r in parts)
+    s = sum(r["s"] for r in parts)
+    n_rows = sum(r["rows"] for r in parts)
+    n_cols = sum(r["cols"] for r in parts)
 
     if n == 0 or n_rows < 2 or n_cols < 2:
         phi = 0.0

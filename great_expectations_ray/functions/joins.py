@@ -1,25 +1,32 @@
 """Joins — not in the reference (SURVEY §2.6: GX has none), but required for
-real pipelines around it (lineage enrichment, metadata attachment).  Three
-scalable shapes per the Ray guide:
+real pipelines around it (lineage enrichment, metadata attachment, dropping
+flagged rows by id).  Three scalable shapes per the Ray guide:
 
 - **broadcast_join**: small side published once via ``ray.put``; every batch
-  does an in-memory pandas merge.  No shuffle.
-- **semi/anti**: broadcast the KEY SET only; filter inside map_batches.
-- **hash_bucket_join**: both sides large — explicit partitioned hash join:
-  bucket on ``hash(key) % B`` both sides, union with a side tag, one
-  ``groupby(bucket)`` exchange, per-bucket pandas merge.  Salt hot keys by
-  raising B; bucket skew equals key skew only for pathological single keys.
+  does an in-memory Arrow join.  No shuffle.
+- **broadcast_semi_anti**: broadcast the KEY SET only; filter inside
+  map_batches.
+- **hash_bucket_join**: both sides large — ONE bucketed exchange
+  (:func:`two_sided_exchange`): both sides are split by
+  ``bucketed.add_bucket`` on the typed key, each bucket's slice travels
+  tagged with an int8 side as one Arrow IPC row, and one
+  ``groupby(__bucket)`` co-locates equal keys; each bucket runs
+  ``pa.Table.join`` (inner / left) or an ``is_in`` filter (semi / anti).
+
+Key semantics are SQL's (DuckDB-checked in tests): a null key never
+matches, ``-0.0`` equals ``0.0``, NaN equals NaN, and keys of different
+widths (``int32``/``int64``, ``string``/``large_string``) join on their
+common type.  Output columns keep their source types.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.functions.aggregates import canonical_keys
 from great_expectations_ray.stages._per_worker import map_per_worker
 
 
@@ -74,149 +81,142 @@ def broadcast_semi_anti(ds, keys, *, on: str, anti: bool = False):
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def bucketed_semi_anti(left, keys_ds, *, on: str, anti: bool = False,
-                       n_buckets: int = 64):
-    """Semi/anti join where the key side is ITSELF a Dataset — the scale
-    path when the key set is too large to collect to the driver
-    (``broadcast_semi_anti``'s ``take_all`` bound breaks on e.g. a crawl
-    corpus where 30-50% of docs are dedup candidates).  One bucketed
-    exchange: both sides bucket on ``hash(key) % n_buckets``, union with a
-    side tag, and a per-bucket vectorized ``isin`` filter keeps (semi) or
-    drops (anti) the left rows whose key appears on the key side.  Left
-    rows/values pass through unchanged; the union's null padding floatifies
-    int columns inside the bucket frames, so the output is cast back to the
-    left schema read off the source dataset."""
-    from great_expectations_ray.functions.bucketed import hash_bucket_of
-
-    left_schema = _arrow_schema(left)
-    keys_proj = keys_ds.select_columns([on])
-
-    pad = [(n, t) for n, t in left_schema_pairs(left_schema) if n != on]
-
-    def tag(is_key: bool, pad_cols):
-        def f(tbl: pa.Table) -> pa.Table:
-            bucket = hash_bucket_of(tbl.column(on), n_buckets)
-            tbl = tbl.append_column("__bucket", pa.array(bucket))
-            tbl = tbl.append_column(
-                "__is_key", pa.array(np.full(tbl.num_rows, is_key, dtype=bool)))
-            for c_name, c_type in pad_cols:
-                tbl = tbl.append_column(c_name, pa.nulls(tbl.num_rows, c_type))
-            return tbl
-
-        return f
-
-    tagged_l = left.map_batches(tag(False, []), batch_format="pyarrow",
-                                zero_copy_batch=True)
-    tagged_k = keys_proj.map_batches(tag(True, pad), batch_format="pyarrow",
-                                     zero_copy_batch=True)
-    combined = tagged_l.union(tagged_k)
-
-    out_cols = [n for n, _ in left_schema_pairs(left_schema)]
-
-    def filt(g: pd.DataFrame) -> pd.DataFrame:
-        key_vals = g.loc[g["__is_key"], on].unique()
-        rows = g.loc[~g["__is_key"]]
-        m = rows[on].isin(key_vals)
-        if anti:
-            m = ~m
-        return rows.loc[m, out_cols]
-
-    out = combined.groupby("__bucket").map_groups(filt, batch_format="pandas")
-
-    pairs = left_schema_pairs(left_schema)
-
-    def restore(tbl: pa.Table) -> pa.Table:
-        return pa.table({n: pc.cast(tbl.column(n), t) for n, t in pairs})
-
-    return out.map_batches(restore, batch_format="pyarrow", zero_copy_batch=True)
+def _fields(ds) -> list[tuple[str, pa.DataType]]:
+    sch = ds.schema()
+    if sch is None:  # no block carries a schema: an empty dataset
+        return []
+    # pandas-block datasets report object columns as ``object``: strings here
+    return [(n, t if isinstance(t, pa.DataType) else pa.string())
+            for n, t in zip(sch.names, sch.types)]
 
 
-def left_schema_pairs(schema: pa.Schema) -> list[tuple[str, pa.DataType]]:
-    return [(f.name, f.type) for f in schema]
+def key_in(tbl: pa.Table, keys, on: str) -> pa.Array:
+    """Per row of ``tbl``: is its ``on`` value among ``keys``?  A null key
+    is never found (False), NaN finds NaN and ``-0.0`` finds ``0.0``
+    (``canonical_keys``: Acero's join and ``is_in`` tell them apart)."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    return pc.is_in(canonical_keys(tbl.column(on)),
+                    value_set=canonical_keys(keys), skip_nulls=True)
 
 
-def hash_bucket_join(
-    left,
-    right,
-    *,
-    on: str,
-    n_buckets: int = 32,
-    how: str = "inner",
-    left_cols: Optional[list[str]] = None,
-    right_cols: Optional[list[str]] = None,
-):
-    """Partitioned hash join of two Datasets on one key column.
+def _pack(tbl: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, tbl.schema) as w:
+        w.write_table(tbl)
+    return sink.getvalue().to_pybytes()
 
-    Both sides get ``bucket = key % n_buckets`` (integer keys; string keys
-    hash first), are tagged and unioned, then ONE groupby(bucket) co-locates
-    matching keys and a per-bucket pandas merge emits the joined rows."""
-    if left_cols:
-        left = left.select_columns(sorted(set(left_cols) | {on}))
-    if right_cols:
-        right = right.select_columns(sorted(set(right_cols) | {on}))
 
-    l_names = [c for c in left.schema().names if c != on]
-    r_names = [c for c in right.schema().names if c != on]
-    overlap = set(l_names) & set(r_names)
-    if overlap:
-        raise ValueError(f"overlapping non-key columns: {sorted(overlap)}")
+def _unpack(payloads: list, schema: pa.Schema) -> pa.Table:
+    tables = [pa.ipc.open_stream(p.as_buffer()).read_all() for p in payloads]
+    if not tables:
+        return schema.empty_table()
+    return pa.concat_tables(tables, promote_options="permissive")
 
-    def tag(side: str, other_names: list[str]):
-        def f(tbl: pa.Table) -> pa.Table:
-            key = tbl.column(on)
-            if pa.types.is_integer(key.type):
-                k64 = pc.cast(key, pa.int64())
-                bucket = pc.subtract(
-                    k64, pc.multiply(pc.divide(k64, n_buckets), n_buckets)
-                )
-            else:
-                # vectorized buffer hash — bucketing needs no md5 parity,
-                # only uniformity + cross-batch determinism
-                from great_expectations_ray.functions.bucketed import hash_bucket_of
 
-                bucket = pa.array(hash_bucket_of(key, n_buckets))
-            tbl = tbl.append_column("__bucket", pc.cast(bucket, pa.int64()))
-            tbl = tbl.append_column("__side", pa.array([side] * tbl.num_rows))
-            # align schema: null columns for the other side's fields
-            for c_name, c_type in other_names:
-                tbl = tbl.append_column(c_name, pa.nulls(tbl.num_rows, c_type))
-            return tbl
+def two_sided_exchange(left, right, *, on: str, n_buckets: int, bucket_fn):
+    """The one two-sided exchange.  Each batch of either side is split by
+    ``bucketed.add_bucket`` on its key (cast to the common type of both key
+    columns, so ``int32`` meets ``int64`` and ``string`` meets
+    ``large_string``; float keys hash after ``-0.0``/NaN canonicalisation),
+    and each bucket's slice travels as ONE row ``(__bucket, __side,
+    __rows)``: an Arrow IPC stream of the slice, tagged 0 (left) / 1
+    (right).  The union is grouped by ``__bucket`` once.  The rows cross
+    the exchange as opaque bytes, so nothing pads, re-types or loses them
+    (Ray's sort may merge a bucket through pandas, which turns nullable
+    ints into floats and NaN into null).  ``bucket_fn(l, r)`` receives one
+    bucket's left and right rows, typed as their source with the key on the
+    common type, and returns a table; an ``on`` column in it is cast back to
+    the left key's type (every emitted key is a left value: lossless)."""
+    from great_expectations_ray.functions.bucketed import add_bucket
 
-        return f
+    l_fields, r_fields = _fields(left), _fields(right)
+    # a side with no schema is empty: give it the other side's key alone
+    key = [(on, dict(l_fields or r_fields).get(on, pa.null()))]
+    l_schema, r_schema = pa.schema(l_fields or key), pa.schema(r_fields or key)
+    l_key = l_schema.field(on).type
+    key_type = pa.unify_schemas(
+        [pa.schema([l_schema.field(on)]), pa.schema([r_schema.field(on)])],
+        promote_options="permissive").field(on).type
 
-    l_schema = [(f.name, f.type) for f in _arrow_schema(left) if f.name != on]
-    r_schema = [(f.name, f.type) for f in _arrow_schema(right) if f.name != on]
+    def tag(tbl: pa.Table, side: int) -> pa.Table:
+        b = add_bucket(pa.table({on: pc.cast(tbl.column(on), key_type)}),
+                       [on], n_buckets).column("__bucket").to_numpy()
+        order = np.argsort(b, kind="stable")
+        b = b[order]
+        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+        ends = np.r_[starts[1:], len(b)]
+        tbl = tbl.take(order)
+        return pa.table({
+            "__bucket": pa.array(b[starts], pa.int64()),
+            "__side": pa.array(np.full(len(starts), side, dtype=np.int8)),
+            "__rows": pa.array([_pack(tbl.slice(s, e - s))
+                                for s, e in zip(starts, ends)], pa.large_binary()),
+        })
 
-    tagged_l = left.map_batches(tag("l", r_schema), batch_format="pyarrow")
-    tagged_r = right.map_batches(tag("r", l_schema), batch_format="pyarrow")
-    combined = tagged_l.union(tagged_r)
+    def keyed(t: pa.Table) -> pa.Table:
+        i = t.column_names.index(on)
+        return t.set_column(i, on, pc.cast(t.column(i), key_type))
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "l"][[on] + [n for n, _ in l_schema]]
-        rg = g[g["__side"] == "r"][[on] + [n for n, _ in r_schema]]
-        out = lg.merge(rg, on=on, how=how)
+    def per_bucket(g: pa.Table) -> pa.Table:
+        side = g.column("__side").to_numpy(zero_copy_only=False)
+        rows = g.column("__rows")
+        l = _unpack([r for r, s in zip(rows, side) if s == 0], l_schema)
+        r = _unpack([r for r, s in zip(rows, side) if s == 1], r_schema)
+        out = bucket_fn(keyed(l), keyed(r))
+        if on in out.column_names:
+            i = out.column_names.index(on)
+            out = out.set_column(i, on, pc.cast(out.column(i), l_key))
         return out
 
-    return combined.groupby("__bucket").map_groups(merge_bucket, batch_format="pandas")
+    tagged = [d.map_batches(tag, fn_args=(s,), batch_format="pyarrow",
+                            zero_copy_batch=True)
+              for s, d in enumerate((left, right))]
+    return (tagged[0].union(tagged[1]).groupby("__bucket")
+            .map_groups(per_bucket, batch_format="pyarrow"))
 
 
-def _arrow_schema(ds):
-    sch = ds.schema()
-    fields = []
-    for name, t in zip(sch.names, sch.types):
-        if not isinstance(t, pa.DataType):
-            # pandas-block datasets report numpy dtypes / python classes
-            try:
-                t = pa.from_numpy_dtype(np.dtype(t))
-            except (TypeError, pa.ArrowNotImplementedError):
-                t = pa.string()  # object columns: strings in this engine
-        fields.append((name, t))
-    return pa.schema(fields)
+_JOIN_TYPES = {"inner": "inner", "left": "left outer"}
 
 
-def native_join(left, right, *, on: str, how: str = "inner", num_partitions: int = 32):
-    """Ray's built-in hash-partitioned ``Dataset.join`` (available in this
-    Ray release).  Prefer it when both sides are large and key names align;
-    ``hash_bucket_join`` above remains the explicit-partitioning variant whose
-    bucketing/skew assumptions are visible and tunable."""
-    return left.join(right, join_type=how, on=(on,), num_partitions=num_partitions)
+def hash_bucket_join(left, right, *, on: str, n_buckets: int = 32,
+                     how: str = "inner"):
+    """Partitioned hash join of two Datasets on one key column, through
+    :func:`two_sided_exchange`.
+
+    ``how="inner"|"left"`` emits the left columns then the right's non-key
+    columns (``pa.Table.join`` per bucket; list/struct payload columns are
+    rejected, as Acero's join has no kernel for them).  ``how="semi"|"anti"``
+    keeps (semi) or drops (anti) the left rows whose key appears on the
+    right, with the left columns only; only the right's key column crosses
+    the exchange.  A null key matches nothing: anti keeps its rows."""
+    if how in ("semi", "anti"):
+        right = right.select_columns([on])
+
+        def bucket_fn(l: pa.Table, r: pa.Table) -> pa.Table:
+            m = key_in(l, r.column(on), on)
+            return l.filter(pc.invert(m) if how == "anti" else m)
+    elif how in _JOIN_TYPES:
+        l_fields, r_fields = _fields(left), _fields(right)
+        overlap = {n for n, _ in l_fields} & {n for n, _ in r_fields} - {on}
+        if overlap:
+            raise ValueError(f"overlapping non-key columns: {sorted(overlap)}")
+        nested = [n for n, t in l_fields + r_fields
+                  if n != on and (pa.types.is_nested(t)
+                                  or isinstance(t, pa.ExtensionType))]
+        if nested:
+            raise ValueError(
+                f"hash_bucket_join: column(s) {nested} have a list/struct/"
+                "extension type, which Arrow's join cannot carry; "
+                "serialize them (e.g. comma-joined strings) first")
+
+        def bucket_fn(l: pa.Table, r: pa.Table) -> pa.Table:
+            l = l.set_column(l.column_names.index(on), on, canonical_keys(l.column(on)))
+            r = r.set_column(r.column_names.index(on), on, canonical_keys(r.column(on)))
+            return l.join(r, keys=on, join_type=_JOIN_TYPES[how],
+                          coalesce_keys=True)
+    else:
+        raise ValueError(f"how must be inner, left, semi or anti, not {how!r}")
+
+    return two_sided_exchange(left, right, on=on, n_buckets=n_buckets,
+                              bucket_fn=bucket_fn)

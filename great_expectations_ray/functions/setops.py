@@ -5,17 +5,21 @@ The reference has none (SURVEY §2.6: "set ops: none at table level"); a
 data-pipeline user needs them constantly (which ids are in A but not yet in
 B, which keys both sides share).  Scale shape: both sides are tagged with a
 side bit and unioned; ONE bucketed ``groupby(hash(key))`` exchange
-co-locates equal keys; each bucket reduces with a vectorized pandas
-groupby over side flags.  Map-side per-batch dedup bounds what enters the
-exchange to the batch's distinct keys.
+co-locates equal keys; each bucket reduces with an Arrow ``group_by`` over
+side flags (pandas groups object strings only up to the first NUL, so
+``"a\x00b"`` and ``"a\x00c"`` would be one key).  Map-side per-batch dedup
+bounds what enters the exchange to the batch's distinct keys.  Nulls are one
+value and float keys are ``canonical_keys`` (``-0.0`` is ``0.0``), as SQL
+set ops.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from great_expectations_ray.functions.aggregates import canonical_keys
 from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
 
@@ -23,7 +27,8 @@ def _tagged_union(a_ds, b_ds, cols: list[str]):
     def tag(side: int):
         def f(tbl: pa.Table) -> pa.Table:
             # map-side dedup: only distinct keys per batch enter the shuffle
-            t = tbl.select(cols).group_by(cols).aggregate([])
+            t = pa.table({c: canonical_keys(tbl.column(c)) for c in cols})
+            t = t.group_by(cols).aggregate([])
             return t.append_column(
                 "__side", pa.array(np.full(len(t), side, dtype=np.int8))
             )
@@ -40,15 +45,17 @@ def _tagged_union(a_ds, b_ds, cols: list[str]):
 def _setop(a_ds, b_ds, cols: list[str], keep: str):
     cols = list(cols)
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        sides = g.groupby(cols, sort=False, dropna=False)["__side"].agg(["min", "max"])
+    def reduce_bucket(g: pa.Table) -> pa.Table:
+        sides = g.group_by(cols).aggregate([("__side", "min"), ("__side", "max")])
+        lo, hi = sides.column("__side_min"), sides.column("__side_max")
         if keep == "intersect":
-            mask = (sides["min"] == 0) & (sides["max"] == 1)
+            mask = pc.and_(pc.equal(lo, 0), pc.equal(hi, 1))
         else:  # except: in A, never in B
-            mask = sides["max"] == 0
-        return sides[mask].reset_index()[cols]
+            mask = pc.equal(hi, 0)
+        return sides.filter(mask).select(cols)
 
-    return grouped_apply_bucketed(_tagged_union(a_ds, b_ds, cols), cols, reduce_bucket)
+    return grouped_apply_bucketed(_tagged_union(a_ds, b_ds, cols), cols,
+                                  reduce_bucket, batch_format="pyarrow")
 
 
 def intersect_distinct(a_ds, b_ds, cols: list[str]):

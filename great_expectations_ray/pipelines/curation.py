@@ -117,21 +117,12 @@ def curate_corpus(input_glob: str, output_dir: str,
     funnel["after_exact_dedup"] = ds.count()
 
     # 5. MinHash near-dup drop
-    marks = minhash_lsh_mark_duplicates(
+    flagged = minhash_lsh_mark_duplicates(
         ds, text_col=tcol, id_col=idc,
-        jaccard_threshold=config.minhash_threshold)
-    if "max(is_neardup)" in marks.schema().names:
-        marks = marks.map_batches(
-            lambda df: df.rename(columns={"max(is_neardup)": "is_neardup"}),
-            batch_format="pandas")
-    flagged = marks.filter(expr="is_neardup == True")
-    joined = hash_bucket_join(ds, flagged, on=idc, how="left")
-
-    def drop_marked(df):
-        m = df["is_neardup"].fillna(False).astype(bool)
-        return df[~m].drop(columns=["is_neardup"])
-
-    ds = joined.map_batches(drop_marked, batch_format="pandas").materialize()
+        jaccard_threshold=config.minhash_threshold,
+    ).map_batches(lambda t: t.filter(t.column("max(is_neardup)")).select([idc]),
+                  batch_format="pyarrow").materialize()
+    ds = hash_bucket_join(ds, flagged, on=idc, how="anti").materialize()
     funnel["after_neardup"] = ds.count()
 
     # 6. quality scoring + top-fraction selection

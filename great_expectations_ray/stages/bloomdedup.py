@@ -37,9 +37,9 @@ import pyarrow.compute as pc
 from great_expectations_ray.functions.bucketed import (
     _MIX1,
     _MIX2,
-    grouped_apply_bucketed,
     poly_hash_strings,
 )
+from great_expectations_ray.functions.joins import key_in, two_sided_exchange
 from great_expectations_ray.stages._per_worker import map_per_worker
 
 
@@ -212,43 +212,16 @@ def mark_known(
     )
 
     # exact verify: one bucketed exchange over (pruned candidates ∪ pruned
-    # snapshot keys), raw-value equality per bucket
-    cand_tagged = candidates.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.zeros(len(t), dtype=np.int8))),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    # id padding typed from the candidate schema — ids may be string/UUID,
-    # not just int64, and a mistyped pad breaks the union's unified schema
-    id_type = candidates.schema().base_schema.field(id_col).type
-    snap_tagged = snap_pruned.map_batches(
-        lambda t: pa.table({
-            id_col: pa.nulls(len(t), id_type),
-            key_col: t.column(key_col),
-            "__side": pa.array(np.ones(len(t), dtype=np.int8)),
-        }),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-
-    import pandas as pd
-
-    def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        snap_keys = df.loc[df["__side"] == 1, key_col].unique()
-        cand = df[df["__side"] == 0]
-        ids = cand[id_col]
-        # the union introduced nulls (snapshot rows) into id_col, so an
-        # integer id column may floatify in the bucket frame — restore it;
-        # non-numeric id dtypes pass through untouched
-        if pa.types.is_integer(id_type) and ids.dtype.kind == "f":
-            ids = ids.astype(id_type.to_pandas_dtype())
-        return pd.DataFrame({
-            id_col: ids.to_numpy(),
-            "is_known": cand[key_col].isin(snap_keys).to_numpy(),
+    # snapshot keys), raw-value membership per bucket (SQL semantics: a null
+    # key is never known)
+    def verify_bucket(cand: pa.Table, snap: pa.Table) -> pa.Table:
+        return pa.table({
+            id_col: cand.column(id_col),
+            "is_known": key_in(cand, snap.column(key_col), key_col),
         })
 
-    verified = grouped_apply_bucketed(
-        cand_tagged.union(snap_tagged), [key_col], verify_bucket,
-        n_buckets=n_buckets,
-    )
+    verified = two_sided_exchange(candidates, snap_pruned, on=key_col,
+                                  n_buckets=n_buckets, bucket_fn=verify_bucket)
     return novel.union(verified)
 
 

@@ -170,24 +170,14 @@ class _PositionRewriter:
 
     Arrow-native: unaffected rows stay on the Arrow buffer; only rows with a
     drop list are pulled to Python and written back via ``replace_with_mask``
-    (the luhn/substr scrub pattern).  Every output column is cast back to the
-    SOURCE schema (``out_pairs``) because the join's null padding floatifies
-    int columns inside the bucket frames."""
+    (the luhn/substr scrub pattern)."""
 
-    def __init__(self, content_col: str, out_pairs: list):
+    def __init__(self, content_col: str):
         self.content_col = content_col
-        self.out_pairs = out_pairs
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        ctype = dict(self.out_pairs)[self.content_col]
-        content = tbl.column(self.content_col)
-        if isinstance(content, pa.ChunkedArray):
-            content = content.combine_chunks()
-        content = pc.cast(content, ctype)
-        pos = tbl.column("__drop_pos")
-        if isinstance(pos, pa.ChunkedArray):
-            pos = pos.combine_chunks()
-        pos = pc.cast(pos, pa.string())
+        content = tbl.column(self.content_col).combine_chunks()
+        pos = tbl.column("__drop_pos").combine_chunks()
         content_null = pc.is_null(content).to_numpy(zero_copy_only=False)
         has_pos = np.logical_and(
             pc.is_valid(pos).to_numpy(zero_copy_only=False),
@@ -207,16 +197,11 @@ class _PositionRewriter:
                     l for l, k in zip(lines, keep) if k))
                 counts[i] = len(drop)
             content = pc.replace_with_mask(
-                content, pa.array(affected), pa.array(reps, ctype))
+                content, pa.array(affected), pa.array(reps, content.type))
         n_dropped = pa.array(counts, pa.int64(), mask=content_null)
-        cols = {}
-        for name, typ in self.out_pairs:
-            if name == self.content_col:
-                continue
-            cols[name] = pc.cast(tbl.column(name), typ)
-        cols[self.content_col] = content
-        cols["n_dropped"] = n_dropped
-        return pa.table(cols)
+        out = tbl.drop_columns(["__drop_pos", self.content_col])
+        return (out.append_column(self.content_col, content)
+                .append_column("n_dropped", n_dropped))
 
 
 def _remove_boilerplate_joined(
@@ -237,24 +222,9 @@ def _remove_boilerplate_joined(
         _ExplodeLines(id_col, content_col),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    # the join's tagged union pads each side with nulls, floatifying integer
-    # id/pos columns; restore source dtypes or the SECOND join buckets the
-    # float keys by buffer hash while the doc side buckets ints by modulo —
-    # same keys, different buckets, zero matches
-    id_type = ds.schema().base_schema.field(id_col).type
-
-    def restore_types(tbl: pa.Table) -> pa.Table:
-        return pa.table({
-            id_col: pc.cast(tbl.column(id_col), id_type),
-            "__pos": pc.cast(tbl.column("__pos"), pa.int64()),
-        })
-
     dropped = hash_bucket_join(
-        exploded, freq, on="line", n_buckets=n_buckets,
-        how="inner", right_cols=[],
-    ).select_columns([id_col, "__pos"]).map_batches(
-        restore_types, batch_format="pyarrow", zero_copy_batch=True,
-    )
+        exploded, freq, on="line", n_buckets=n_buckets, how="semi",
+    ).select_columns([id_col, "__pos"])
 
     def agg_positions(g):
         import pandas as pd
@@ -268,11 +238,8 @@ def _remove_boilerplate_joined(
                                     n_buckets=n_buckets)
     joined = hash_bucket_join(ds, per_id, on=id_col, n_buckets=n_buckets,
                               how="left")
-    from great_expectations_ray.functions.joins import _arrow_schema
-
-    out_pairs = [(f.name, f.type) for f in _arrow_schema(ds)]
     return joined.map_batches(
-        _PositionRewriter(content_col, out_pairs),
+        _PositionRewriter(content_col),
         batch_format="pyarrow", zero_copy_batch=True,
     )
 

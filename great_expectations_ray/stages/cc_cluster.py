@@ -378,7 +378,7 @@ def cluster_near_duplicates(
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        ids = pc.cast(tbl.column(id_col), id_type)
+        ids = tbl.column(id_col)
         cl = pc.coalesce(pc.cast(tbl.column("cluster"), id_type), ids)
         return pa.table({
             id_col: ids,
@@ -413,10 +413,6 @@ def keep_best_in_cluster(
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
     from great_expectations_ray.functions.joins import hash_bucket_join
 
-    sch = clustered.schema()
-    id_type = dict(zip(sch.names, sch.types))[id_col]
-    id_pd = id_type.to_pandas_dtype()
-
     joined = hash_bucket_join(
         clustered.select_columns([id_col, "cluster"]),
         score_ds.select_columns([id_col, score_col]),
@@ -429,12 +425,6 @@ def keep_best_in_cluster(
             ["cluster", score_col, id_col],
             ascending=[True, False, True], kind="mergesort",
         )
-        # the join's null padding may have floatified the int id/cluster
-        # columns — restore the source dtype on the way out
-        return _pd.DataFrame({
-            id_col: g[id_col].astype(id_pd),
-            "cluster": g["cluster"].astype(id_pd),
-            "keep": ~g["cluster"].duplicated().to_numpy(),
-        })
+        return g[[id_col, "cluster"]].assign(keep=~g["cluster"].duplicated())
 
     return grouped_apply_bucketed(joined, ["cluster"], pick)

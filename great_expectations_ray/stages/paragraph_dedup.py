@@ -106,45 +106,29 @@ def paragraph_drop_marks(
     return grouped_apply_bucketed(exploded, ["__pkey"], losers, n_buckets=n_buckets)
 
 
-def _rebuild_batch_arrow(
-    tbl: pa.Table, text_col: str, sep: str,
-    out_pairs: list[tuple[str, pa.DataType]],
-) -> pa.Table:
-    """Arrow-native rewrite: docs with no drop list stay on the Arrow buffer
-    (``replace_with_mask`` touches only affected rows); every output column
-    is cast back to the SOURCE schema (``out_pairs``) because the join's
-    null padding floatifies int columns inside the bucket frames."""
-    lists = tbl.column("__drop_idxs")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+def _rebuild_batch_arrow(tbl: pa.Table, text_col: str, sep: str) -> pa.Table:
+    """Arrow-native rewrite of a joined batch (``__drop_idxs``: comma-joined
+    paragraph indices, null = no drops): docs with no drop list stay on the
+    Arrow buffer (``replace_with_mask`` touches only affected rows)."""
+    lists = tbl.column("__drop_idxs").combine_chunks()
     hit = pc.is_valid(lists).to_numpy(zero_copy_only=False)
     n = tbl.num_rows
     n_dropped = np.zeros(n, dtype=np.int32)
-    text_type = dict(out_pairs)[text_col]
-    out_text = pc.cast(tbl.column(text_col), text_type)
-    if isinstance(out_text, pa.ChunkedArray):
-        out_text = out_text.combine_chunks()
+    out_text = tbl.column(text_col).combine_chunks()
     if hit.any():
         # only affected rows are pulled to Python
         reps: list[str] = []
         for i in np.flatnonzero(hit):
-            v = lists[i].as_py()
-            drop = (set(int(x) for x in v.split(","))
-                    if isinstance(v, str) else set(int(x) for x in v))
+            drop = {int(x) for x in lists[i].as_py().split(",")}
             parts = (out_text[i].as_py() or "").split(sep)
             reps.append(sep.join(
                 p for j, p in enumerate(parts) if j not in drop))
             n_dropped[i] = len(drop)
         out_text = pc.replace_with_mask(
-            out_text, pa.array(hit), pa.array(reps, text_type))
-    cols = {}
-    for name, typ in out_pairs:
-        if name == text_col:
-            cols[name] = out_text
-        else:
-            cols[name] = pc.cast(tbl.column(name), typ)
-    cols["n_dropped"] = pa.array(n_dropped)
-    return pa.table(cols)
+            out_text, pa.array(hit), pa.array(reps, out_text.type))
+    out = tbl.drop_columns(["__drop_idxs"])
+    out = out.set_column(out.column_names.index(text_col), text_col, out_text)
+    return out.append_column("n_dropped", pa.array(n_dropped))
 
 
 class _ParagraphRewriter:
@@ -241,8 +225,8 @@ def dedup_paragraphs(
     from great_expectations_ray.functions.joins import hash_bucket_join
 
     def agg_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # comma-joined string, not a list column: plain string survives the
-        # tagged-union schema alignment inside hash_bucket_join
+        # comma-joined string, not a list column: Arrow's join carries no
+        # list columns
         out = (
             g.groupby(id_col, sort=False)["para_idx"]
             .agg(lambda s: ",".join(map(str, s)))
@@ -250,14 +234,11 @@ def dedup_paragraphs(
         )
         return out.rename(columns={"para_idx": "__drop_idxs"})
 
-    from great_expectations_ray.functions.joins import _arrow_schema
-
-    out_pairs = [(f.name, f.type) for f in _arrow_schema(ds)]
     drop_lists = grouped_apply_bucketed(drops, [id_col], agg_bucket, n_buckets=n_buckets)
     joined = hash_bucket_join(
         ds, drop_lists, on=id_col, n_buckets=n_buckets, how="left"
     )
     return joined.map_batches(
-        lambda tbl: _rebuild_batch_arrow(tbl, text_col, sep, out_pairs),
+        lambda tbl: _rebuild_batch_arrow(tbl, text_col, sep),
         batch_format="pyarrow", zero_copy_batch=True,
     )

@@ -118,9 +118,10 @@ def duplicate_substrings(
     bounded by |docs that actually share content| — corpus-scale on a crawl
     with 30-50% dup rates — so the driver never pulls it wholesale: the
     materialized id set is counted, and above ``max_broadcast_ids`` the
-    semi-filter runs as a bucketed semi-join (``bucketed_semi_anti``, one
-    exchange, ids stay in the object store); at or below the cap the ids
-    broadcast via ``ray.put`` (cheaper: no exchange of the corpus side)."""
+    semi-filter runs as a bucketed semi-join (``hash_bucket_join``
+    ``how="semi"``, one exchange, ids stay in the object store); at or
+    below the cap the ids broadcast via ``ray.put`` (cheaper: no exchange
+    of the corpus side)."""
     if candidate_filter:
         if window < candidate_w + candidate_k - 1:
             raise ValueError(
@@ -129,7 +130,7 @@ def duplicate_substrings(
             )
         from great_expectations_ray.functions.joins import (
             broadcast_semi_anti,
-            bucketed_semi_anti,
+            hash_bucket_join,
         )
         from great_expectations_ray.stages.fingerprint import (
             fingerprint_candidate_ids,
@@ -143,7 +144,7 @@ def duplicate_substrings(
             cand_ids = {r[id_col] for r in cand.take_all()}
             ds = broadcast_semi_anti(ds, cand_ids, on=id_col)
         else:
-            ds = bucketed_semi_anti(ds, cand, on=id_col)
+            ds = hash_bucket_join(ds, cand, on=id_col, n_buckets=64, how="semi")
 
     def explode(tbl: pa.Table) -> pa.Table:
         return window_table(
@@ -333,11 +334,10 @@ def remove_duplicate_substrings(
 def _remove_cuts_joined(ds, cuts_ds, *, content_col: str, id_col: str):
     """Over-cap rewrite: per-doc cut lists meet the corpus in a bucketed
     join; the cut map never lands on the driver.  Per-doc ranges serialize
-    to one ``"s-e,s-e"`` string (a plain string survives the join's
-    tagged-union schema alignment — the boilerplate-fallback pattern), and
-    the rewrite is Arrow-native with source-schema dtype restore."""
+    to one ``"s-e,s-e"`` string (Arrow's join carries no list columns — the
+    boilerplate-fallback pattern), and the rewrite is Arrow-native."""
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
-    from great_expectations_ray.functions.joins import _arrow_schema, hash_bucket_join
+    from great_expectations_ray.functions.joins import hash_bucket_join
 
     def agg_cuts(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "start"], kind="mergesort")
@@ -348,18 +348,10 @@ def _remove_cuts_joined(ds, cuts_ds, *, content_col: str, id_col: str):
 
     cut_lists = grouped_apply_bucketed(cuts_ds, [id_col], agg_cuts)
     joined = hash_bucket_join(ds, cut_lists, on=id_col, how="left")
-    out_pairs = [(f.name, f.type) for f in _arrow_schema(ds)]
-    ctype_out = pa.string()
 
     def rewrite(tbl: pa.Table) -> pa.Table:
-        cuts_col = tbl.column("__cuts")
-        if isinstance(cuts_col, pa.ChunkedArray):
-            cuts_col = cuts_col.combine_chunks()
-        cuts_col = pc.cast(cuts_col, pa.string())
-        content = tbl.column(content_col)
-        if isinstance(content, pa.ChunkedArray):
-            content = content.combine_chunks()
-        content = pc.cast(pc.fill_null(content, ""), ctype_out)
+        cuts_col = tbl.column("__cuts").combine_chunks()
+        content = pc.fill_null(tbl.column(content_col).combine_chunks(), "")
         hit = pc.is_valid(cuts_col).to_numpy(zero_copy_only=False)
         n = tbl.num_rows
         removed = np.zeros(n, dtype=np.int64)
@@ -379,16 +371,12 @@ def _remove_cuts_joined(ds, cuts_ds, *, content_col: str, id_col: str):
                 removed[i] = sum(e - s for s, e in ranges)
                 n_cuts[i] = len(ranges)
             content = pc.replace_with_mask(
-                content, pa.array(hit), pa.array(reps, ctype_out))
-        cols = {}
-        for name, typ in out_pairs:
-            if name == content_col:
-                cols[name] = pc.cast(content, typ)
-            else:
-                cols[name] = pc.cast(tbl.column(name), typ)
-        cols["removed_bytes"] = pa.array(removed)
-        cols["n_cuts"] = pa.array(n_cuts)
-        return pa.table(cols)
+                content, pa.array(hit), pa.array(reps, content.type))
+        out = tbl.drop_columns(["__cuts"])
+        out = out.set_column(out.column_names.index(content_col), content_col,
+                             content)
+        return (out.append_column("removed_bytes", pa.array(removed))
+                .append_column("n_cuts", pa.array(n_cuts)))
 
     return joined.map_batches(rewrite, batch_format="pyarrow",
                               zero_copy_batch=True)

@@ -93,21 +93,6 @@ def test_hash_bucket_join_string_key():
         sorted(out.y) == [10, 10, 30]
 
 
-def test_native_join_matches_bucketed(small_ds):
-    import ray.data as rd
-
-    from great_expectations_ray.functions.joins import native_join
-
-    right = pa.table({"k": list(range(0, 100, 5)), "mark": list(range(20))})
-    rds = rd.from_arrow(right)
-    out = native_join(small_ds, rds, on="k", num_partitions=4).to_pandas()
-    exp = small_ds.to_pandas().merge(right.to_pandas(), on="k", how="inner")
-    assert len(out) == len(exp) == 20
-    got = out.sort_values("k").reset_index(drop=True)[["k", "mark"]]
-    expd = exp.sort_values("k").reset_index(drop=True)[["k", "mark"]]
-    pd.testing.assert_frame_equal(got, expd)
-
-
 def test_setops_intersect_except(ray_session):
     import pandas as pd
     import ray.data as rd
@@ -243,17 +228,15 @@ def test_sample_exact_n_is_partitioning_free(ray_session):
 def test_bucketed_semi_anti_matches_broadcast(small_ds):
     """The dataset-keyed semi/anti (scale path for candidate sets too large
     to collect) must emit exactly what the broadcast key-set path emits,
-    with int dtypes restored after the null-padded union."""
+    with int dtypes kept through the null-padded union."""
     import ray.data as rd
-
-    from great_expectations_ray.functions.joins import bucketed_semi_anti
 
     keys = [3, 5, 8, 13, 21, 34, 55, 89, 144]  # 144 not in ds
     keys_ds = rd.from_arrow(pa.table({"k": keys})).repartition(2)
 
     for anti in (False, True):
-        got = (bucketed_semi_anti(small_ds, keys_ds, on="k", anti=anti,
-                                  n_buckets=8)
+        got = (hash_bucket_join(small_ds, keys_ds, on="k",
+                                how="anti" if anti else "semi", n_buckets=8)
                .to_pandas().sort_values("k").reset_index(drop=True))
         want = (broadcast_semi_anti(small_ds, keys, on="k", anti=anti)
                 .to_pandas().sort_values("k").reset_index(drop=True))
@@ -264,15 +247,13 @@ def test_bucketed_semi_anti_matches_broadcast(small_ds):
 def test_bucketed_semi_anti_string_key(ray_session):
     import ray.data as rd
 
-    from great_expectations_ray.functions.joins import bucketed_semi_anti
-
     left = rd.from_arrow(pa.table({
         "name": [f"doc{i}" for i in range(50)],
         "score": list(range(50)),
     })).repartition(3)
     keys_ds = rd.from_arrow(pa.table(
         {"name": ["doc7", "doc7", "doc13", "nope"]}))  # dup keys: no row dup
-    got = (bucketed_semi_anti(left, keys_ds, on="name", n_buckets=4)
+    got = (hash_bucket_join(left, keys_ds, on="name", how="semi", n_buckets=4)
            .to_pandas().sort_values("score").reset_index(drop=True))
     assert got["name"].tolist() == ["doc7", "doc13"]
     assert got["score"].tolist() == [7, 13]
