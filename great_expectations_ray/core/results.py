@@ -17,6 +17,7 @@ Reproduces the observable result contract of the reference:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -54,6 +55,16 @@ class MapPartialState:
     # capped full-row dicts (``include_unexpected_rows`` result-format flag)
     unexpected_rows: list[dict] = field(default_factory=list)
 
+    def __setstate__(self, state: dict) -> None:
+        # a NaN key unpickles as a new float object: make each the one
+        # ``math.nan`` again, so NaNs from different blocks count as one value
+        self.__dict__.update(state)
+        ctr = self.unexpected_value_counts
+        if any(v != v for v in ctr):
+            self.unexpected_value_counts = Counter()
+            for v, c in ctr.items():
+                self.unexpected_value_counts[math.nan if v != v else v] += c
+
     def merge(self, other: "MapPartialState") -> "MapPartialState":
         self.element_count += other.element_count
         self.null_count += other.null_count
@@ -62,8 +73,11 @@ class MapPartialState:
             self.unexpected_values.extend(
                 other.unexpected_values[: MAX_RESULT_RECORDS - len(self.unexpected_values)]
             )
-        if len(self.unexpected_value_counts) < MAX_RESULT_RECORDS:
-            self.unexpected_value_counts.update(other.unexpected_value_counts)
+        # values already held keep counting; new ones join while under the cap
+        held = self.unexpected_value_counts
+        for v, c in other.unexpected_value_counts.items():
+            if v in held or len(held) < MAX_RESULT_RECORDS:
+                held[v] += c
         if len(self.unexpected_keys) < MAX_RESULT_RECORDS:
             self.unexpected_keys.extend(
                 other.unexpected_keys[: MAX_RESULT_RECORDS - len(self.unexpected_keys)]

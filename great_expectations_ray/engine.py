@@ -1,4 +1,4 @@
-"""Suite validation engine — compile once, stream once (twice for two-phase).
+"""Suite validation engine — compile once, stream once (twice for some two-phase rules).
 
 The reference resolves a per-suite metric dependency graph at runtime
 (``validator/validation_graph.py:214-322``).  Our kernel set is static, so the
@@ -19,12 +19,14 @@ graph collapses at compile time into at most three physical phases:
   ``_KEY_TASK_ROW_CAP`` key rows, the key rows take one bucketed exchange
   instead (``functions/bucketed.py``) — over the materialized rows, never
   the input.
-- **Phase 2** (only if the suite asks): z-score-style two-phase map rules
-  re-stream with the phase-1 aggregates injected
-  (``column_values_z_score.py:124-144``).  An IQR outlier rule whose exact
-  value counts already settle it (zero unexpected rows, or a
-  ``BOOLEAN_ONLY`` result) is finished from those counts without the
-  re-stream.
+- **Phase 2** (only if the suite asks): two-phase map rules get their
+  phase-1 thresholds baked in (``column_values_z_score.py:124-144``).  An
+  IQR outlier rule is settled from its column's exact value counts: its
+  condition kernel runs once over the distinct values, so counts are exact
+  and the sample is the unexpected values in value order.  The input is
+  re-streamed only for rules the counts cannot settle: z-scores,
+  ``method="std"``, a ``row_condition``, overflowed counts, or a result
+  that shows which rows are unexpected (index columns, unexpected rows).
 
 Scale notes: phase-1 partials are O(blocks × rules) bytes, independent of row
 count.  Value-count states cap at 100k distinct keys; overflow falls back to
@@ -206,10 +208,7 @@ def compile_suite(suite: ExpectationSuite) -> _CompiledSuite:
             elif t in TWO_PHASE_TYPES:
                 plan.two_phase_rules.append((idx, cfg))
                 plan.agg_columns.add(cfg.kwargs["column"])
-                if (
-                    t == "expect_column_values_to_not_be_outliers"
-                    and cfg.kwargs.get("method", "iqr") == "iqr"
-                ):
+                if _is_iqr(cfg):
                     # median/IQR come from the exact VC partials (or the
                     # distributed rank-select on overflow)
                     plan.vc_columns.add(cfg.kwargs["column"])
@@ -501,7 +500,7 @@ class _PartialEvaluator:
             for item in vc:
                 if len(ctr) >= _BLOCK_VC_CAP:
                     break
-                ctr[item["values"].as_py()] = item["counts"].as_py()
+                ctr[_py_key(item["values"].as_py())] += item["counts"].as_py()
             ps.unexpected_value_counts = ctr
             if self.index_cols:
                 key_tbl = tbl.select(self.index_cols)
@@ -774,11 +773,11 @@ def _quantile_from_value_counts(
     round-half-even(q*(n-1)).  ``lower``/``higher`` take floor/ceil — exactly
     SQL-expressible (ORDER BY ... OFFSET floor(q*(n-1))), used by oracle
     parity queries."""
-    items = vc.sorted_items()
     n = vc.nonnull
     if n == 0:
         return [None] * len(quantiles)
-    cum = np.cumsum([c for _, c in items])
+    keys, cnts = vc.sorted_view()
+    cum = np.cumsum(cnts)
     out = []
     for q in quantiles:
         x = q * (n - 1)
@@ -789,7 +788,7 @@ def _quantile_from_value_counts(
         else:
             target = int(np.round(x))  # numpy round = half-to-even
         pos = int(np.searchsorted(cum, target + 1))
-        out.append(items[min(pos, len(items) - 1)][0])
+        out.append(keys[min(pos, len(keys) - 1)].as_py())
     return out
 
 
@@ -857,16 +856,16 @@ def validate(
         if plan.cross_rules or plan.global_sql_rules:
             merged["row_count"] = ds.count()  # no fused pass ran; count directly
 
-    # ---- phase 2: two-phase rules re-stream with phase-1 thresholds ------- #
+    # ---- phase 2: settled from value counts, or a re-stream -------------- #
     two_phase_states = None
     if plan.two_phase_rules:
-        rules, two_phase_states = _two_phase_rules(plan, merged, ds)
-        rules = [(idx, cfg) for idx, cfg in rules
-                 if not _finish_outliers_from_counts(
-                     two_phase_states, idx, cfg, merged, result_format)]
+        rules, two_phase_states = _two_phase_rules(
+            plan, merged, ds,
+            _shows_rows(result_format, index_cols, include_rows))
         if rules:
             partial_rows = ds.map_batches(
-                _PartialEvaluator(rules, set(), set(), set(), index_cols),
+                _PartialEvaluator(rules, set(), set(), set(), index_cols,
+                                  include_rows=include_rows),
                 batch_format="pyarrow", zero_copy_batch=True,
             ).take_all()
             _fold_phase2(two_phase_states, rules,
@@ -916,13 +915,29 @@ def _overflowed(col: str) -> str:
     )
 
 
-def _two_phase_rules(plan: _CompiledSuite, merged: dict, ds=None) -> tuple[list, dict]:
+def _shows_rows(result_format: str, index_cols: Optional[list[str]],
+               include_rows: bool) -> bool:
+    """Whether map results show row identity (index keys or unexpected
+    rows), which only a read of the rows can give."""
+    return result_format != "BOOLEAN_ONLY" and (bool(index_cols) or include_rows)
+
+
+def _is_iqr(cfg: ExpectationConfiguration) -> bool:
+    return (cfg.expectation_type == "expect_column_values_to_not_be_outliers"
+            and cfg.kwargs.get("method", "iqr") == "iqr")
+
+
+def _two_phase_rules(plan: _CompiledSuite, merged: dict, ds=None,
+                     shows_rows: bool = False) -> tuple[list, dict]:
     """Bake each two-phase rule's phase-1 thresholds into its kwargs:
-    ``_mean``/``_std``, plus ``_median``/``_iqr`` for IQR outliers (exact from
-    the merged value counts; distributed rank selection on overflow, which
-    needs ``ds``).  Returns ``(phase-2 rules, {idx: failure message})`` —
-    the dict is the caller's two-phase state map, completed by
-    :func:`_fold_phase2`."""
+    ``_mean``/``_std``, plus ``_median``/``_iqr`` for IQR outliers (exact
+    from one sorted view of the merged value counts; distributed rank
+    selection on overflow, which needs ``ds``).  An IQR rule with exact
+    counts is then settled from them (:func:`_settle_outliers`) unless it
+    has a ``row_condition``, or the result shows row identity
+    (``shows_rows``) and some row is unexpected.  Returns ``(rules for the
+    second read, {idx: MapPartialState or failure message})`` — the dict is
+    the caller's two-phase state map, completed by :func:`_fold_phase2`."""
     from great_expectations_ray.functions.contrib_aggregates import (
         percentile_linear_distributed_multi,
         percentile_linear_from_vc,
@@ -934,19 +949,18 @@ def _two_phase_rules(plan: _CompiledSuite, merged: dict, ds=None) -> tuple[list,
         if ("agg", col) in merged["errors"]:
             states[idx] = merged["errors"][("agg", col)]
             continue
+        view = None
         try:
             ag = merged["aggs"].get(col, NumericAggState())
             k = dict(cfg.kwargs)
             k["_mean"] = ag.metric("column.mean")
             k["_std"] = ag.metric("column.standard_deviation")
-            if (
-                cfg.expectation_type == "expect_column_values_to_not_be_outliers"
-                and cfg.kwargs.get("method", "iqr") == "iqr"
-            ):
+            if _is_iqr(cfg):
                 qs = [0.25, 0.50, 0.75]
                 vc = merged["vcs"].get(col, ValueCountsState())
                 if not vc.overflow:
-                    q25, q50, q75 = (percentile_linear_from_vc(vc, q) for q in qs)
+                    view = vc.sorted_view()
+                    q25, q50, q75 = percentile_linear_from_vc(vc, qs, view)
                 elif ds is None:
                     raise ValueError(_overflowed(col))
                 else:
@@ -958,37 +972,45 @@ def _two_phase_rules(plan: _CompiledSuite, merged: dict, ds=None) -> tuple[list,
         except Exception as exc:
             states[idx] = f"{type(exc).__name__}: {exc}"
             continue
-        rules.append((idx, ExpectationConfiguration(cfg.expectation_type, k, cfg.meta)))
+        baked = ExpectationConfiguration(cfg.expectation_type, k, cfg.meta)
+        settled = (None if view is None or k.get("row_condition")
+                   else _settle_outliers(baked, merged, view))
+        if settled is not None and not (shows_rows and settled.unexpected_count):
+            states[idx] = settled
+        else:
+            rules.append((idx, baked))
     return rules, states
 
 
-def _finish_outliers_from_counts(states: dict, idx: int, cfg: ExpectationConfiguration,
-                                 merged: dict, result_format: str) -> bool:
-    """Finish a baked IQR outlier rule from its column's exact value counts
-    when they settle it without a re-stream: no value is unexpected, or the
-    result is ``BOOLEAN_ONLY`` (no samples shown).  The rule's own condition
-    kernel runs once over the distinct values, each weighted by its count.
-    Records its state and returns True; False leaves the rule to phase 2."""
-    k = cfg.kwargs
-    col = k.get("column")
-    vc = merged["vcs"].get(col)
-    if (cfg.expectation_type != "expect_column_values_to_not_be_outliers"
-            or k.get("method", "iqr") != "iqr" or k.get("row_condition")
-            or vc is None or vc.overflow or col not in merged["counts"]):
-        return False
+def _settle_outliers(cfg: ExpectationConfiguration, merged: dict,
+                     view: tuple[pa.Array, np.ndarray]) -> Optional[MapPartialState]:
+    """A baked IQR outlier rule's map state from its column's exact value
+    counts (``view``: the distinct values in value order and their
+    counts).  The rule's own condition kernel runs once over the distinct
+    values.  Every count is exact; the sample is the unexpected values in
+    value order (NaN after numbers), each repeated by its count.  None
+    leaves the rule to the second read, which reports a kernel error on
+    the rows."""
+    col = cfg.kwargs["column"]
+    keys, cnts = view
     try:
-        res = CONDITION_KERNELS[cfg.expectation_type](
-            pa.table({col: pa.array(list(vc.counts))}), k)
+        res = CONDITION_KERNELS[cfg.expectation_type](pa.table({col: keys}), cfg.kwargs)
     except Exception:
-        return False  # phase 2 reports the kernel's error on the rows
-    cnt = np.fromiter(vc.counts.values(), dtype=np.int64, count=len(vc.counts))
-    unexpected = int(cnt[res.considered & ~res.meets].sum())
-    if unexpected and result_format != "BOOLEAN_ONLY":
-        return False
-    total, nonnull = merged["counts"][col]
-    states[idx] = MapPartialState(element_count=total, null_count=total - nonnull,
-                                  unexpected_count=unexpected)
-    return True
+        return None
+    bad = np.flatnonzero(res.considered & ~res.meets)
+    bad_cnts = cnts[bad]
+    # the leading unexpected values that fill the sample
+    lead = int(np.searchsorted(np.cumsum(bad_cnts), MAX_RESULT_RECORDS)) + 1
+    sample = np.repeat(bad[:lead], bad_cnts[:lead])[:MAX_RESULT_RECORDS]
+    total, nonnull = merged["counts"].get(col, (0, 0))  # no batch: vacuous
+    return MapPartialState(
+        element_count=total,
+        null_count=total - nonnull,
+        unexpected_count=int(bad_cnts.sum()),
+        unexpected_values=keys.take(pa.array(sample, pa.int64())).to_pylist(),
+        unexpected_value_counts=Counter(dict(zip(
+            keys.take(pa.array(bad, pa.int64())).to_pylist(), bad_cnts.tolist()))),
+    )
 
 
 def _fold_phase2(states: dict, rules: list, merged2: dict) -> None:
@@ -1184,9 +1206,10 @@ def _finish_suite(
                 vc = merged["vcs"].get(cols[0], ValueCountsState())
                 if vc.overflow:
                     raise ValueError(_overflowed(cols[0]))
-                dups = [(v, c) for v, c in vc.sorted_items() if c > 1]
-                dup_count = sum(c for _, c in dups)
-                samples = [v for v, _ in dups]
+                keys, cnts = vc.sorted_view()
+                dup = cnts > 1
+                dup_count = int(cnts[dup].sum())
+                samples = keys.filter(pa.array(dup))[:MAX_RESULT_RECORDS].to_pylist()
             else:
                 dup_count, samples = merged["dups"].get(idx, (0, []))
             if cfg.expectation_type == "expect_column_values_to_be_unique":
@@ -1711,7 +1734,7 @@ def _finish_contrib_aggregate(
         if overflow:
             v = CA.percentile_linear_distributed(ds, col, q, nonnull)
         else:
-            v = CA.percentile_linear_from_vc(vc, q)
+            v = CA.percentile_linear_from_vc(vc, [q])[0]
         ok = v is not None and v >= float(cfg.kwargs["value"])
         return evr(ok, {"observed_value": v})
 
@@ -1851,12 +1874,10 @@ def _median_from_vc(vc: ValueCountsState) -> Optional[float]:
     n = vc.nonnull
     if n == 0:
         return None
-    items = vc.sorted_items()
-    cum = np.cumsum([c for _, c in items])
-    lo_i = (n - 1) // 2
-    hi_i = n // 2
-    lo = items[int(np.searchsorted(cum, lo_i + 1))][0]
-    hi = items[int(np.searchsorted(cum, hi_i + 1))][0]
+    keys, cnts = vc.sorted_view()
+    cum = np.cumsum(cnts)
+    lo = keys[int(np.searchsorted(cum, (n - 1) // 2 + 1))].as_py()
+    hi = keys[int(np.searchsorted(cum, n // 2 + 1))].as_py()
     return (float(lo) + float(hi)) / 2.0
 
 

@@ -278,6 +278,8 @@ class ValueCountsState:
     nonnull: int = 0
     overflow: bool = False
     has_nan: bool = False
+    #: the Arrow type of the keys (the first block with a value sets it)
+    key_type: Optional[pa.DataType] = None
     CAP: int = 100_000
 
     def __setstate__(self, state: dict) -> None:
@@ -285,9 +287,19 @@ class ValueCountsState:
         if state.get("has_nan"):
             self.counts = {(math.nan if k != k else k): c for k, c in self.counts.items()}
 
-    def sorted_items(self) -> list[tuple[Any, int]]:
-        """``(value, count)`` in value order, NaN last (DuckDB's order)."""
-        return sorted(self.counts.items(), key=lambda kv: value_order(kv[0]))
+    def sorted_view(self) -> tuple[pa.Array, np.ndarray]:
+        """The distinct values as one typed Arrow array in value order (NaN
+        after numbers, as :func:`value_order`) and their counts, from one
+        stable ``sort_indices``.  Keys whose recorded type does not hold
+        them all (blocks of different types) are typed by inference."""
+        keys = list(self.counts)
+        try:
+            arr = pa.array(keys, type=self.key_type)
+        except (pa.ArrowInvalid, pa.ArrowTypeError, TypeError, OverflowError):
+            arr = pa.array(keys)
+        cnts = np.fromiter(self.counts.values(), dtype=np.int64, count=len(keys))
+        order = pc.sort_indices(arr)
+        return arr.take(order), cnts[np.asarray(order)]
 
     def update(self, col: pa.ChunkedArray) -> None:
         vc = pc.value_counts(canonical_keys(col.combine_chunks()))
@@ -295,6 +307,8 @@ class ValueCountsState:
         mask = pc.is_valid(vals)
         vals, cnts = vals.filter(mask), cnts.filter(mask)
         self.nonnull += int(pc.sum(pc.cast(cnts, pa.int64())).as_py() or 0)
+        if self.key_type is None and len(vals):
+            self.key_type = vals.type
         if self.overflow:
             return  # counts are unused once overflowed — engine reroutes to
             # the distributed groupby path; don't pay the dict work
@@ -322,6 +336,8 @@ class ValueCountsState:
         self.nonnull += o.nonnull
         self.overflow |= o.overflow
         self.has_nan |= o.has_nan
+        if self.key_type is None:
+            self.key_type = o.key_type
         if self.overflow:
             self.counts.clear()
             return

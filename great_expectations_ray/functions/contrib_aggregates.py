@@ -42,20 +42,32 @@ BENFORD_THRESHOLD = 5.071  # contrib's "90 percent confidence" constant
 # --------------------------------------------------------------------------- #
 
 
-def percentile_linear_from_vc(vc, q: float):
-    """pandas ``Series.quantile(q)`` (linear interpolation) from exact merged
-    value counts."""
-    items = vc.sorted_items()
+def percentile_linear_from_vc(vc, qs: list, view=None) -> list:
+    """pandas ``Series.quantile(q)`` (linear interpolation) for every ``q``
+    in ``qs``, from exact merged value counts: one sorted view
+    (``vc.sorted_view()``, or ``view`` when the caller holds it) and one
+    cumulative-count array serve all of them (NaN sorts after numbers)."""
     n = vc.nonnull
     if n == 0:
-        return None
-    vals = np.array([float(v) for v, _ in items])
-    cum = np.cumsum([c for _, c in items])
-    x = q * (n - 1)
-    lo_t, hi_t = int(math.floor(x)), int(math.ceil(x))
-    v_lo = vals[int(np.searchsorted(cum, lo_t + 1))]
-    v_hi = vals[int(np.searchsorted(cum, hi_t + 1))]
-    return float(v_lo + (x - lo_t) * (v_hi - v_lo))
+        return [None] * len(qs)
+    keys, cnts = vc.sorted_view() if view is None else view
+    vals = _as_floats(keys)
+    cum = np.cumsum(cnts)
+    x = np.asarray(qs, dtype=np.float64) * (n - 1)
+    lo_t, hi_t = np.floor(x), np.ceil(x)
+    v_lo = vals[np.searchsorted(cum, lo_t + 1)]
+    v_hi = vals[np.searchsorted(cum, hi_t + 1)]
+    return [float(v) for v in v_lo + (x - lo_t) * (v_hi - v_lo)]
+
+
+def _as_floats(keys: pa.Array) -> np.ndarray:
+    """``float(v)`` of every value: a numpy cast for numbers and booleans,
+    Python's ``float`` for the rest (decimals, numeric strings; dates
+    raise, as ``float`` does)."""
+    t = keys.type
+    if pa.types.is_integer(t) or pa.types.is_floating(t) or pa.types.is_boolean(t):
+        return keys.to_numpy(zero_copy_only=False).astype(np.float64)
+    return np.array([float(v) for v in keys.to_pylist()], dtype=np.float64)
 
 
 def percentile_linear_distributed_multi(ds, column: str, qs: list, n: int) -> list:

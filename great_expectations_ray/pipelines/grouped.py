@@ -29,10 +29,11 @@ uniqueness, and distribution rules (KL divergence discrete + continuous
 histogram, chi-square vs a partition object) — every family whose finish
 needs only the merged partials (uniqueness per group = dup rows from the
 group's exact value counts; a per-group VC overflow fails that EVR with
-guidance).  Two-phase rules (z-scores, outliers) run in NARROW mode via
-one extra pass: each group's thresholds derive from its phase-1 merge
-(engine.py ``_two_phase_rules``), then :func:`_grouped_two_phase`
-evaluates every group's rows against ITS thresholds (wide mode and the
+guidance).  Two-phase rules (z-scores, outliers) run in NARROW mode: each
+group's thresholds derive from its phase-1 merge (engine.py
+``_two_phase_rules``, which settles IQR rules from the group's exact value
+counts), then :func:`_grouped_two_phase` evaluates every group's unsettled
+rules against ITS thresholds in one extra pass (wide mode and the
 mergeable state reject them — no per-group second pass there).  Families
 that need their own exchange per group (KS tests, cross-table, queried
 SQL, ordered, compound uniqueness) raise a clear ValueError; run those
@@ -42,6 +43,7 @@ with partition_by/order_by).
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Optional
 
 import numpy as np
@@ -55,12 +57,12 @@ from great_expectations_ray.core.results import (
 from great_expectations_ray.core.suite import ExpectationSuite
 from great_expectations_ray.engine import (
     CONTRIB_AGG_VC_TYPES,
-    _dataset_arrow_schema,
     _finish_suite,
     _fold_phase2,
     _merge_partials,
     _PartialEvaluator,
     _result_format_opts,
+    _shows_rows,
     _two_phase_rules,
     compile_suite,
 )
@@ -173,12 +175,14 @@ class _GroupedEvaluator:
     ``{group key: evaluator}`` dict (phase 2 of the two-phase family — each
     group gets ITS threshold-baked rules; groups absent from the dict are
     skipped).  Group keys are the column value for a single ``by``, a tuple
-    of values for a list."""
+    of values for a list.  ``record_schema`` adds a ``schema`` column: the
+    block's pickled schema in its first row, null in the others."""
 
-    def __init__(self, by, evaluators):
+    def __init__(self, by, evaluators, record_schema: bool = False):
         self.by, self.single = _norm_by(by)
         self.key_names = _key_col_names(self.by, self.single)
         self.evaluators = evaluators
+        self.record_schema = record_schema
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
         ncol = len(self.by)
@@ -219,6 +223,11 @@ class _GroupedEvaluator:
             cols[name] = (pa.concat_arrays(key_parts[j]) if key_parts[j]
                           else pa.nulls(0, keys[j].type))
         cols["partial"] = pa.array(partials, pa.large_binary())
+        if self.record_schema:
+            schema = pa.schema([(f.name, f.type) for f in tbl.schema])
+            cols["schema"] = pa.array(
+                [pickle.dumps(schema)] + [None] * (len(partials) - 1)
+                if partials else [], pa.large_binary())
         return pa.table(cols)
 
 
@@ -250,7 +259,7 @@ def validate_grouped(
         suite, _UNSUPPORTED_FAMILIES, "validate_grouped", index_cols,
         include_rows)
     mat = ds.map_batches(
-        _GroupedEvaluator(by, evaluator),
+        _GroupedEvaluator(by, evaluator, record_schema=True),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
     n_partials = mat.count()
@@ -262,13 +271,18 @@ def validate_grouped(
             "use validate_grouped_wide(), which merges and finishes each "
             "group inside ONE bucketed exchange and returns a verdict "
             "Dataset instead of driver-side result objects.")
+    rows = mat.take_all()
     merged_by_key = {k: _merge_partials(p)
-                     for k, p in _partials_by_key(mat.take_all(), by).items()}
+                     for k, p in _partials_by_key(rows, by).items()}
+    # every block with a group records its schema; no group, nothing to finish
+    schema = next((pickle.loads(r["schema"]) for r in rows
+                   if r["schema"] is not None), pa.schema([]))
 
-    two_phase = (_grouped_two_phase(ds, by, plan, merged_by_key, index_cols)
-                 if plan.two_phase_rules else {})
+    two_phase = (_grouped_two_phase(
+        ds, by, plan, merged_by_key, index_cols, include_rows,
+        _shows_rows(result_format, index_cols, include_rows))
+        if plan.two_phase_rules else {})
 
-    schema = _dataset_arrow_schema(ds)
     out: dict[Any, SuiteValidationResult] = {}
     for key, merged in merged_by_key.items():
         out[key] = _finish_suite(
@@ -285,23 +299,28 @@ def validate_grouped(
 
 
 def _grouped_two_phase(ds, by: str | list[str], plan, merged_by_key: dict,
-                       index_cols: Optional[list[str]] = None) -> dict:
+                       index_cols: Optional[list[str]] = None,
+                       include_rows: bool = False,
+                       shows_rows: bool = False) -> dict:
     """Per-group phase 2 for z-score / outlier rules: each group's
-    thresholds come from its phase-1 merge (engine.py ``_two_phase_rules``),
-    then ONE more pass evaluates every group's rows against ITS thresholds.
-    Returns {key: {idx: MapPartialState | str}} (str = failure message for
-    that rule).  Narrow mode only — the per-group threshold table lives on
-    the driver, bounded exactly like the phase-1 partials."""
+    thresholds come from its phase-1 merge (engine.py ``_two_phase_rules``,
+    which also settles IQR rules from the group's exact value counts), then
+    ONE more pass evaluates every group's unsettled rules against ITS
+    thresholds — no pass when every group's rules are settled.  Returns
+    {key: {idx: MapPartialState | str}} (str = failure message for that
+    rule).  Narrow mode only — the per-group threshold table lives on the
+    driver, bounded exactly like the phase-1 partials."""
     rules_by_key: dict[Any, list] = {}
     states: dict[Any, dict] = {}
     for key, merged in merged_by_key.items():
-        rules, states[key] = _two_phase_rules(plan, merged)
+        rules, states[key] = _two_phase_rules(plan, merged, shows_rows=shows_rows)
         if rules:
             rules_by_key[key] = rules
     if not rules_by_key:
         return states
 
-    evaluators = {key: _PartialEvaluator(rules, set(), set(), set(), index_cols)
+    evaluators = {key: _PartialEvaluator(rules, set(), set(), set(), index_cols,
+                                         include_rows=include_rows)
                   for key, rules in rules_by_key.items()}
     p2_by_key = _partials_by_key(
         ds.map_batches(_GroupedEvaluator(by, evaluators),
@@ -353,11 +372,13 @@ def validate_grouped_wide(
     plan, evaluator = _compile_mergeable(
         suite, _UNSUPPORTED_WIDE, "validate_grouped_wide", index_cols,
         include_rows)
+    # a bucket holds only some blocks' rows: each group's partials carry
+    # the schema, and only when a table rule reads it
+    evaluator.record_schema = bool(plan.table_rules)
     parts = ds.map_batches(
         _GroupedEvaluator(by, evaluator),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    schema = _dataset_arrow_schema(ds)
 
     by_cols, single = _norm_by(by)
     key_names = _key_col_names(by_cols, single)
@@ -373,9 +394,10 @@ def validate_grouped_wide(
             if not isinstance(key, tuple):
                 key = (key,)
             key = tuple(None if _pd.isna(k) else k for k in key)
+            merged = _merge_partials([bytes(p) for p in sub["partial"]])
             svr = _finish_suite(
-                plan, suite,
-                _merge_partials([bytes(p) for p in sub["partial"]]), schema,
+                plan, suite, merged,
+                pa.schema([]) if merged["schema"] is None else merged["schema"],
                 result_format=result_format,
                 partial_unexpected_count=partial_unexpected_count,
                 include_unexpected_rows=include_rows,

@@ -60,6 +60,7 @@ class SuiteValidationState:
         """ONE streaming pass over ``ds`` -> this partition's state."""
         _, evaluator = _compile_mergeable(
             suite, _UNSUPPORTED_WIDE, "SuiteValidationState")
+        evaluator.record_schema = True
         parts = [
             r["partial"]
             for r in ds.map_batches(
@@ -67,8 +68,11 @@ class SuiteValidationState:
             ).take_all()
         ]
         merged = _merge_partials(parts)
-        return cls(suite.to_json_dict(), pickle.dumps(merged),
-                   _dataset_arrow_schema(ds))
+        # the schema the blocks record; the probe only when no batch arrived
+        schema = merged.pop("schema")
+        if schema is None:
+            schema = _dataset_arrow_schema(ds)
+        return cls(suite.to_json_dict(), pickle.dumps(merged), schema)
 
     # -- algebra -------------------------------------------------------------
     def merge(self, other: "SuiteValidationState") -> "SuiteValidationState":

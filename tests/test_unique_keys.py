@@ -9,7 +9,8 @@
 - Cramér's φ reads typed key columns; the typed add-bucket helper keeps
   equal float keys in one bucket.
 - ``validate`` runs one execution over its input for a uniqueness suite
-  and two for the benchmark-shaped suite, with no schema-drift warning.
+  and for the benchmark-shaped suite (its IQR rule is settled from the
+  phase-1 value counts), with no schema-drift warning.
 """
 
 from __future__ import annotations
@@ -376,7 +377,7 @@ def test_unique_suite_runs_one_execution(ray_session):
     assert res.results[2].success
 
 
-def test_benchmark_shaped_suite_runs_two_executions(ray_session):
+def test_benchmark_shaped_suite_runs_one_execution(ray_session):
     suite = (ExpectationSuite("b")
              .add("expect_column_values_to_be_between", column="l_quantity",
                   min_value=1, max_value=45)
@@ -395,18 +396,22 @@ def test_benchmark_shaped_suite_runs_two_executions(ray_session):
     ds = _blocks(_lineitem_like(), [900, 2000])
     with _logged() as (plans, drift):
         res = validate(ds, suite)
-    assert len(plans) == 2, plans
+    assert len(plans) == 1, plans
     assert not drift, drift
-    assert res.results[7].result["unexpected_count"] > 0  # phase 2 had work
+    assert res.results[7].result["unexpected_count"] > 0  # settled with outliers
 
 
 def test_outliers_settled_by_value_counts_skip_phase2(ray_session):
-    """Zero unexpected rows, or a BOOLEAN_ONLY result: the IQR rule is
-    finished from the exact value counts, with the re-stream's answer."""
-    tbl = pa.table({"v": pa.array([2.0, 2.0, 2.5, 3.0, None, 2.5] * 50)})
-    outlier = pa.table({"v": pa.array([1.0, 2.0, 2.0, 3.0, 40.0] * 50)})
+    """The IQR rule is finished from the exact value counts, with the
+    re-stream's answer, unless the result shows which rows are unexpected."""
+    tbl = pa.table({"v": pa.array([2.0, 2.0, 2.5, 3.0, None, 2.5] * 50),
+                    "id": pa.array(range(300))})
+    outlier = pa.table({"v": pa.array([1.0, 2.0, 2.0, 3.0, 40.0] * 50),
+                        "id": pa.array(range(250))})
+    by_id = {"result_format": "SUMMARY", "unexpected_index_column_names": ["id"]}
     for t, fmt, runs, n_bad in [(tbl, "SUMMARY", 1, 0), (outlier, "BOOLEAN_ONLY", 1, None),
-                                (outlier, "SUMMARY", 2, 50)]:
+                                (outlier, "SUMMARY", 1, 50), (tbl, by_id, 1, 0),
+                                (outlier, by_id, 2, 50)]:
         suite = ExpectationSuite("o").add(
             "expect_column_values_to_not_be_outliers", column="v", method="iqr")
         with _logged() as (plans, _):
@@ -415,3 +420,5 @@ def test_outliers_settled_by_value_counts_skip_phase2(ray_session):
         assert r.success == (t is tbl)
         if n_bad is not None:
             assert r.result["unexpected_count"] == n_bad
+        if fmt is by_id and n_bad:
+            assert len(r.result["partial_unexpected_index_list"]) == 20
