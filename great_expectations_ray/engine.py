@@ -418,9 +418,7 @@ class _PartialEvaluator:
                 state["errors"][("count", c)] = traceback.format_exc(limit=3)
         for c in self.vc_columns:
             try:
-                st = ValueCountsState()
-                st.update(tbl.column(c))
-                state["vcs"][c] = st
+                state["vcs"][c] = ValueCountsState.of(tbl.column(c))
             except Exception:
                 state["errors"][("vc", c)] = traceback.format_exc(limit=3)
         if self.hist_specs:
@@ -522,6 +520,18 @@ def _merge_partials(raw_partials: list[bytes]) -> dict:
     merged: dict[Any, Any] = {"row_count": 0, "maps": {}, "aggs": {}, "counts": {},
                               "vcs": {}, "errors": {}, "schema": None}
     aggs: dict[str, list[NumericAggState]] = {}
+    vcs: dict[str, list[ValueCountsState]] = {}
+
+    def fold_vcs(c: str) -> None:
+        """Merge column ``c``'s pending value counts into one state; a
+        type clash fails the column's value-count rules."""
+        try:
+            vcs[c] = [ValueCountsState.merge_all(vcs[c])]
+        except TypeError as exc:
+            merged["errors"].setdefault(
+                ("vc", c), f"TypeError: value counts of column {c!r}: {exc}")
+            del vcs[c]
+
     for raw in raw_partials:
         st = pickle.loads(raw)
         merged["row_count"] += st["row_count"]
@@ -538,10 +548,12 @@ def _merge_partials(raw_partials: list[bytes]) -> dict:
             t0, n0 = merged["counts"].get(c, (0, 0))
             merged["counts"][c] = (t0 + tot, n0 + nn)
         for c, vc in st["vcs"].items():
-            if c in merged["vcs"]:
-                merged["vcs"][c].merge(vc)
-            else:
-                merged["vcs"][c] = vc
+            if ("vc", c) in merged["errors"]:
+                continue
+            vcs.setdefault(c, []).append(vc)
+            # fold as the pending values pass CAP: the driver holds a few CAPs
+            if sum(len(p.values) for p in vcs[c]) > ValueCountsState.CAP:
+                fold_vcs(c)
         for idx, err in st["errors"].items():
             merged["errors"].setdefault(idx, err)
         for idx, (counts, below, above, n) in st.get("hists", {}).items():
@@ -551,6 +563,9 @@ def _merge_partials(raw_partials: list[bytes]) -> dict:
             else:
                 merged["hists"][idx] = (counts, below, above, n)
     merged.setdefault("hists", {})
+    for c in list(vcs):
+        fold_vcs(c)
+    merged["vcs"] = {c: parts[0] for c, parts in vcs.items()}
     for c, states in aggs.items():
         # partials arrive in block completion order and float moment merges
         # differ in the last bits by order: merge in an order fixed by the
@@ -773,11 +788,11 @@ def _quantile_from_value_counts(
     round-half-even(q*(n-1)).  ``lower``/``higher`` take floor/ceil — exactly
     SQL-expressible (ORDER BY ... OFFSET floor(q*(n-1))), used by oracle
     parity queries."""
-    n = vc.nonnull
-    if n == 0:
-        return [None] * len(quantiles)
     keys, cnts = vc.sorted_view()
+    if not len(keys):
+        return [None] * len(quantiles)
     cum = np.cumsum(cnts)
+    n = int(cum[-1])
     out = []
     for q in quantiles:
         x = q * (n - 1)
@@ -946,8 +961,10 @@ def _two_phase_rules(plan: _CompiledSuite, merged: dict, ds=None,
     rules, states = [], {}
     for idx, cfg in plan.two_phase_rules:
         col = cfg.kwargs["column"]
-        if ("agg", col) in merged["errors"]:
-            states[idx] = merged["errors"][("agg", col)]
+        err = next((merged["errors"][k] for k in (("agg", col), ("vc", col))
+                    if k in merged["errors"]), None)
+        if err:
+            states[idx] = err
             continue
         view = None
         try:
@@ -1206,10 +1223,9 @@ def _finish_suite(
                 vc = merged["vcs"].get(cols[0], ValueCountsState())
                 if vc.overflow:
                     raise ValueError(_overflowed(cols[0]))
-                keys, cnts = vc.sorted_view()
-                dup = cnts > 1
-                dup_count = int(cnts[dup].sum())
-                samples = keys.filter(pa.array(dup))[:MAX_RESULT_RECORDS].to_pylist()
+                dup_count, keys = _dup_stats(
+                    pa.table({"k0": vc.values, "cnt": vc.counts}), drop_null=False)
+                samples = _render_keys(keys)
             else:
                 dup_count, samples = merged["dups"].get(idx, (0, []))
             if cfg.expectation_type == "expect_column_values_to_be_unique":
@@ -1542,7 +1558,7 @@ def validate_many(
 
 def _py_key(v: Any) -> Any:
     """A Python key value with every NaN the one ``math.nan`` object, so
-    NaNs meet in sets and dicts (as ``ValueCountsState`` keys do)."""
+    NaNs meet in sets and dicts."""
     return math.nan if v != v else v
 
 
@@ -1617,17 +1633,14 @@ def _finish_vc_rule(
             success=ok, expectation_config=cfg.to_json_dict(), result=result
         )
 
-    if t == "expect_column_distinct_values_to_be_in_set":
-        observed = set(vc.counts)
-        ok = observed.issubset(_value_set(cfg))
-        return evr(ok, {"observed_value": sorted(observed, key=str)})
-    if t == "expect_column_distinct_values_to_contain_set":
-        observed = set(vc.counts)
-        ok = _value_set(cfg).issubset(observed)
-        return evr(ok, {"observed_value": sorted(observed, key=str)})
-    if t == "expect_column_distinct_values_to_equal_set":
-        observed = set(vc.counts)
-        ok = observed == _value_set(cfg)
+    if t in ("expect_column_distinct_values_to_be_in_set",
+             "expect_column_distinct_values_to_contain_set",
+             "expect_column_distinct_values_to_equal_set"):
+        observed = {_py_key(v) for v in vc.values.to_pylist()}
+        ok = {"expect_column_distinct_values_to_be_in_set": observed.issubset,
+              "expect_column_distinct_values_to_contain_set": observed.issuperset,
+              "expect_column_distinct_values_to_equal_set": observed.__eq__,
+              }[t](_value_set(cfg))
         return evr(ok, {"observed_value": sorted(observed, key=str)})
     if t == "expect_column_unique_value_count_to_be_between":
         approx = cfg.kwargs.get("approximate")
@@ -1642,24 +1655,24 @@ def _finish_vc_rule(
 
             n = int(round(approx_distinct(ds, col)))
         else:
-            n = len(vc.counts)
+            n = len(vc.values)
         ok = validate_metric_value_between(
             n, cfg.kwargs.get("min_value"), cfg.kwargs.get("max_value"),
             cfg.kwargs.get("strict_min", False), cfg.kwargs.get("strict_max", False),
         )
         return evr(ok, {"observed_value": n})
     if t == "expect_column_proportion_of_unique_values_to_be_between":
-        prop = (len(vc.counts) / nonnull) if nonnull else None
+        prop = (len(vc.values) / nonnull) if nonnull else None
         ok = validate_metric_value_between(
             prop, cfg.kwargs.get("min_value"), cfg.kwargs.get("max_value"),
             cfg.kwargs.get("strict_min", False), cfg.kwargs.get("strict_max", False),
         )
         return evr(ok, {"observed_value": prop})
     if t == "expect_column_most_common_value_to_be_in_set":
-        if not vc.counts:
+        if not len(vc.counts):
             return evr(True, {"observed_value": []})
-        top = max(vc.counts.values())
-        modes = sorted([v for v, c in vc.counts.items() if c == top], key=str)
+        top = pa.array(vc.counts == vc.counts.max())
+        modes = sorted(map(_py_key, vc.values.filter(top).to_pylist()), key=str)
         # ties -> list (column_most_common_value.py:26); success iff every
         # tied mode is in the allowed set
         ok = all(m in _value_set(cfg) for m in modes)
@@ -1695,10 +1708,10 @@ def _finish_vc_rule(
         # scipy.stats.entropy(value_counts, base) semantics: normalize the
         # counts, H = -sum p*log(p) / log(base); base default = e
         base = float(cfg.kwargs.get("base", _math.e))
-        if vc.counts:
-            n = sum(vc.counts.values())
-            clnc = sum(c * _math.log(c) for c in vc.counts.values())
-            h = (_math.log(n) - clnc / n) / _math.log(base)
+        if len(vc.counts):
+            c = vc.sorted_view()[1].astype(np.float64)
+            n = c.sum()
+            h = float((_math.log(n) - (c * np.log(c)).sum() / n) / _math.log(base))
         else:
             h = None
         ok = validate_metric_value_between(
@@ -1758,9 +1771,9 @@ def _finish_contrib_aggregate(
                 )
             })
         ok, missing = CA.continuous_from_distinct(
-            set(vc.counts), cfg.kwargs.get("datetime_format")
+            vc.values, cfg.kwargs.get("datetime_format")
         )
-        return evr(ok, {"observed_value": f"Missing values {missing[:200]}"})
+        return evr(ok, {"observed_value": f"Missing values {missing}"})
 
     if t in ("expect_day_count_to_be_close_to_equivalent_week_day_mean",
              "expect_day_sum_to_be_close_to_equivalent_week_day_mean"):
@@ -1871,11 +1884,11 @@ def _finish_entropy_distributed(
 def _median_from_vc(vc: ValueCountsState) -> Optional[float]:
     """Exact median matching pandas ``Series.median()`` (mean of the two
     middle order statistics for even n)."""
-    n = vc.nonnull
-    if n == 0:
-        return None
     keys, cnts = vc.sorted_view()
+    if not len(keys):
+        return None
     cum = np.cumsum(cnts)
+    n = int(cum[-1])
     lo = keys[int(np.searchsorted(cum, (n - 1) // 2 + 1))].as_py()
     hi = keys[int(np.searchsorted(cum, n // 2 + 1))].as_py()
     return (float(lo) + float(hi)) / 2.0
@@ -1903,8 +1916,8 @@ def _finish_dist_rule(cfg: ExpectationConfiguration, merged: dict) -> Expectatio
             "partition_object comparison is not meaningful there — provide "
             "'bins' for the continuous (histogram) form instead"
         )
-    total = vc.nonnull
-    obs_counts = dict(vc.counts)
+    total = int(vc.counts.sum())
+    obs_counts = dict(zip(map(_py_key, vc.values.to_pylist()), vc.counts.tolist()))
 
     if t == "expect_column_kl_divergence_to_be_less_than":
         values = list(po.get("values", []))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -260,94 +260,67 @@ def value_order(v: Any) -> tuple:
 
 @dataclass
 class ValueCountsState:
-    """Exact per-column value counts; backs distinct-set / most-common /
-    unique-count expectations at suite scale.
+    """Exact value counts of one column: its distinct non-null values as one
+    typed Arrow array (float keys canonical, :func:`canonical_keys`) and
+    their int64 counts.  Backs the distinct-set, most-common, unique-count,
+    median, quantile, entropy and distribution expectations.
 
-    NOTE: held as a dict partial per block. This is appropriate for
-    LOW-CARDINALITY columns (flags, categories, langs) — the reference's
-    distinct-set expectations target exactly those. High-cardinality
-    distinct counting should use the wide path (groupby) instead; the
-    engine chooses based on a cap.
+    Meant for columns of bounded cardinality (flags, categories, prices):
+    past ``CAP`` distinct values the state keeps only ``overflow``, and the
+    engine takes its distributed paths instead."""
 
-    Float keys are canonical (:func:`canonical_keys`), and a NaN key is
-    always the ``math.nan`` object, also after unpickling, so NaNs from
-    different blocks count as one value.
-    """
-
-    counts: dict = field(default_factory=dict)
-    nonnull: int = 0
+    values: pa.Array = field(default_factory=lambda: pa.nulls(0))
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     overflow: bool = False
-    has_nan: bool = False
-    #: the Arrow type of the keys (the first block with a value sets it)
-    key_type: Optional[pa.DataType] = None
-    CAP: int = 100_000
+    CAP: ClassVar[int] = 100_000
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if state.get("has_nan"):
-            self.counts = {(math.nan if k != k else k): c for k, c in self.counts.items()}
+    @classmethod
+    def of(cls, col: pa.Array | pa.ChunkedArray) -> "ValueCountsState":
+        """One block's counts: one ``value_counts``, nulls dropped."""
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        vc = pc.value_counts(canonical_keys(col))
+        vals, cnts = vc.field("values"), vc.field("counts")
+        if vals.null_count:
+            valid = pc.is_valid(vals)
+            vals, cnts = vals.filter(valid), cnts.filter(valid)
+        if len(vals) > cls.CAP:
+            return cls(overflow=True)
+        return cls(vals, cnts.to_numpy())
+
+    @classmethod
+    def merge_all(cls, parts: list["ValueCountsState"]) -> "ValueCountsState":
+        """The counts of all ``parts`` in one hash pass: their values
+        concatenated, one ``dictionary_encode`` and one ``np.bincount`` of
+        the counts.  Block types unify permissively (``int32``/``int64``,
+        ``string``/``large_string``, ``int64``/``double``); a TypeError
+        names both types when they do not."""
+        if any(p.overflow for p in parts):
+            return cls(overflow=True)
+        live = [p for p in parts if len(p.values)]
+        if len(live) < 2:
+            return live[0] if live else cls()
+        typ = live[0].values.type
+        try:
+            if any(p.values.type != typ for p in live):
+                typ = pa.unify_schemas([pa.schema([("v", p.values.type)]) for p in live],
+                                       promote_options="permissive").field("v").type
+            values = pa.concat_arrays([p.values if p.values.type == typ
+                                       else p.values.cast(typ) for p in live])
+        except (pa.ArrowTypeError, pa.ArrowInvalid):
+            names = sorted({str(p.values.type) for p in live})
+            raise TypeError(f"value types {' and '.join(names)} do not unify exactly") from None
+        enc = pc.dictionary_encode(values)
+        if len(enc.dictionary) > cls.CAP:
+            return cls(overflow=True)
+        counts = np.bincount(enc.indices.to_numpy(),
+                             weights=np.concatenate([p.counts for p in live]),
+                             minlength=len(enc.dictionary))
+        return cls(enc.dictionary, counts.astype(np.int64))
 
     def sorted_view(self) -> tuple[pa.Array, np.ndarray]:
-        """The distinct values as one typed Arrow array in value order (NaN
-        after numbers, as :func:`value_order`) and their counts, from one
-        stable ``sort_indices``.  Keys whose recorded type does not hold
-        them all (blocks of different types) are typed by inference."""
-        keys = list(self.counts)
-        try:
-            arr = pa.array(keys, type=self.key_type)
-        except (pa.ArrowInvalid, pa.ArrowTypeError, TypeError, OverflowError):
-            arr = pa.array(keys)
-        cnts = np.fromiter(self.counts.values(), dtype=np.int64, count=len(keys))
-        order = pc.sort_indices(arr)
-        return arr.take(order), cnts[np.asarray(order)]
+        """The distinct values in value order (NaN after numbers, as
+        :func:`value_order`) and their counts, from one ``sort_indices``."""
+        order = pc.sort_indices(self.values)
+        return self.values.take(order), self.counts[np.asarray(order)]
 
-    def update(self, col: pa.ChunkedArray) -> None:
-        vc = pc.value_counts(canonical_keys(col.combine_chunks()))
-        vals, cnts = vc.field("values"), vc.field("counts")
-        mask = pc.is_valid(vals)
-        vals, cnts = vals.filter(mask), cnts.filter(mask)
-        self.nonnull += int(pc.sum(pc.cast(cnts, pa.int64())).as_py() or 0)
-        if self.key_type is None and len(vals):
-            self.key_type = vals.type
-        if self.overflow:
-            return  # counts are unused once overflowed — engine reroutes to
-            # the distributed groupby path; don't pay the dict work
-        if len(vals) > self.CAP:
-            self.overflow = True
-            self.counts.clear()  # drop partial keys: no partial-pickle cost
-            return
-        # one C-level conversion, then dict updates (no per-item as_py)
-        keys = vals.to_pylist()
-        if pa.types.is_floating(vals.type):
-            for i in np.flatnonzero(np.asarray(pc.is_nan(vals))):
-                keys[i] = math.nan
-                self.has_nan = True
-        for v, c in zip(keys, cnts.to_pylist()):
-            if v in self.counts:
-                self.counts[v] += c
-            elif len(self.counts) < self.CAP:
-                self.counts[v] = c
-            else:
-                self.overflow = True
-        if self.overflow:
-            self.counts.clear()
-
-    def merge(self, o: "ValueCountsState") -> "ValueCountsState":
-        self.nonnull += o.nonnull
-        self.overflow |= o.overflow
-        self.has_nan |= o.has_nan
-        if self.key_type is None:
-            self.key_type = o.key_type
-        if self.overflow:
-            self.counts.clear()
-            return
-        for v, c in o.counts.items():
-            if v in self.counts:
-                self.counts[v] += c
-            elif len(self.counts) < self.CAP:
-                self.counts[v] = c
-            else:
-                self.overflow = True
-        if self.overflow:
-            self.counts.clear()
-        return self

@@ -138,6 +138,15 @@ def grouped_apply_bucketed(
     )
 
 
+def sum_by_key(t: pa.Table, key_cols: list[str], cnt_col: str) -> pa.Table:
+    """``(key..., cnt)`` rows summed per distinct key with Arrow's
+    ``group_by``, which compares strings by all their bytes (pandas
+    ``groupby`` over object strings stops at the first NUL)."""
+    g = t.group_by(key_cols).aggregate([(cnt_col, "sum")])
+    return pa.table([g.column(k) for k in key_cols] + [g.column(f"{cnt_col}_sum")],
+                    names=[*key_cols, cnt_col])
+
+
 def _empty_counts(key_cols: list[str], cnt_col: str) -> pa.Table:
     return pa.table({c: pa.array([], pa.int64()) for c in [*key_cols, cnt_col]})
 
@@ -168,27 +177,12 @@ def merge_count_partials(
     import ray
 
     mat = partials_ds.materialize()
-    if mat.count() <= max_driver_rows:
-        blocks = [ray.get(r) for r in mat.to_arrow_refs()]
-        blocks = [b for b in blocks if b.num_rows]
-        if not blocks:
-            return _empty_counts(key_cols, cnt_col)
-        t = pa.concat_tables(blocks, promote_options="default")
-    else:
-        import pandas as _pd
-
-        def merge(g: _pd.DataFrame) -> _pd.DataFrame:
-            return (g.groupby(key_cols, sort=False)[cnt_col].sum()
-                    .reset_index())
-
-        merged = grouped_apply_bucketed(mat, key_cols, merge,
-                                        n_buckets=n_buckets).materialize()
-        blocks = [ray.get(r) for r in merged.to_arrow_refs()]
-        blocks = [b for b in blocks if b.num_rows]
-        if not blocks:
-            return _empty_counts(key_cols, cnt_col)
-        t = pa.concat_tables(blocks, promote_options="default")
-        t = t.select(key_cols + [cnt_col])
-    g = t.group_by(key_cols).aggregate([(cnt_col, "sum")])
-    g = g.rename_columns(key_cols + [cnt_col])
-    return g
+    if mat.count() > max_driver_rows:
+        mat = grouped_apply_bucketed(
+            mat, key_cols, lambda b: sum_by_key(b, key_cols, cnt_col),
+            n_buckets=n_buckets, batch_format="pyarrow").materialize()
+    blocks = [b for b in (ray.get(r) for r in mat.to_arrow_refs()) if b.num_rows]
+    if not blocks:
+        return _empty_counts(key_cols, cnt_col)
+    return sum_by_key(pa.concat_tables(blocks, promote_options="default"),
+                      key_cols, cnt_col)

@@ -47,12 +47,12 @@ def percentile_linear_from_vc(vc, qs: list, view=None) -> list:
     in ``qs``, from exact merged value counts: one sorted view
     (``vc.sorted_view()``, or ``view`` when the caller holds it) and one
     cumulative-count array serve all of them (NaN sorts after numbers)."""
-    n = vc.nonnull
-    if n == 0:
-        return [None] * len(qs)
     keys, cnts = vc.sorted_view() if view is None else view
+    if not len(keys):
+        return [None] * len(qs)
     vals = _as_floats(keys)
     cum = np.cumsum(cnts)
+    n = int(cum[-1])
     x = np.asarray(qs, dtype=np.float64) * (n - 1)
     lo_t, hi_t = np.floor(x), np.ceil(x)
     v_lo = vals[np.searchsorted(cum, lo_t + 1)]
@@ -104,40 +104,35 @@ def percentile_linear_distributed(ds, column: str, q: float, n: int):
 # --------------------------------------------------------------------------- #
 
 
-def continuous_from_distinct(observed: set, datetime_format: str | None):
-    """(success, missing_sorted) for the continuous-distinct contract.
-    Integers: expected = [min..max]; dates (``datetime_format`` given or
-    date/datetime values): expected = every day between min and max
-    (expect_column_distinct_values_to_be_continuous.py:232-253)."""
-    if not observed:
-        return True, []
-    sample = next(iter(observed))
-    if datetime_format is not None and isinstance(sample, str):
-        observed = {
-            datetime.strptime(x, datetime_format).strftime("%Y-%m-%d")
-            for x in observed
-        }
-        as_dates = sorted(datetime.strptime(x, "%Y-%m-%d") for x in observed)
-        expected = {
-            (as_dates[0] + timedelta(days=i)).strftime("%Y-%m-%d")
-            for i in range((as_dates[-1] - as_dates[0]).days + 1)
-        }
-    elif isinstance(sample, (datetime, date)):
-        def _d(x):
-            return x.date() if isinstance(x, datetime) else x
+def continuous_from_distinct(values: pa.Array, datetime_format: str | None):
+    """(success, the first 200 missing values in order) for the
+    continuous-distinct contract over a column's distinct values.
+    Integers: expected = [min..max]; dates (``datetime_format`` given for
+    strings, or a date/timestamp column): expected = every day between min
+    and max (expect_column_distinct_values_to_be_continuous.py:232-253)."""
+    t = values.type
+    if datetime_format is not None and (pa.types.is_string(t) or pa.types.is_large_string(t)):
+        ords = [datetime.strptime(x, datetime_format).toordinal()
+                for x in values.to_pylist()]
 
-        days = sorted(_d(x) for x in observed)
-        observed = set(days)
-        expected = {
-            days[0] + timedelta(days=i)
-            for i in range((days[-1] - days[0]).days + 1)
-        }
+        def render(o: int) -> str:
+            return date.fromordinal(o).strftime("%Y-%m-%d")
+    elif pa.types.is_date(t) or pa.types.is_timestamp(t):
+        ords = [x.toordinal() for x in values.to_pylist()]  # a datetime's own day
+        render = date.fromordinal
     else:
-        ints = sorted(int(x) for x in observed)
-        observed = set(ints)
-        expected = set(range(ints[0], ints[-1] + 1))
-    missing = sorted(expected - observed)
-    return expected == observed, missing
+        ords = pc.cast(values, pa.int64()).to_numpy(zero_copy_only=False)
+        render = int
+    ords = np.unique(np.asarray(ords, dtype=np.int64))
+    missing: list = []
+    limit = 200
+    for i in np.flatnonzero(np.diff(ords) > 1):
+        if len(missing) >= limit:
+            break
+        missing.extend(range(int(ords[i]) + 1,
+                             min(int(ords[i + 1]), int(ords[i]) + 1 + limit - len(missing))))
+    ok = not len(ords) or int(ords[-1]) - int(ords[0]) + 1 == len(ords)
+    return ok, [render(o) for o in missing]
 
 
 # --------------------------------------------------------------------------- #
@@ -239,20 +234,19 @@ def _first_digit_of_strings(s: pa.Array) -> pa.Array:
 
 
 def benford_digit_counts_from_vc(vc) -> tuple[np.ndarray, float]:
-    """(counts[9], total_nonnull) from merged value counts (exact path)."""
-    counts = np.zeros(9, dtype=np.float64)
-    total = float(vc.nonnull)
-    if vc.counts:
-        keys = pa.array([str(abs(k)) if isinstance(k, (int, float)) else str(k)
-                         for k in vc.counts])
-        digits = _first_digit_of_strings(keys)
-        weights = np.fromiter(vc.counts.values(), dtype=np.float64,
-                              count=len(vc.counts))
-        dig = digits.to_pylist()
-        for d, w in zip(dig, weights):
-            if d is not None:
-                counts[int(d) - 1] += w
-    return counts, total
+    """(counts[9], total_nonnull) from merged value counts (exact path):
+    each distinct value's first digit (of ``str(abs(v))`` for numbers),
+    weighted by its count in one ``np.bincount``."""
+    keys = vc.values
+    if pa.types.is_boolean(keys.type):
+        keys = pc.cast(keys, pa.int8())
+    if pa.types.is_integer(keys.type) or pa.types.is_floating(keys.type):
+        keys = pc.abs(keys)
+    digits = pc.cast(_first_digit_of_strings(pc.cast(keys, pa.string())), pa.int64())
+    hit = pc.is_valid(digits)
+    counts = np.bincount(np.asarray(digits.filter(hit)) - 1,
+                         weights=vc.counts[np.asarray(hit)], minlength=9)
+    return counts.astype(np.float64), float(vc.counts.sum())
 
 
 def benford_digit_counts_distributed(ds, column: str) -> tuple[np.ndarray, float]:
@@ -491,10 +485,8 @@ def wasserstein_1d(u_values, v_values, u_weights=None, v_weights=None) -> float:
 
 
 def wasserstein_from_vc(vc, v_values, v_weights=None) -> float:
-    items = sorted((float(k), float(c)) for k, c in vc.counts.items())
-    u = np.array([k for k, _ in items])
-    uw = np.array([c for _, c in items])
-    return wasserstein_1d(u, v_values, uw, v_weights)
+    keys, cnts = vc.sorted_view()
+    return wasserstein_1d(_as_floats(keys), v_values, cnts, v_weights)
 
 
 def wasserstein_binned(ds, column: str, v_values, v_weights=None,

@@ -40,8 +40,9 @@ from great_expectations_ray.pipelines.grouped import (
     _compile_mergeable,
 )
 
-#: 2: temporal min/max in NumericAggState hold exact int64 epochs
-_STATE_VERSION = 2
+#: 2: temporal min/max in NumericAggState hold exact int64 epochs;
+#: 3: value counts are typed Arrow ``(values, counts)`` arrays, not a dict
+_STATE_VERSION = 3
 
 
 class SuiteValidationState:

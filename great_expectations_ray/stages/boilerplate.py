@@ -80,20 +80,21 @@ def frequent_lines(ds, *, content_col: str = "content", min_docs: int,
     high cardinality (~50x measured at 10M distinct keys).  The min_docs
     filter applies inside the bucket merge, so infrequent lines never leave
     the exchange stage."""
-    import pandas as _pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import (
+        grouped_apply_bucketed,
+        sum_by_key,
+    )
 
     partials = ds.map_batches(
         _LineDocFreq(content_col), batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def merge(g: _pd.DataFrame) -> _pd.DataFrame:
-        tot = g.groupby("line", sort=False)["df"].sum().reset_index()
-        return tot[tot["df"] >= min_docs]
+    def merge(t: pa.Table) -> pa.Table:
+        tot = sum_by_key(t, ["line"], "df")
+        return tot.filter(pc.greater_equal(tot.column("df"), min_docs))
 
     return grouped_apply_bucketed(partials, ["line"], merge,
-                                  n_buckets=n_buckets)
+                                  n_buckets=n_buckets, batch_format="pyarrow")
 
 
 class _BoilerplateRewriter:
@@ -205,9 +206,10 @@ class _PositionRewriter:
 
 
 def _remove_boilerplate_joined(
-    ds, *, content_col: str, min_docs: int, id_col: str, n_buckets: int = 64
+    ds, freq, *, content_col: str, id_col: str, n_buckets: int = 64
 ):
-    """Over-cap fallback: no broadcast — the frequent set stays distributed.
+    """Over-cap fallback: no broadcast — the frequent set ``freq`` (the
+    materialized :func:`frequent_lines`) stays distributed.
 
     explode(id, pos, line) ⋈ frequent(line)  [bucketed on line]
       → (id, pos) dropped occurrences
@@ -217,7 +219,6 @@ def _remove_boilerplate_joined(
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
     from great_expectations_ray.functions.joins import hash_bucket_join
 
-    freq = frequent_lines(ds, content_col=content_col, min_docs=min_docs)
     exploded = ds.select_columns([id_col, content_col]).map_batches(
         _ExplodeLines(id_col, content_col),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -260,7 +261,9 @@ def remove_boilerplate(
     unique row key, the rewrite switches to the bucketed-join path (module
     docstring) instead of broadcasting; with no ``id_col`` it still fails
     loudly."""
-    freq = frequent_lines(ds, content_col=content_col, min_docs=min_docs)
+    # materialized: the size check and the joined fallback share one exchange
+    freq = frequent_lines(ds, content_col=content_col,
+                          min_docs=min_docs).materialize()
     head = freq.take(max_set_size + 1)
     if len(head) > max_set_size:
         if id_col is None:
@@ -270,7 +273,7 @@ def remove_boilerplate(
                 "fallback"
             )
         return _remove_boilerplate_joined(
-            ds, content_col=content_col, min_docs=min_docs, id_col=id_col
+            ds, freq, content_col=content_col, id_col=id_col
         )
     drop = pa.array([r["line"] for r in head], pa.large_string())
     ref = ray.put(drop)

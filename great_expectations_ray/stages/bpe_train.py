@@ -64,7 +64,10 @@ def distributed_word_counts(
     compute exact integer global sums, and a word in the global top-K is by
     definition in its bucket's top-K (at most K words beat it anywhere), so
     the per-bucket cut never drops a survivor of the callers' final cut."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import (
+        grouped_apply_bucketed,
+        sum_by_key,
+    )
 
     def word_counts(tbl: pa.Table) -> pa.Table:
         text = pc.fill_null(tbl.column(text_col).combine_chunks(), "")
@@ -78,12 +81,11 @@ def distributed_word_counts(
             "cnt": pc.cast(vc.field("counts"), pa.int64()),
         })
 
-    def sum_and_cut(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("word", sort=False)["cnt"].sum().reset_index()
+    def sum_and_cut(t: pa.Table) -> pa.Table:
+        tot = sum_by_key(t, ["word"], "cnt")
         # exact global top-K needs each bucket's own top-K; deterministic cut
-        tot = tot.sort_values(["cnt", "word"], ascending=[False, True],
-                              kind="mergesort")
-        return tot.head(max_words)
+        return tot.sort_by([("cnt", "descending"), ("word", "ascending")]
+                           ).slice(0, max_words)
 
     wc = ds.select_columns([text_col]).map_batches(
         word_counts, batch_format="pyarrow", zero_copy_batch=True
@@ -97,15 +99,10 @@ def distributed_word_counts(
                   if b.num_rows]
         if not blocks:
             return mat
-        t = pa.concat_tables(blocks, promote_options="default")
-        g = t.group_by(["word"]).aggregate([("cnt", "sum")])
-        g = g.rename_columns(["word", "cnt"])
-        df = g.to_pandas().sort_values(
-            ["cnt", "word"], ascending=[False, True], kind="mergesort"
-        ).head(max_words)
-        return rd.from_pandas(df.reset_index(drop=True))
+        return rd.from_arrow(sum_and_cut(
+            pa.concat_tables(blocks, promote_options="default")))
     return grouped_apply_bucketed(mat, ["word"], sum_and_cut,
-                                  n_buckets=n_buckets)
+                                  n_buckets=n_buckets, batch_format="pyarrow")
 
 
 def _merge_loop(

@@ -38,6 +38,21 @@ def composite_key_column(tbl: pa.Table, columns: list[str]) -> pa.Array:
     )
 
 
+def _dedup_key_column(tbl: pa.Table, columns: list[str]) -> pa.Array:
+    """One exact key per row: :func:`composite_key_column` for one column;
+    for several, each part length-prefixed (``"3:abc"``) or ``"~"`` for a
+    null, so distinct tuples never share a key (a separator join maps
+    ``("a\x1fb", "c")`` and ``("a", "b\x1fc")`` to one)."""
+    if len(columns) == 1:
+        return composite_key_column(tbl, columns)
+    parts = []
+    for c in columns:
+        s = pc.cast(tbl.column(c).combine_chunks(), pa.string())
+        parts.append(pc.fill_null(pc.binary_join_element_wise(
+            pc.cast(pc.binary_length(s), pa.string()), s, ":"), "~"))
+    return pc.binary_join_element_wise(*parts, "")
+
+
 def dedup_exact(ds, key_columns: list[str], order_by: str, n_buckets: int = 256):
     """Keep exactly one row per key: the row with the MINIMUM ``order_by``
     value (deterministic keep-first).  One shuffle, bucketed: per-key work is
@@ -55,7 +70,7 @@ def dedup_exact(ds, key_columns: list[str], order_by: str, n_buckets: int = 256)
     from great_expectations_ray.stages.skew import local_keep_first
 
     def add_key_and_prereduce(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.append_column("__dedup_key", composite_key_column(tbl, key_columns))
+        tbl = tbl.append_column("__dedup_key", _dedup_key_column(tbl, key_columns))
         return local_keep_first(tbl, "__dedup_key", order_by)
 
     def keep_first_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -79,7 +94,7 @@ def mark_exact_duplicates(ds, key_columns: list[str], order_by: str, n_buckets: 
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
     def add_key(tbl: pa.Table) -> pa.Table:
-        return tbl.append_column("__dedup_key", composite_key_column(tbl, key_columns))
+        return tbl.append_column("__dedup_key", _dedup_key_column(tbl, key_columns))
 
     def mark_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["__dedup_key", order_by], kind="mergesort")
@@ -175,7 +190,7 @@ def dedup_keep_best(
 
     def add_key_and_prereduce(tbl: pa.Table) -> pa.Table:
         tbl = tbl.append_column(
-            "__dedup_key", composite_key_column(tbl, key_columns))
+            "__dedup_key", _dedup_key_column(tbl, key_columns))
         return pa.Table.from_pandas(best_of(tbl.to_pandas()),
                                     preserve_index=False)
 

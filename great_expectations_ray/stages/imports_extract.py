@@ -113,17 +113,15 @@ def import_counts(ds, *, content_col: str = "content",
     Module-name cardinality is corpus-scale (every distinct import in a code
     corpus), so the partial-sum merge runs on the bucketed substrate instead
     of Ray's per-group reduce (``functions/bucketed.py`` rationale)."""
-    import pandas as _pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import (
+        grouped_apply_bucketed,
+        sum_by_key,
+    )
 
     partials = ds.map_batches(
         ImportCounter(content_col, patterns),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-
-    def merge(g: _pd.DataFrame) -> _pd.DataFrame:
-        return g.groupby("module", sort=False)["cnt"].sum().reset_index()
-
-    return grouped_apply_bucketed(partials, ["module"], merge,
-                                  n_buckets=n_buckets)
+    return grouped_apply_bucketed(partials, ["module"],
+                                  lambda t: sum_by_key(t, ["module"], "cnt"),
+                                  n_buckets=n_buckets, batch_format="pyarrow")

@@ -6,17 +6,17 @@ quality signals over 100-TB corpora.
 Scalable shape (ONE narrow exchange, then a broadcast and a stateless pass):
 
 - **Pass A (document frequencies)**: per batch, tokens explode off the Arrow
-  list offsets and a vectorized pandas ``drop_duplicates`` emits each
-  (doc, term) once; partial term counts pre-aggregate map-side, then ONE
-  bucketed exchange (``functions/bucketed.py``) sums them — the exchange
-  carries ≤ |batch vocab| rows per batch, never token volume.
+  list offsets and an Arrow ``group_by`` emits each (doc, term) once;
+  partial term counts pre-aggregate map-side, then ONE bucketed exchange
+  (``functions/bucketed.py``) sums them — the exchange carries ≤ |batch
+  vocab| rows per batch, never token volume.
 - **Broadcast**: the (term → df) table — optionally capped by ``min_df`` /
   ``max_vocab`` — rides the pass-B function by value, the standard small-side
   pattern (at web scale the full open vocab
   doesn't broadcast: cap it, or swap pass B's map for a bucketed term join).
 - **Pass B (TF + top-k)**: documents never split across rows, so term
-  frequencies and the per-doc top-k are BATCH-LOCAL — a vectorized pandas
-  groupby + sort per batch, zero shuffle.
+  frequencies and the per-doc top-k are BATCH-LOCAL — an Arrow ``group_by``
+  and a pandas sort per batch, zero shuffle.
 
 Scoring: ``tfidf = tf * (ln((1+N)/(1+df)) + 1)`` (sklearn's smooth idf).
 Top-k selection ranks by the monotone surrogate ``tf*(N+1)/(1+df)`` — an
@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _explode_terms(tbl: pa.Table, text_col: str, id_col: str, sep: str) -> pd.DataFrame:
+def _explode_terms(tbl: pa.Table, text_col: str, id_col: str, sep: str) -> pa.Table:
     """(id, term) pairs for every non-empty token — vectorized split off the
     Arrow buffers, ids repeated via the list offsets."""
     ids = tbl.column(id_col).combine_chunks()
@@ -46,9 +46,7 @@ def _explode_terms(tbl: pa.Table, text_col: str, id_col: str, sep: str) -> pd.Da
     counts = np.diff(offs - offs[0])
     ids_rep = ids.take(pa.array(np.repeat(np.arange(len(ids)), counts)))
     keep = pc.greater(pc.utf8_length(flat), 0)
-    return pd.DataFrame(
-        {id_col: ids_rep.filter(keep).to_pandas(), "term": flat.filter(keep).to_pandas()}
-    )
+    return pa.table({id_col: ids_rep.filter(keep), "term": flat.filter(keep)})
 
 
 def document_frequencies(
@@ -59,22 +57,25 @@ def document_frequencies(
     sep: str = " ",
     n_buckets: int = 64,
 ):
-    """Dataset of (term, df) — number of documents containing each term."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    """Dataset of (term, df) — number of documents containing each term.
+    Terms group in Arrow, by all their bytes (pandas ``groupby`` over
+    object strings stops at the first NUL)."""
+    from great_expectations_ray.functions.bucketed import (
+        grouped_apply_bucketed,
+        sum_by_key,
+    )
 
     def partial_df(tbl: pa.Table) -> pa.Table:
         pairs = _explode_terms(tbl, text_col, id_col, sep)
-        cnt = pairs.drop_duplicates().groupby("term", sort=False).size()
-        return pa.table(
-            {"term": pa.array(cnt.index, pa.string()),
-             "df": pa.array(cnt.to_numpy(), pa.int64())}
-        )
-
-    def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("term", sort=False, as_index=False)["df"].sum()
+        g = (pairs.group_by([id_col, "term"]).aggregate([])
+             .group_by("term").aggregate([([], "count_all")]))
+        return pa.table({"term": pc.cast(g.column("term"), pa.string()),
+                         "df": g.column("count_all")})
 
     partials = ds.map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
-    return grouped_apply_bucketed(partials, ["term"], sum_bucket, n_buckets=n_buckets)
+    return grouped_apply_bucketed(partials, ["term"],
+                                  lambda t: sum_by_key(t, ["term"], "df"),
+                                  n_buckets=n_buckets, batch_format="pyarrow")
 
 
 def tfidf_topk(
@@ -102,13 +103,10 @@ def tfidf_topk(
     df_map = df_tbl.set_index("term")["df"]
 
     def top_k(tbl: pa.Table) -> pd.DataFrame:
-        pairs = _explode_terms(tbl, text_col, id_col, sep)
-        tf = (
-            pairs.groupby([id_col, "term"], sort=False)
-            .size()
-            .rename("tf")
-            .reset_index()
-        )
+        g = (_explode_terms(tbl, text_col, id_col, sep)
+             .group_by([id_col, "term"]).aggregate([([], "count_all")]))
+        tf = pa.table({id_col: g.column(id_col), "term": g.column("term"),
+                       "tf": g.column("count_all")}).to_pandas()
         tf["df"] = tf["term"].map(df_map)
         tf = tf.dropna(subset=["df"])
         tf["df"] = tf["df"].astype(np.int64)

@@ -110,3 +110,16 @@ def test_null_docs_do_not_inflate_empty_line_df(ray_session):
     assert freq == []
     out = {r["doc_id"]: r for r in remove_boilerplate(ds, min_docs=2).take_all()}
     assert out[2]["content"] == "a\n\nb" and out[2]["n_dropped"] == 0
+
+
+def test_joined_fallback_runs_the_frequent_lines_exchange_once(ray_session):
+    """The over-cap path reuses the frequent-line set the size check built:
+    one logged execution reads the lines' document frequencies."""
+    from tests.test_unique_keys import _logged
+
+    ds = _corpus().repartition(2)
+    with _logged() as (plans, _):
+        out = remove_boilerplate(ds, min_docs=3, max_set_size=1,
+                                 id_col="doc_id").take_all()
+    assert {r["doc_id"]: r["n_dropped"] for r in out} == {0: 2, 1: 1, 2: 1, 3: 2}
+    assert sum("_LineDocFreq" in p for p in plans) == 1, plans

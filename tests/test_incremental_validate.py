@@ -162,3 +162,20 @@ def test_state_keeps_exact_temporal_extremes(ray_session):
     old["version"] = 1
     with pytest.raises(ValueError, match="unsupported state version"):
         SuiteValidationState.from_bytes(pickle.dumps(old))
+
+
+def test_state_from_the_dict_value_count_layout_is_refused(ray_session):
+    """Version 3 holds value counts as typed Arrow ``(values, counts)``
+    arrays; a version-2 blob (dict value counts) is refused by version."""
+    import pickle
+
+    suite = ExpectationSuite("vc").add(
+        "expect_column_distinct_values_to_be_in_set", column="a",
+        value_set=[1, 2, 3])
+    state = SuiteValidationState.compute(
+        rd.from_pandas(pd.DataFrame({"a": [1, 2, 2, 3]})), suite)
+    assert SuiteValidationState.from_bytes(state.to_bytes()).finish().success
+    old = pickle.loads(state.to_bytes())
+    old["version"] = 2
+    with pytest.raises(ValueError, match="unsupported state version 2"):
+        SuiteValidationState.from_bytes(pickle.dumps(old))
