@@ -35,6 +35,7 @@ a bucketed exchange per family.
 
 from __future__ import annotations
 
+import functools
 import math
 import pickle
 import traceback
@@ -66,6 +67,7 @@ from great_expectations_ray.functions.aggregates import (
     validate_metric_value_between,
     value_order,
 )
+from great_expectations_ray.functions.bucketed import group_aggregate
 from great_expectations_ray.functions.column_map import CONDITION_KERNELS, KernelResult
 from great_expectations_ray.functions.table import TABLE_RULES
 
@@ -440,8 +442,8 @@ class _PartialEvaluator:
             try:
                 keys = pa.table([canonical_keys(tbl.column(c).combine_chunks()) for c in cols],
                                 names=[f"k{j}" for j in range(len(cols))])
-                key_counts[i] = keys.group_by(keys.column_names).aggregate(
-                    [([], "count_all")])
+                key_counts[i] = group_aggregate(keys, keys.column_names,
+                                                [([], "count_all")])
             except Exception:
                 state["errors"][("keys", cols)] = traceback.format_exc(limit=3)
         partial = pa.array([pickle.dumps(state)], type=pa.large_binary())
@@ -615,7 +617,7 @@ def _key_rows(tbl: pa.Table, kset: int, width: int) -> pa.Table:
 def _key_counts(rows: pa.Table, width: int) -> pa.Table:
     """``(k0.., cnt)`` rows merged to one row per distinct key."""
     keys = [f"k{j}" for j in range(width)]
-    g = rows.group_by(keys).aggregate([("cnt", "sum")])
+    g = group_aggregate(rows, keys, [("cnt", "sum")])
     return pa.table([g.column(k) for k in keys] + [g.column("cnt_sum")],
                     names=keys + ["cnt"])
 
@@ -668,13 +670,6 @@ def _finish_phase1_task(widths: list[int], dup_specs: list, *blocks: pa.Table):
     return partials, dups
 
 
-def _exchange_rows(tbl: pa.Table, kset: int, width: int, n_buckets: int) -> pa.Table:
-    from great_expectations_ray.functions.bucketed import add_bucket
-
-    return add_bucket(_key_rows(tbl, kset, width), [f"k{j}" for j in range(width)],
-                      n_buckets)
-
-
 def _exchange_reduce(t: pa.Table, width: int, specs: list) -> pa.Table:
     """One bucket: its merged key counts -> pickled ``{rule idx: (dup
     count, smallest dup keys)}``."""
@@ -693,6 +688,8 @@ def _phase1_exchange(mat, widths: list[int], dup_specs: list,
     one task: the partial rows are collected, and each key set's rows take
     one bucketed exchange whose reduce merges the counts and returns the
     per-bucket dup count and smallest keys.  Reads ``mat`` only."""
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+
     partials = [r["partial"] for r in
                 mat.map_batches(_partial_rows, batch_format="pyarrow").take_all()]
     dups = {}
@@ -701,12 +698,11 @@ def _phase1_exchange(mat, widths: list[int], dup_specs: list,
         if not specs:
             continue
         per_bucket = [
-            pickle.loads(r["stats"]) for r in
-            mat.map_batches(_exchange_rows, fn_args=(kset, width, n_buckets),
-                            batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(_exchange_reduce, fn_args=(width, specs), batch_format="pyarrow")
-            .take_all()]
+            pickle.loads(r["stats"]) for r in grouped_apply_bucketed(
+                mat.map_batches(_key_rows, fn_args=(kset, width), batch_format="pyarrow"),
+                [f"k{j}" for j in range(width)],
+                functools.partial(_exchange_reduce, width=width, specs=specs),
+                n_buckets=n_buckets).take_all()]
         for idx, _ in specs:
             stats = [b[idx] for b in per_bucket]
             samples = [t for _, t in stats if t.num_rows]
@@ -739,7 +735,8 @@ def _phase1(ds, evaluator: _PartialEvaluator, dup_specs: list) -> tuple[list, di
 def _grouped_value_counts(ds, columns: list[str], n_buckets: int = 256):
     """Exact value counts of a (composite) key via map-side pre-aggregation:
     per-batch ``Table.group_by`` -> tiny typed ``(k0.., cnt)`` rows -> ONE
-    ``groupby(__bucket)`` exchange -> vectorized in-bucket combine.  Returns
+    bucketed exchange (``grouped_apply_bucketed``) -> vectorized in-bucket
+    combine.  Returns
     ``Dataset[k0.., cnt]``, ``k{j}`` holding ``columns[j]``'s values: the
     positional names cannot collide with a key column's own name.
 
@@ -752,7 +749,7 @@ def _grouped_value_counts(ds, columns: list[str], n_buckets: int = 256):
     C-speed regardless of key cardinality.  Keys keep their column types,
     floats canonical (``-0.0`` -> ``0.0``, one NaN); a single column drops
     its nulls, a composite key counts them as values."""
-    from great_expectations_ray.functions.bucketed import add_bucket
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
     width = len(columns)
     names = [f"k{j}" for j in range(width)]
@@ -762,17 +759,14 @@ def _grouped_value_counts(ds, columns: list[str], n_buckets: int = 256):
                         names=names)
         if width == 1:
             keys = keys.filter(pc.is_valid(keys.column(0)))
-        g = keys.group_by(names).aggregate([([], "count_all")])
-        out = pa.table([g.column(k) for k in names] + [g.column("count_all")],
-                       names=[*names, "cnt"])
-        return add_bucket(out, names, n_buckets)
+        g = group_aggregate(keys, names, [([], "count_all")])
+        return pa.table([g.column(k) for k in names] + [g.column("count_all")],
+                        names=[*names, "cnt"])
 
-    return (
+    return grouped_apply_bucketed(
         ds.select_columns(list(columns))
-        .map_batches(vc_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(_key_counts, fn_args=(width,), batch_format="pyarrow")
-    )
+        .map_batches(vc_batch, batch_format="pyarrow", zero_copy_batch=True),
+        names, functools.partial(_key_counts, width=width), n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------- #
@@ -2137,10 +2131,8 @@ def _finish_cramers_distributed(
                          "rows": [int(np.asarray(g.column("rows")).sum())],
                          "cols": [n_b]})
 
-    weighted = grouped_apply_bucketed(vc_ds, ["k0"], row_pass, n_buckets=64,
-                                      batch_format="pyarrow")
-    parts = grouped_apply_bucketed(weighted, ["k1"], col_pass, n_buckets=64,
-                                   batch_format="pyarrow").take_all()
+    weighted = grouped_apply_bucketed(vc_ds, ["k0"], row_pass, n_buckets=64)
+    parts = grouped_apply_bucketed(weighted, ["k1"], col_pass, n_buckets=64).take_all()
     n = sum(r["n"] for r in parts)
     s = sum(r["s"] for r in parts)
     n_rows = sum(r["rows"] for r in parts)

@@ -3,10 +3,13 @@ same key and ``right.ts <= left.ts`` (backward direction; ``forward`` gives
 the earliest right row with ``right.ts >= left.ts``).
 
 One of the canonical operators Ray Data lacks (the reference has no joins at
-all — SURVEY §2.6).  Scale shape: tag both sides, union, ONE bucketed
-``groupby(hash(key))`` exchange (equal keys always co-locate), then a
-vectorized ``pd.merge_asof`` per bucket — C-speed merge over the bucket's
-sorted frames, never an all-pairs product.
+all — SURVEY §2.6).  Scale shape: ONE two-sided bucketed exchange on the
+``by`` key (``bucketed.two_sided_exchange``: equal keys always co-locate,
+rows stay typed), then a vectorized ``pd.merge_asof`` per bucket over exact
+integer group codes of ``by`` (never object strings) and row positions —
+C-speed merge over the bucket's sorted frames, never an all-pairs product.
+The payload columns are taken from the typed Arrow sides by the matched
+positions, so they keep their types.
 
 Partitioning assumption (documented per the build brief): a bucket must
 hold every row of each key it owns — guaranteed by hashing the key, NOT
@@ -23,16 +26,17 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+from great_expectations_ray.functions.bucketed import group_codes, two_sided_exchange
 
 
-def _arrow_types(ds, cols: list[str]) -> dict:
-    base = ds.schema().base_schema
-    if isinstance(base, pa.Schema):
-        return {c: base.field(c).type for c in cols}
-    probe = pa.Table.from_pandas(ds.limit(1).to_pandas(), preserve_index=False)
-    return {c: probe.schema.field(c).type for c in cols}
+def _usable(t: pa.Table, cols: list[str]) -> np.ndarray:
+    """Rows whose ``cols`` are all non-null (and not NaN)."""
+    ok = np.ones(t.num_rows, dtype=bool)
+    for c in cols:
+        ok &= ~np.asarray(pc.is_null(t.column(c), nan_is_null=True))
+    return ok
 
 
 def asof_join(
@@ -57,83 +61,36 @@ def asof_join(
             "left_cols/right_cols (they are emitted automatically)"
         )
     out_right = [c + suffix for c in right_cols]
-    # the tagged union needs ONE schema: type each side's null-padding
-    # columns from the OTHER side's schema (metadata-only for Arrow-backed
-    # datasets; pandas-backed ones fall back to a 1-row probe)
-    left_types = _arrow_types(left_ds, left_cols)
-    right_types = _arrow_types(right_ds, right_cols)
 
-    def tag_left(tbl: pa.Table) -> pa.Table:
-        cols = {by: tbl.column(by), on: tbl.column(on)}
-        for c in left_cols:
-            cols[c] = tbl.column(c)
-        for c, rc in zip(right_cols, out_right):
-            cols[rc] = pa.nulls(len(tbl), right_types[c])
-        cols["__side"] = pa.array(np.zeros(len(tbl), dtype=np.int8))
-        return pa.table(cols)
-
-    def tag_right(tbl: pa.Table) -> pa.Table:
-        cols = {by: tbl.column(by), on: tbl.column(on)}
-        for c in left_cols:
-            cols[c] = pa.nulls(len(tbl), left_types[c])
-        for c, rc in zip(right_cols, out_right):
-            cols[rc] = tbl.column(c)
-        cols["__side"] = pa.array(np.ones(len(tbl), dtype=np.int8))
-        return pa.table(cols)
-
-    tagged = (
-        left_ds.select_columns(sorted({by, on, *left_cols}))
-        .map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            right_ds.select_columns(sorted({by, on, *right_cols}))
-            .map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-        )
-    )
-
-    keep = [by, on, *left_cols, *out_right]
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g[g["__side"] == 0][[by, on, *left_cols]]
-        r = g[g["__side"] == 1][[by, on, *out_right]]
+    def merge_bucket(l: pa.Table, r: pa.Table) -> pa.Table:
+        codes = group_codes(pa.table({by: pa.chunked_array(
+            l.column(by).chunks + r.column(by).chunks, l.schema.field(by).type)}), [by])
         # SQL 'ON l.by = r.by AND l.on >= r.on' semantics: a null key or
-        # null timestamp can never MATCH (pandas merge_asof would happily
-        # pair NaN by-keys), but left rows are still kept (left outer)
-        r = r[r[on].notna() & r[by].notna()]
-        unmatched = l[l[on].isna() | l[by].isna()]
-        l = l[l[on].notna() & l[by].notna()]
-        if len(l):
-            merged = pd.merge_asof(
-                l.sort_values(on, kind="mergesort"),
-                r.sort_values(on, kind="mergesort"),
-                on=on, by=by, direction=direction, allow_exact_matches=True,
-            )
-        else:
-            # typed empty frame (g carries the union's dtypes) — an untyped
-            # pd.DataFrame(columns=...) becomes a pa.null-typed block and
-            # corrupts the dataset's unified schema
-            merged = g[keep].head(0)
-        if len(unmatched):
-            unmatched = unmatched.reindex(columns=keep)  # null payload
-            merged = pd.concat([merged, unmatched], ignore_index=True)
-        return merged[keep]
+        # null timestamp can never MATCH, but left rows are still kept
+        # (left outer)
+        lok, rok = _usable(l, [by, on]), _usable(r, [by, on])
+        r_on = r.column(on)
+        if r_on.type != l.schema.field(on).type:
+            r_on = pc.cast(r_on, l.schema.field(on).type)
 
-    out = grouped_apply_bucketed(tagged, [by], merge_bucket)
+        def frame(t_on, g, ok, pos):
+            return pd.DataFrame({on: t_on.filter(pa.array(ok)).to_numpy(),
+                                 "__g": g[ok], pos: np.flatnonzero(ok)}
+                                ).sort_values(on, kind="mergesort")
 
-    # the pandas bucket path floatifies nullable ints (Arrow int64+nulls →
-    # pandas float64); restore the declared Arrow types on the way out
-    targets = {**{c: left_types[c] for c in left_cols},
-               **{rc: right_types[c] for c, rc in zip(right_cols, out_right)}}
+        match = np.full(l.num_rows, -1, dtype=np.int64)
+        if lok.any() and rok.any():
+            m = pd.merge_asof(
+                frame(l.column(on), codes[:l.num_rows], lok, "__l"),
+                frame(r_on, codes[l.num_rows:], rok, "__r"),
+                on=on, by="__g", direction=direction, allow_exact_matches=True)
+            match[m["__l"].to_numpy()] = m["__r"].fillna(-1).to_numpy(np.int64)
+        hit = pa.array(np.maximum(match, 0), mask=match < 0)
+        return pa.table([l.column(c) for c in (by, on, *left_cols)]
+                        + [r.column(c).take(hit) for c in right_cols],
+                        names=[by, on, *left_cols, *out_right])
 
-    def restore(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cols = {}
-        for name in tbl.column_names:
-            col = tbl.column(name)
-            t = targets.get(name)
-            if t is not None and col.type != t:
-                col = pc.cast(col, t, safe=False)
-            cols[name] = col
-        return pa.table(cols)
-
-    return out.map_batches(restore, batch_format="pyarrow", zero_copy_batch=True)
+    return two_sided_exchange(
+        left_ds.select_columns(sorted({by, on, *left_cols})),
+        right_ds.select_columns(sorted({by, on, *right_cols})),
+        [by], merge_bucket, n_buckets=256)

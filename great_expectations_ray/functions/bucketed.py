@@ -1,5 +1,5 @@
 """Bucketed group-by — the scalable substitute for high-cardinality
-``groupby(key).map_groups``/``aggregate``.
+``groupby(key).map_groups``/``aggregate``, and the package's ONE exchange.
 
 Ray's groupby pays per-GROUP overhead on the reduce side, which is
 pathological when the key is high-cardinality (measured on this box: value
@@ -7,9 +7,14 @@ counts over 10M distinct keys took ~300 s via ``groupby(value).sum`` vs ~6 s
 via 64 hash buckets on the SAME shuffle volume).  The fix is structural, not
 a tuning knob: bucket rows by ``hash(key) % n_buckets``, run ONE
 ``groupby(bucket)`` exchange (identical data movement), and make the
-per-bucket callable handle ALL keys in its bucket with vectorized
-pandas/Arrow ops (``drop_duplicates``, ``groupby().max()``,
-``Table.group_by``) — C-speed regardless of key cardinality.
+per-bucket callable handle ALL keys in its bucket with vectorized Arrow ops
+(``Table.group_by``, :func:`key_groups` + ``take``) — C-speed regardless of
+key cardinality.
+
+Every bucketed operator — one-sided (:func:`grouped_apply_bucketed`) or
+two-sided (:func:`two_sided_exchange`: joins, set ops, as-of, diffs) — runs
+through :func:`_exchange`: each batch's bucket slices travel as Arrow IPC
+rows, so a bucket function always receives and returns typed Arrow tables.
 
 Rows with equal keys always share a bucket, so any per-key computation is
 exact.  Skew: a single hot KEY still lands in one bucket, but the per-bucket
@@ -117,32 +122,242 @@ def add_bucket(tbl: pa.Table, key_cols: list[str], n_buckets: int) -> pa.Table:
     return tbl.append_column("__bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64)))
 
 
-def grouped_apply_bucketed(
-    ds,
-    key_cols: list[str],
-    bucket_fn,
-    *,
-    n_buckets: int = 256,
-    batch_format: str = "pandas",
-):
+def group_codes(tbl: pa.Table, cols: list[str]) -> np.ndarray:
+    """Dense ``int64`` code per row of ``tbl``'s (composite) key ``cols``:
+    rows with equal keys share a code.  Built on Arrow's
+    ``dictionary_encode``, so strings compare on all their bytes (pandas
+    ``factorize`` stops at the first NUL), a null is one value, every NaN
+    one value and ``-0.0`` equals ``0.0`` (:func:`canonical_keys`)."""
+    from great_expectations_ray.functions.aggregates import canonical_keys
+
+    codes = np.zeros(tbl.num_rows, dtype=np.int64)
+    for c in cols:
+        d = pc.dictionary_encode(canonical_keys(tbl.column(c).combine_chunks()),
+                                 null_encoding="encode")
+        codes = codes * max(len(d.dictionary), 1) + d.indices.to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        if len(cols) > 1:
+            codes = np.unique(codes, return_inverse=True)[1].astype(np.int64)
+    return codes
+
+
+def group_aggregate(tbl: pa.Table, keys: list[str], aggs: list) -> pa.Table:
+    """``tbl.group_by(keys).aggregate(aggs)``, exact for every key: float
+    keys compare as SQL's ``GROUP BY`` does (:func:`canonical_keys`), and
+    since Arrow's multi-column grouper (pyarrow 16) splits one group in two
+    when a key column holds nulls, such a key is grouped on its one
+    ``int64`` :func:`group_codes` column instead.  Same layout as Arrow's:
+    the keys, then the aggregates."""
+    from great_expectations_ray.functions.aggregates import canonical_keys
+
+    for k in keys:
+        if pa.types.is_floating(tbl.schema.field(k).type):
+            tbl = tbl.set_column(tbl.column_names.index(k), k,
+                                 canonical_keys(tbl.column(k)))
+    if len(keys) < 2 or not any(tbl.column(k).null_count for k in keys):
+        return tbl.group_by(keys).aggregate(aggs)
+    codes = group_codes(tbl, keys)
+    g = tbl.append_column("__g", pa.array(codes)).group_by("__g").aggregate(aggs)
+    first = np.unique(codes, return_index=True)[1]
+    heads = tbl.select(keys).take(first[g.column("__g").to_numpy()])
+    return pa.table(heads.columns + g.columns[1:],
+                    names=heads.column_names + g.column_names[1:])
+
+
+def key_groups(tbl: pa.Table, cols: list[str],
+               order_by: list[tuple[str, str]] = ()) -> tuple[pa.Table, np.ndarray]:
+    """``tbl`` sorted so each distinct key of ``cols`` (:func:`group_codes`)
+    is one run of rows, ordered within the run by ``order_by`` (``(col,
+    "ascending"|"descending")``, nulls last, stable), and the run bounds:
+    group ``i`` is rows ``bounds[i]:bounds[i + 1]``."""
+    codes = group_codes(tbl, cols)
+    if order_by:
+        keyed = pa.table([pa.array(codes), *[tbl.column(c) for c, _ in order_by]],
+                         names=["__g", *[f"__o{i}" for i in range(len(order_by))]])
+        order = pc.sort_indices(
+            keyed, sort_keys=[("__g", "ascending")]
+            + [(f"__o{i}", d) for i, (_, d) in enumerate(order_by)],
+            null_placement="at_end").to_numpy()
+    else:
+        order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) if len(codes) \
+        else np.zeros(0, dtype=np.int64)
+    return tbl.take(order), np.r_[starts, len(codes)].astype(np.int64)
+
+
+def distinct_in_group(tbl: pa.Table, key: str, col: str) -> np.ndarray:
+    """Per row of ``tbl``: how many distinct ``col`` values its ``key``
+    group holds."""
+    k = group_codes(tbl, [key])
+    pairs = np.unique(group_codes(tbl, [key, col]), return_index=True)[1]
+    return np.bincount(k[pairs], minlength=k.max() + 1 if len(k) else 0)[k]
+
+
+def joined_per_key(tbl: pa.Table, key_cols: list[str], col: str, out: str,
+                   order_by: list[str] = (), sep: str = ",") -> pa.Table:
+    """One row per distinct key: the key columns and ``out``, the key's
+    ``col`` values as strings joined by ``sep`` in ``order_by`` order."""
+    tbl, bounds = key_groups(tbl, key_cols, [(c, "ascending") for c in order_by])
+    vals = pc.cast(tbl.column(col), pa.string()).combine_chunks()
+    lists = pa.LargeListArray.from_arrays(pa.array(bounds, pa.int64()), vals)
+    return tbl.select(key_cols).take(bounds[:-1]).append_column(
+        out, pc.binary_join(lists, sep))
+
+
+# a slice is small: a thread pool per stream costs more than it saves
+_IPC_WRITE = pa.ipc.IpcWriteOptions(use_threads=False)
+_IPC_READ = pa.ipc.IpcReadOptions(use_threads=False)
+
+
+def _pack(tbl: pa.Table, bounds: np.ndarray) -> pa.Array:
+    """One Arrow IPC stream per slice ``bounds[i]:bounds[i + 1]`` of
+    ``tbl``, written back to back into one buffer that becomes the
+    ``large_binary`` array's data (no per-slice bytes objects)."""
+    sink = pa.BufferOutputStream()
+    offsets = [0]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        with pa.ipc.new_stream(sink, tbl.schema, options=_IPC_WRITE) as w:
+            w.write_table(tbl.slice(s, e - s))
+        offsets.append(sink.tell())
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(offsets) - 1,
+        [None, pa.py_buffer(np.array(offsets, dtype=np.int64)), sink.getvalue()])
+
+
+def _unpack(payloads: pa.LargeBinaryArray, schema: pa.Schema | None) -> pa.Table | None:
+    """The slices :func:`_pack` wrote, read back as one table of one chunk
+    (Arrow kernels in a bucket function run faster on contiguous columns
+    than on one chunk per slice)."""
+    offs = np.frombuffer(payloads.buffers()[1], dtype=np.int64)[
+        payloads.offset:payloads.offset + len(payloads) + 1]
+    data = payloads.buffers()[2]
+    tables = [pa.ipc.open_stream(data.slice(s, e - s), options=_IPC_READ).read_all()
+              for s, e in zip(offs[:-1], offs[1:])]
+    if not tables:
+        return None if schema is None else schema.empty_table()
+    return pa.concat_tables(tables, promote_options="permissive").combine_chunks()
+
+
+def _tag(tbl: pa.Table, key_cols: list[str], key_types: dict, n_buckets: int,
+         side: int) -> pa.Table:
+    """One row ``(__bucket, __side, __rows)`` per bucket the batch's rows
+    hash to: the bucket's rows as one Arrow IPC stream."""
+    keys = pa.table({c: pc.cast(tbl.column(c), key_types[c]) if c in key_types
+                     else tbl.column(c) for c in key_cols})
+    b = add_bucket(keys, key_cols, n_buckets).column("__bucket").to_numpy()
+    # a radix sort: bucket ids fit 8 or 16 bits at any usual bucket count
+    order = np.argsort(b.astype(np.min_scalar_type(n_buckets - 1)), kind="stable")
+    b = b[order]
+    starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+    return pa.table({
+        "__bucket": pa.array(b[starts], pa.int64()),
+        "__side": pa.array(np.full(len(starts), side, dtype=np.int8)),
+        "__rows": _pack(tbl.take(order), np.r_[starts, len(b)]),
+    })
+
+
+def side_schema(ds) -> tuple[object, pa.Schema | None]:
+    """``(ds, its Arrow schema)`` without running any part of ``ds`` twice:
+    a schema Ray already knows is read as is; a lazy side is materialized
+    first, so its plan runs once, here, and its blocks feed the caller.  A
+    one-block probe (``ds.schema()``) would re-run the side's plan, its
+    exchanges included, and cancel the probe's other tasks, which has
+    crashed Ray's reference counting.  ``None`` for a side with no rows
+    and no schema.  pandas-block object columns are typed as strings."""
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is None:
+        ds = ds.materialize()
+        sch = ds.schema()
+    if sch is None:
+        return ds, None
+    return ds, pa.schema([(n, t if isinstance(t, pa.DataType) else pa.string())
+                          for n, t in zip(sch.names, sch.types)])
+
+
+def _exchange(sides: list, key_cols: list[str], bucket_fn, n_buckets: int,
+              schemas: list, key_types: dict):
+    """The package's one bucketed exchange.  Each batch of each side is
+    split by :func:`add_bucket` on its key (cast to ``key_types``), each
+    bucket's slice travels as ONE row ``(__bucket, __side, __rows)`` whose
+    ``__rows`` is an Arrow IPC stream of the slice, and the union of the
+    sides is grouped by ``__bucket`` once.  The rows cross the exchange as
+    opaque bytes, so nothing pads, re-types or loses them (Ray's sort may
+    merge a bucket through pandas, which turns nullable ints into floats
+    and NaN into null).  ``bucket_fn`` gets one typed ``pa.Table`` per side
+    (a side with no rows in the bucket arrives as ``schemas[i]``'s empty
+    table) and returns a ``pa.Table``, whose schema metadata is dropped
+    (pandas metadata inherited from a pandas-written source is a dict,
+    which Ray's block-schema deduplication cannot hash)."""
+    def keyed(t: pa.Table) -> pa.Table:
+        for c, typ in key_types.items():
+            i = t.column_names.index(c)
+            t = t.set_column(i, c, pc.cast(t.column(i), typ))
+        return t
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        side = g.column("__side").to_numpy()
+        # a sort that merged the bucket through pandas hands ``binary`` back
+        rows = g.column("__rows").combine_chunks().cast(pa.large_binary())
+        return bucket_fn(*[keyed(_unpack(rows.filter(pa.array(side == i)), schemas[i]))
+                           for i in range(len(schemas))]).replace_schema_metadata()
+
+    tagged = [d.map_batches(_tag, fn_args=(key_cols, key_types, n_buckets, i),
+                            batch_format="pyarrow", zero_copy_batch=True)
+              for i, d in enumerate(sides)]
+    union = tagged[0] if len(tagged) == 1 else tagged[0].union(*tagged[1:])
+    return union.groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
+
+
+def grouped_apply_bucketed(ds, key_cols: list[str], bucket_fn, *,
+                           n_buckets: int = 256):
     """``groupby(key).map_groups(fn)`` re-expressed as bucket + vectorized
-    per-bucket apply.  ``bucket_fn`` receives one BUCKET (all rows whose key
-    hashes there, including a ``__bucket`` column) and must handle multiple
-    keys itself — e.g. ``df.sort_values(key).drop_duplicates(key)`` or
-    ``df.groupby(key).agg(...)``.  Exactly one all-to-all exchange."""
-    return (
-        ds.map_batches(add_bucket, fn_args=(key_cols, n_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_fn, batch_format=batch_format)
-    )
+    per-bucket apply.  ``bucket_fn`` receives one BUCKET as a ``pa.Table``
+    (all rows whose key hashes there, typed as their source) and must
+    handle multiple keys itself — e.g. ``Table.group_by(key).aggregate``
+    or :func:`key_groups`; it returns a ``pa.Table``.  Exactly one
+    all-to-all exchange (:func:`_exchange`)."""
+    return _exchange([ds], list(key_cols), bucket_fn, n_buckets, [None], {})
+
+
+def two_sided_exchange(left, right, key_cols: list[str], bucket_fn, *,
+                       n_buckets: int):
+    """:func:`grouped_apply_bucketed` over two sides that share the key
+    ``key_cols``: ``bucket_fn(l, r)`` receives one bucket's left and right
+    rows, typed as their source with each key column on the common type of
+    both sides (``int32`` meets ``int64``, ``string`` meets
+    ``large_string``; float keys hash after ``-0.0``/NaN
+    canonicalisation).  A key column in the returned table is cast back to
+    the left key's type (every key emitted is a left value: lossless)."""
+    key_cols = list(key_cols)
+    (left, l_schema), (right, r_schema) = side_schema(left), side_schema(right)
+    # a side with no schema is empty: give it the other side's keys alone
+    if l_schema is None and r_schema is None:
+        l_schema = pa.schema([(c, pa.null()) for c in key_cols])
+    l_schema = l_schema or pa.schema([r_schema.field(c) for c in key_cols])
+    r_schema = r_schema or pa.schema([l_schema.field(c) for c in key_cols])
+    key_types = {c: pa.unify_schemas(
+        [pa.schema([l_schema.field(c)]), pa.schema([r_schema.field(c)])],
+        promote_options="permissive").field(c).type for c in key_cols}
+    l_types = {c: l_schema.field(c).type for c in key_cols}
+
+    def fn(l: pa.Table, r: pa.Table) -> pa.Table:
+        out = bucket_fn(l, r)
+        for c, typ in l_types.items():
+            if c in out.column_names:
+                i = out.column_names.index(c)
+                out = out.set_column(i, c, pc.cast(out.column(i), typ))
+        return out
+
+    return _exchange([left, right], key_cols, fn, n_buckets,
+                     [l_schema, r_schema], key_types)
 
 
 def sum_by_key(t: pa.Table, key_cols: list[str], cnt_col: str) -> pa.Table:
     """``(key..., cnt)`` rows summed per distinct key with Arrow's
     ``group_by``, which compares strings by all their bytes (pandas
     ``groupby`` over object strings stops at the first NUL)."""
-    g = t.group_by(key_cols).aggregate([(cnt_col, "sum")])
+    g = group_aggregate(t, key_cols, [(cnt_col, "sum")])
     return pa.table([g.column(k) for k in key_cols] + [g.column(f"{cnt_col}_sum")],
                     names=[*key_cols, cnt_col])
 
@@ -180,7 +395,7 @@ def merge_count_partials(
     if mat.count() > max_driver_rows:
         mat = grouped_apply_bucketed(
             mat, key_cols, lambda b: sum_by_key(b, key_cols, cnt_col),
-            n_buckets=n_buckets, batch_format="pyarrow").materialize()
+            n_buckets=n_buckets).materialize()
     blocks = [b for b in (ray.get(r) for r in mat.to_arrow_refs()) if b.num_rows]
     if not blocks:
         return _empty_counts(key_cols, cnt_col)

@@ -7,11 +7,9 @@ flagged rows by id).  Three scalable shapes per the Ray guide:
 - **broadcast_semi_anti**: broadcast the KEY SET only; filter inside
   map_batches.
 - **hash_bucket_join**: both sides large — ONE bucketed exchange
-  (:func:`two_sided_exchange`): both sides are split by
-  ``bucketed.add_bucket`` on the typed key, each bucket's slice travels
-  tagged with an int8 side as one Arrow IPC row, and one
-  ``groupby(__bucket)`` co-locates equal keys; each bucket runs
-  ``pa.Table.join`` (inner / left) or an ``is_in`` filter (semi / anti).
+  (``bucketed.two_sided_exchange``, the package's shared typed transport)
+  co-locates equal keys; each bucket runs ``pa.Table.join`` (inner /
+  left) or an ``is_in`` filter (semi / anti).
 
 Key semantics are SQL's (DuckDB-checked in tests): a null key never
 matches, ``-0.0`` equals ``0.0``, NaN equals NaN, and keys of different
@@ -21,12 +19,12 @@ common type.  Output columns keep their source types.
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.functions.aggregates import canonical_keys
+from great_expectations_ray.functions.bucketed import side_schema, two_sided_exchange
 from great_expectations_ray.stages._per_worker import map_per_worker
 
 
@@ -81,15 +79,6 @@ def broadcast_semi_anti(ds, keys, *, on: str, anti: bool = False):
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _fields(ds) -> list[tuple[str, pa.DataType]]:
-    sch = ds.schema()
-    if sch is None:  # no block carries a schema: an empty dataset
-        return []
-    # pandas-block datasets report object columns as ``object``: strings here
-    return [(n, t if isinstance(t, pa.DataType) else pa.string())
-            for n, t in zip(sch.names, sch.types)]
-
-
 def key_in(tbl: pa.Table, keys, on: str) -> pa.Array:
     """Per row of ``tbl``: is its ``on`` value among ``keys``?  A null key
     is never found (False), NaN finds NaN and ``-0.0`` finds ``0.0``
@@ -100,89 +89,13 @@ def key_in(tbl: pa.Table, keys, on: str) -> pa.Array:
                     value_set=canonical_keys(keys), skip_nulls=True)
 
 
-def _pack(tbl: pa.Table) -> bytes:
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, tbl.schema) as w:
-        w.write_table(tbl)
-    return sink.getvalue().to_pybytes()
-
-
-def _unpack(payloads: list, schema: pa.Schema) -> pa.Table:
-    tables = [pa.ipc.open_stream(p.as_buffer()).read_all() for p in payloads]
-    if not tables:
-        return schema.empty_table()
-    return pa.concat_tables(tables, promote_options="permissive")
-
-
-def two_sided_exchange(left, right, *, on: str, n_buckets: int, bucket_fn):
-    """The one two-sided exchange.  Each batch of either side is split by
-    ``bucketed.add_bucket`` on its key (cast to the common type of both key
-    columns, so ``int32`` meets ``int64`` and ``string`` meets
-    ``large_string``; float keys hash after ``-0.0``/NaN canonicalisation),
-    and each bucket's slice travels as ONE row ``(__bucket, __side,
-    __rows)``: an Arrow IPC stream of the slice, tagged 0 (left) / 1
-    (right).  The union is grouped by ``__bucket`` once.  The rows cross
-    the exchange as opaque bytes, so nothing pads, re-types or loses them
-    (Ray's sort may merge a bucket through pandas, which turns nullable
-    ints into floats and NaN into null).  ``bucket_fn(l, r)`` receives one
-    bucket's left and right rows, typed as their source with the key on the
-    common type, and returns a table; an ``on`` column in it is cast back to
-    the left key's type (every emitted key is a left value: lossless)."""
-    from great_expectations_ray.functions.bucketed import add_bucket
-
-    l_fields, r_fields = _fields(left), _fields(right)
-    # a side with no schema is empty: give it the other side's key alone
-    key = [(on, dict(l_fields or r_fields).get(on, pa.null()))]
-    l_schema, r_schema = pa.schema(l_fields or key), pa.schema(r_fields or key)
-    l_key = l_schema.field(on).type
-    key_type = pa.unify_schemas(
-        [pa.schema([l_schema.field(on)]), pa.schema([r_schema.field(on)])],
-        promote_options="permissive").field(on).type
-
-    def tag(tbl: pa.Table, side: int) -> pa.Table:
-        b = add_bucket(pa.table({on: pc.cast(tbl.column(on), key_type)}),
-                       [on], n_buckets).column("__bucket").to_numpy()
-        order = np.argsort(b, kind="stable")
-        b = b[order]
-        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
-        ends = np.r_[starts[1:], len(b)]
-        tbl = tbl.take(order)
-        return pa.table({
-            "__bucket": pa.array(b[starts], pa.int64()),
-            "__side": pa.array(np.full(len(starts), side, dtype=np.int8)),
-            "__rows": pa.array([_pack(tbl.slice(s, e - s))
-                                for s, e in zip(starts, ends)], pa.large_binary()),
-        })
-
-    def keyed(t: pa.Table) -> pa.Table:
-        i = t.column_names.index(on)
-        return t.set_column(i, on, pc.cast(t.column(i), key_type))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        side = g.column("__side").to_numpy(zero_copy_only=False)
-        rows = g.column("__rows")
-        l = _unpack([r for r, s in zip(rows, side) if s == 0], l_schema)
-        r = _unpack([r for r, s in zip(rows, side) if s == 1], r_schema)
-        out = bucket_fn(keyed(l), keyed(r))
-        if on in out.column_names:
-            i = out.column_names.index(on)
-            out = out.set_column(i, on, pc.cast(out.column(i), l_key))
-        return out
-
-    tagged = [d.map_batches(tag, fn_args=(s,), batch_format="pyarrow",
-                            zero_copy_batch=True)
-              for s, d in enumerate((left, right))]
-    return (tagged[0].union(tagged[1]).groupby("__bucket")
-            .map_groups(per_bucket, batch_format="pyarrow"))
-
-
 _JOIN_TYPES = {"inner": "inner", "left": "left outer"}
 
 
 def hash_bucket_join(left, right, *, on: str, n_buckets: int = 32,
                      how: str = "inner"):
     """Partitioned hash join of two Datasets on one key column, through
-    :func:`two_sided_exchange`.
+    ``bucketed.two_sided_exchange``.
 
     ``how="inner"|"left"`` emits the left columns then the right's non-key
     columns (``pa.Table.join`` per bucket; list/struct payload columns are
@@ -197,7 +110,9 @@ def hash_bucket_join(left, right, *, on: str, n_buckets: int = 32,
             m = key_in(l, r.column(on), on)
             return l.filter(pc.invert(m) if how == "anti" else m)
     elif how in _JOIN_TYPES:
-        l_fields, r_fields = _fields(left), _fields(right)
+        (left, l_sch), (right, r_sch) = side_schema(left), side_schema(right)
+        l_fields = list(zip(l_sch.names, l_sch.types)) if l_sch else []
+        r_fields = list(zip(r_sch.names, r_sch.types)) if r_sch else []
         overlap = {n for n, _ in l_fields} & {n for n, _ in r_fields} - {on}
         if overlap:
             raise ValueError(f"overlapping non-key columns: {sorted(overlap)}")
@@ -218,5 +133,4 @@ def hash_bucket_join(left, right, *, on: str, n_buckets: int = 32,
     else:
         raise ValueError(f"how must be inner, left, semi or anti, not {how!r}")
 
-    return two_sided_exchange(left, right, on=on, n_buckets=n_buckets,
-                              bucket_fn=bucket_fn)
+    return two_sided_exchange(left, right, [on], bucket_fn, n_buckets=n_buckets)

@@ -274,6 +274,14 @@ def kll_quantiles(
     return out.quantiles(quantiles, interpolation=interpolation)
 
 
+def _ragged(col) -> list[np.ndarray]:
+    """Each row of a list column as a numpy array."""
+    col = col.combine_chunks()
+    flat = np.asarray(pc.list_flatten(col))
+    offs = np.r_[0, np.cumsum(np.asarray(pc.list_value_length(col).fill_null(0)))]
+    return [flat[offs[i]:offs[i + 1]] for i in range(len(col))]
+
+
 def grouped_kll_quantiles(
     ds,
     group_cols: list[str],
@@ -296,9 +304,8 @@ def grouped_kll_quantiles(
     Output columns: group_cols + ``p<percent>`` per requested q (same
     naming as grouped_quantiles_disc).  All-null / empty groups yield None.
     """
-    import pandas as pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
+    from great_expectations_ray.functions.ks import _float_values, _with_keys
 
     group_cols = list(group_cols)
     names = [f"p{str(q).replace('0.', '').ljust(2, '0')}" for q in quantiles]
@@ -306,14 +313,14 @@ def grouped_kll_quantiles(
     def partial(tbl: pa.Table) -> pa.Table:
         import zlib
 
-        df = tbl.select(group_cols + [value_col]).to_pandas()
-        rows = {c: [] for c in group_cols}
+        g, bounds = key_groups(tbl.select(group_cols + [value_col]), group_cols)
+        allv = _float_values(g.column(value_col))
+        heads = g.select(group_cols).take(bounds[:-1])
         items, lens, ns = [], [], []
-        for key, g in df.groupby(group_cols, sort=False, dropna=False):
-            if not isinstance(key, tuple):
-                key = (key,)
-            vals = pd.to_numeric(g[value_col], errors="coerce").to_numpy(np.float64)
+        for i, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+            vals = allv[s:e]
             vals = vals[~np.isnan(vals)]
+            key = tuple(heads.column(c)[i].as_py() for c in group_cols)
             # stable per-(block, group) seed: crc32 of the key repr, never
             # Python hash() (process-randomized)
             block_seed = _splitmix64(
@@ -324,44 +331,32 @@ def grouped_kll_quantiles(
             sk = KLLSketch(k, seed=block_seed)
             sk.update_many(vals)
             row = sk.to_row()
-            for c, v in zip(group_cols, key):
-                # pandas encodes a null group key as NaN/NaT; hand Arrow a
-                # real null so non-float key columns round-trip
-                rows[c].append(None if pd.isna(v) else v)
             items.append(row["items"].tolist())
             lens.append(row["lens"].tolist())
             ns.append(row["n"])
-        schema = pa.schema(
-            [tbl.schema.field(c) for c in group_cols]
-            + [("__items", pa.list_(pa.float64())),
-               ("__lens", pa.list_(pa.int64())),
-               ("__n", pa.int64())]
-        )
-        out = {c: rows[c] for c in group_cols}
-        out["__items"] = items
-        out["__lens"] = lens
-        out["__n"] = ns
-        return pa.table(out, schema=schema)
+        return _with_keys(g, bounds, group_cols, {
+            "__items": pa.array(items, pa.list_(pa.float64())),
+            "__lens": pa.array(lens, pa.list_(pa.int64())),
+            "__n": pa.array(ns, pa.int64())})
 
-    def bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        recs = []
-        for key, g in df.groupby(group_cols, sort=False, dropna=False):
-            if not isinstance(key, tuple):
-                key = (key,)
+    def bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, group_cols)
+        items, lens = _ragged(g.column("__items")), _ragged(g.column("__lens"))
+        n = np.asarray(g.column("__n"))
+        ests = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
             parts = sorted(
-                (
-                    dict(items=np.asarray(it, dtype=np.float64),
-                         lens=np.asarray(ln, dtype=np.int64), n=int(nn), k=k)
-                    for it, ln, nn in zip(g["__items"], g["__lens"], g["__n"])
-                ),
+                (dict(items=items[i].astype(np.float64), lens=lens[i].astype(np.int64),
+                      n=int(n[i]), k=k) for i in range(s, e)),
                 key=lambda r: (r["n"], tuple(r["items"][:4].tolist())),
             )
             merged = KLLSketch(k, seed=_splitmix64(seed ^ 0xC3C3C3C3))
             for p in parts:
                 merged.merge(KLLSketch.from_row(p))
-            ests = merged.quantiles(quantiles, interpolation=interpolation)
-            recs.append(dict(zip(group_cols, key)) | dict(zip(names, ests)))
-        return pd.DataFrame(recs, columns=group_cols + names)
+            ests.append(merged.quantiles(quantiles, interpolation=interpolation))
+        return _with_keys(g, bounds, group_cols, {
+            name: pa.array([r[j] for r in ests], pa.float64())
+            for j, name in enumerate(names)})
 
     parts_ds = ds.select_columns(group_cols + [value_col]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True

@@ -340,6 +340,22 @@ def _ks_2samp_from_tagged(tagged) -> dict:
             "n_a": n_a, "n_b": n_b}
 
 
+def _float_values(col) -> np.ndarray:
+    """float64 values, NaN for null (numeric columns; anything else NaN)."""
+    try:
+        col = pc.cast(col, pa.float64(), safe=False)
+    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+        return np.full(len(col), np.nan)
+    return np.asarray(pc.fill_null(col, np.nan))
+
+
+def _with_keys(g: pa.Table, bounds: np.ndarray, group_cols: list[str],
+               stats: dict) -> pa.Table:
+    """Each group's key columns (its first row) followed by ``stats``."""
+    heads = g.select(group_cols).take(bounds[:-1])
+    return pa.table([*heads.columns, *stats.values()], names=[*group_cols, *stats])
+
+
 def grouped_parameterized_ks(
     ds,
     group_cols: list[str],
@@ -363,37 +379,32 @@ def grouped_parameterized_ks(
 
     Output: group_cols + ``(n int64, ks_statistic float64, p_value
     float64)``."""
-    import pandas as pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
     group_cols = list(group_cols)
     cdf = make_cdf(distribution, params)
 
-    def bucket(g: "pd.DataFrame") -> "pd.DataFrame":
-        recs = []
-        for key, gg in g.groupby(group_cols, dropna=False, sort=False):
-            if not isinstance(key, tuple):
-                key = (key,)
-            vals = pd.to_numeric(gg[value_col], errors="coerce").to_numpy(
-                np.float64)
+    def bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, group_cols)
+        allv = _float_values(g.column(value_col))
+        ns, ds_, ps = [], [], []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            vals = allv[s:e]
             vals = np.sort(vals[~np.isnan(vals)])
             n = len(vals)
-            rec = dict(zip(group_cols,
-                           (None if pd.isna(k) else k for k in key)))
-            rec["n"] = n
+            ns.append(n)
             if n == 0:
-                rec["ks_statistic"] = None
-                rec["p_value"] = None
-            else:
-                f = np.asarray(cdf(vals), dtype=np.float64)
-                j = np.arange(1, n + 1, dtype=np.float64)
-                d = float(max((j / n - f).max(), (f - (j - 1) / n).max()))
-                rec["ks_statistic"] = d
-                rec["p_value"] = ks_p_value(d, n)
-            recs.append(rec)
-        return pd.DataFrame(
-            recs, columns=group_cols + ["n", "ks_statistic", "p_value"])
+                ds_.append(None)
+                ps.append(None)
+                continue
+            f = np.asarray(cdf(vals), dtype=np.float64)
+            j = np.arange(1, n + 1, dtype=np.float64)
+            d = float(max((j / n - f).max(), (f - (j - 1) / n).max()))
+            ds_.append(d)
+            ps.append(ks_p_value(d, n))
+        return _with_keys(g, bounds, group_cols, {
+            "n": pa.array(ns, pa.int64()), "ks_statistic": pa.array(ds_, pa.float64()),
+            "p_value": pa.array(ps, pa.float64())})
 
     return grouped_apply_bucketed(
         ds.select_columns(group_cols + [value_col]), group_cols, bucket,
@@ -419,62 +430,47 @@ def grouped_ks_2samp(
     Output: group_cols + ``(n_a, n_b int64, d_statistic, p_value float64)``
     — groups empty on EITHER side yield nulls (no drift verdict without
     both samples)."""
-    import pandas as pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import key_groups, two_sided_exchange
     from great_expectations_ray.functions.stats_math import ks_2samp_p_asymptotic
 
     group_cols = list(group_cols)
 
-    def tag(side: int):
-        def f(tbl: pa.Table) -> pa.Table:
-            cols = {c: tbl.column(c) for c in group_cols}
-            col = tbl.column(value_col).combine_chunks()
-            cols["__v"] = pc.cast(col, pa.float64())
-            cols["__side"] = pa.array(np.full(len(tbl), side, dtype=np.int8))
-            return pa.table(cols)
-
-        return f
-
-    tagged = (
-        ds_a.select_columns(group_cols + [value_col])
-        .map_batches(tag(0), batch_format="pyarrow", zero_copy_batch=True)
-        .union(ds_b.select_columns(group_cols + [value_col])
-               .map_batches(tag(1), batch_format="pyarrow",
-                            zero_copy_batch=True)))
-
-    def bucket(g: "pd.DataFrame") -> "pd.DataFrame":
-        recs = []
-        for key, gg in g.groupby(group_cols, dropna=False, sort=False):
-            if not isinstance(key, tuple):
-                key = (key,)
-            v = gg["__v"].to_numpy(np.float64)
-            w = gg["__side"].to_numpy(np.int8)
+    def bucket(a: pa.Table, b: pa.Table) -> pa.Table:
+        g = pa.concat_tables([pa.table(
+            [t.column(c) for c in group_cols]
+            + [pa.array(_float_values(t.column(value_col))),
+               pa.array(np.full(t.num_rows, side, dtype=np.int8))],
+            names=[*group_cols, "__v", "__side"]) for side, t in ((0, a), (1, b))])
+        g, bounds = key_groups(g, group_cols)
+        allv, allw = np.asarray(g.column("__v")), np.asarray(g.column("__side"))
+        nas, nbs, ds_, ps = [], [], [], []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            v, w = allv[s:e], allw[s:e]
             ok = ~np.isnan(v)
             v, w = v[ok], w[ok]
             order = np.lexsort((w, v))
             v, w = v[order], w[order]
             n_a = int((w == 0).sum())
             n_b = len(w) - n_a
-            rec = dict(zip(group_cols,
-                           (None if pd.isna(k) else k for k in key)))
-            rec["n_a"], rec["n_b"] = n_a, n_b
+            nas.append(n_a)
+            nbs.append(n_b)
             if n_a == 0 or n_b == 0:
-                rec["d_statistic"] = None
-                rec["p_value"] = None
-            else:
-                dloc = np.cumsum(w == 0) / n_a - np.cumsum(w == 1) / n_b
-                # sup at value-change points + the final position
-                boundary = np.empty(len(v), dtype=bool)
-                boundary[:-1] = v[1:] != v[:-1]
-                boundary[-1] = True
-                d = float(np.abs(dloc[boundary]).max())
-                rec["d_statistic"] = d
-                rec["p_value"] = ks_2samp_p_asymptotic(d, n_a, n_b)
-            recs.append(rec)
-        return pd.DataFrame(
-            recs,
-            columns=group_cols + ["n_a", "n_b", "d_statistic", "p_value"])
+                ds_.append(None)
+                ps.append(None)
+                continue
+            dloc = np.cumsum(w == 0) / n_a - np.cumsum(w == 1) / n_b
+            # sup at value-change points + the final position
+            boundary = np.empty(len(v), dtype=bool)
+            boundary[:-1] = v[1:] != v[:-1]
+            boundary[-1] = True
+            d = float(np.abs(dloc[boundary]).max())
+            ds_.append(d)
+            ps.append(ks_2samp_p_asymptotic(d, n_a, n_b))
+        return _with_keys(g, bounds, group_cols, {
+            "n_a": pa.array(nas, pa.int64()), "n_b": pa.array(nbs, pa.int64()),
+            "d_statistic": pa.array(ds_, pa.float64()),
+            "p_value": pa.array(ps, pa.float64())})
 
-    return grouped_apply_bucketed(tagged, group_cols, bucket,
-                                  n_buckets=n_buckets)
+    cols = group_cols + [value_col]
+    return two_sided_exchange(ds_a.select_columns(cols), ds_b.select_columns(cols),
+                              group_cols, bucket, n_buckets=n_buckets)

@@ -17,6 +17,39 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from great_expectations_ray.functions.bucketed import key_groups
+
+
+def _sorted_partitions(g: pa.Table, partition_by: str, order_cols: list[str]):
+    """The bucket sorted by (partition, order), its partition bounds, and per
+    adjacent row pair: same partition (a null key is ONE partition — SQL
+    window PARTITION BY semantics)."""
+    g, bounds = key_groups(g, [partition_by], [(c, "ascending") for c in order_cols])
+    head = np.zeros(g.num_rows, dtype=bool)
+    head[bounds[:-1]] = True
+    return g, bounds, ~head[1:]
+
+
+def _verdicts(g: pa.Table, bounds: np.ndarray, viol: np.ndarray,
+              partition_by: str) -> pa.Table:
+    """One row per partition: ``n_rows``, ``n_violations``, ``monotonic``."""
+    starts = bounds[:-1]
+    n_viol = np.add.reduceat(viol.astype(np.int64), starts) if len(starts) \
+        else np.zeros(0, dtype=np.int64)
+    return pa.table({partition_by: g.column(partition_by).take(starts),
+                     "n_rows": pa.array(np.diff(bounds)),
+                     "n_violations": pa.array(n_viol),
+                     "monotonic": pa.array(n_viol == 0)})
+
+
+def _floats(col) -> np.ndarray:
+    """float64 values (NaN for null); temporal values by their integer."""
+    if pa.types.is_temporal(col.type):
+        col = pc.cast(col, pa.int64())
+    return np.asarray(pc.fill_null(pc.cast(col, pa.float64(), safe=False), np.nan))
 
 
 def grouped_monotonic(
@@ -35,32 +68,20 @@ def grouped_monotonic(
 
     order_cols = [order_by] if isinstance(order_by, str) else list(order_by)
 
-    def check_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([partition_by] + order_cols, kind="mergesort")
-        keys = g[partition_by].to_numpy()
-        vals = g[column].to_numpy().astype(np.float64)
-        viol = np.zeros(len(g), dtype=bool)
-        if len(g) > 1:
+    def check_bucket(g: pa.Table) -> pa.Table:
+        g, bounds, same = _sorted_partitions(g, partition_by, order_cols)
+        vals = _floats(g.column(column))
+        viol = np.zeros(g.num_rows, dtype=bool)
+        if g.num_rows > 1:
             d = np.diff(vals)
             if decreasing:
                 bad = (d >= 0) if strictly else (d > 0)
             else:
                 bad = (d <= 0) if strictly else (d < 0)
-            # a diff across a key boundary is not a violation (first row of
-            # each group is vacuously conforming); null keys form ONE group
-            # (SQL window PARTITION BY semantics), so null==null here
-            same = keys[1:] == keys[:-1]
-            nulls = pd.isna(keys)
-            same |= nulls[1:] & nulls[:-1]
-            bad &= same
-            viol[1:] = bad
-        out = pd.DataFrame({partition_by: keys, "__viol": viol})
-        agg = out.groupby(partition_by, sort=True, dropna=False).agg(
-            n_rows=("__viol", "size"), n_violations=("__viol", "sum")
-        ).reset_index()
-        agg["n_violations"] = agg["n_violations"].astype(int)
-        agg["monotonic"] = agg["n_violations"] == 0
-        return agg
+            # a diff across a partition boundary is not a violation (first
+            # row of each group is vacuously conforming)
+            viol[1:] = bad & same
+        return _verdicts(g, bounds, viol, partition_by)
 
     # prune before the shuffle: only the verdict columns move
     needed = sorted({column, partition_by, *order_cols})
@@ -94,23 +115,20 @@ def grouped_ordered_rule(
     - ``string_integers_increasing`` — all-digit strings cast to int, diffs
       >= 0 (or > 0 when ``strictly``)
       (expect_column_values_to_be_string_integers_increasing.py:43-56)
-    """
+
+    Partitions come from exact group codes (``bucketed.key_groups``); the
+    values of ``column`` go through pandas string/number parsing only."""
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
     order_cols = [order_by] if isinstance(order_by, str) else list(order_by)
 
-    def check_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([partition_by] + order_cols, kind="mergesort")
-        keys = g[partition_by].to_numpy()
-        viol = np.zeros(len(g), dtype=bool)
-        n = len(g)
-        # boundary mask: a comparison across partition keys never violates
-        if n > 1:
-            same = keys[1:] == keys[:-1]
-            knulls = pd.isna(keys)
-            same |= knulls[1:] & knulls[:-1]
+    def check_bucket(g: pa.Table) -> pa.Table:
+        g, bounds, same = _sorted_partitions(g, partition_by, order_cols)
+        values = g.column(column).to_pandas()
+        n = g.num_rows
+        viol = np.zeros(n, dtype=bool)
         if kind == "alphabetical":
-            s = g[column].astype("string").str.lower()
+            s = values.astype("string").str.lower()
             vals = s.to_numpy(dtype=object)
             if n > 1:
                 prev, cur = vals[:-1], vals[1:]
@@ -127,7 +145,7 @@ def grouped_ordered_rule(
                                     for p, c, ok_ in zip(prev, cur, comparable)])
                 viol[1:] = bad & same
         elif kind == "change_between":
-            raw = pd.to_numeric(g[column], errors="coerce")
+            raw = pd.to_numeric(values, errors="coerce")
             if raw.isna().any():
                 raise TypeError("Column values must be numeric !")
             vals = raw.to_numpy(dtype=np.float64)
@@ -141,7 +159,7 @@ def grouped_ordered_rule(
                 ok_ = (np.abs(d) >= from_value) & (np.abs(d) <= to_value)
                 viol[:] = ~ok_
         elif kind == "string_integers_increasing":
-            s = g[column].astype("string")
+            s = values.astype("string")
             if not s.str.isdigit().fillna(False).all():
                 raise TypeError(
                     "Column must be a string-type capable of being cast to int."
@@ -153,13 +171,7 @@ def grouped_ordered_rule(
                 viol[1:] = bad & same
         else:
             raise ValueError(f"unknown ordered kind {kind!r}")
-        out = pd.DataFrame({partition_by: keys, "__viol": viol})
-        agg = out.groupby(partition_by, sort=True, dropna=False).agg(
-            n_rows=("__viol", "size"), n_violations=("__viol", "sum")
-        ).reset_index()
-        agg["n_violations"] = agg["n_violations"].astype(int)
-        agg["monotonic"] = agg["n_violations"] == 0
-        return agg
+        return _verdicts(g, bounds, viol, partition_by)
 
     needed = sorted({column, partition_by, *order_cols})
     return grouped_apply_bucketed(
@@ -199,8 +211,6 @@ def global_monotonic(
     where ``element_count`` counts non-null values considered.
     """
     import ray
-
-    import pyarrow as pa
 
     mat = ds.select_columns([column]).materialize()
     try:

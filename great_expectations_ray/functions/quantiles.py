@@ -385,31 +385,30 @@ def grouped_quantiles_disc(ds, *, group_cols, value_col, qs):
     """
     from fractions import Fraction
 
-    import pandas as pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
+    from great_expectations_ray.functions.ks import _with_keys
 
     group_cols = list(group_cols)
     fracs = [Fraction(str(q)) for q in qs]
     names = [f"p{str(q).replace('0.', '').ljust(2, '0')}" for q in qs]
 
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # SQL aggregate semantics: NULL values are ignored by quantile_disc
-        # but the GROUP itself survives (all-null group -> NULL quantiles)
-        nn = g[g[value_col].notna()].sort_values(
-            [*group_cols, value_col], kind="mergesort")
-        sizes = nn.groupby(group_cols, sort=False, dropna=False).size()
-        n = sizes.to_numpy()
-        starts = np.concatenate(([0], np.cumsum(n)[:-1]))
-        vals = nn[value_col].to_numpy()
-        out = sizes.reset_index()[group_cols].copy()
+    def bucket(g: pa.Table) -> pa.Table:
+        # SQL aggregate semantics: NULL (and NaN) values are ignored by
+        # quantile_disc but the GROUP itself survives (all-null group ->
+        # NULL quantiles); they sort after each group's values
+        g, bounds = key_groups(g, group_cols, [(value_col, "ascending")])
+        vals = g.column(value_col)
+        valid = ~np.asarray(pc.is_null(vals, nan_is_null=True))
+        starts = bounds[:-1]
+        n = np.add.reduceat(valid.astype(np.int64), starts)
+        out = {}
         for frac, name in zip(fracs, names):
             # 1-based rank ceil(q*n) == -(-q.num*n // q.den), exact
             rank = -(-frac.numerator * n // frac.denominator)
-            idx = starts + np.clip(rank - 1, 0, n - 1)
-            out[name] = vals[idx]
-        all_groups = g[group_cols].drop_duplicates()
-        return all_groups.merge(out, on=group_cols, how="left")
+            idx = starts + np.clip(rank - 1, 0, np.maximum(n - 1, 0))
+            out[name] = pc.if_else(pa.array(n > 0), vals.take(idx),
+                                   pa.nulls(len(idx), vals.type))
+        return _with_keys(g, bounds, group_cols, out)
 
     return grouped_apply_bucketed(
         ds.select_columns([*group_cols, value_col]), group_cols, bucket

@@ -26,7 +26,6 @@ exactly reproducible in SQL — which is how the catalog oracles this.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -40,25 +39,22 @@ def percent_rank_transform(ds, column: str, *,
     Nulls get null pct_rank and -1 cnt_less."""
     import ray
 
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, sum_by_key
 
     def vc_partial(tbl: pa.Table) -> pa.Table:
         col = pc.drop_null(pc.cast(tbl.column(column), pa.float64()))
         x = np.asarray(col.combine_chunks())
         # NaN != null in Arrow; rank semantics exclude NaN entirely (the
         # mark pass treats NaN rows as unranked, same as nulls)
-        x = x[~np.isnan(x)]
+        x = x[~np.isnan(x)] + 0.0  # -0.0 counts as 0.0
         vals, counts = np.unique(x, return_counts=True)
         return pa.table({"v": pa.array(vals),
                          "c": pa.array(counts.astype(np.int64))})
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("v", sort=False)["c"].sum().reset_index()
-
     rows = grouped_apply_bucketed(
         ds.select_columns([column]).map_batches(
             vc_partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["v"], merge).take_all()
+        ["v"], lambda g: sum_by_key(g, ["v"], "c")).take_all()
     if len(rows) > max_distinct:
         raise ValueError(
             f"{len(rows)} distinct values exceed max_distinct="

@@ -3,12 +3,12 @@ columns.
 
 The reference has none (SURVEY §2.6: "set ops: none at table level"); a
 data-pipeline user needs them constantly (which ids are in A but not yet in
-B, which keys both sides share).  Scale shape: both sides are tagged with a
-side bit and unioned; ONE bucketed ``groupby(hash(key))`` exchange
-co-locates equal keys; each bucket reduces with an Arrow ``group_by`` over
-side flags (pandas groups object strings only up to the first NUL, so
-``"a\x00b"`` and ``"a\x00c"`` would be one key).  Map-side per-batch dedup
-bounds what enters the exchange to the batch's distinct keys.  Nulls are one
+B, which keys both sides share).  Scale shape: ONE two-sided bucketed
+exchange (``bucketed.two_sided_exchange``) co-locates equal keys; each
+bucket reduces with an Arrow ``group_by`` over side flags (pandas groups
+object strings only up to the first NUL, so ``"a\x00b"`` and ``"a\x00c"``
+would be one key).  Map-side per-batch dedup bounds what enters the
+exchange to the batch's distinct keys.  Nulls are one
 value and float keys are ``canonical_keys`` (``-0.0`` is ``0.0``), as SQL
 set ops.
 """
@@ -20,33 +20,26 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.functions.aggregates import canonical_keys
-from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+from great_expectations_ray.functions.bucketed import group_aggregate, two_sided_exchange
 
 
-def _tagged_union(a_ds, b_ds, cols: list[str]):
-    def tag(side: int):
-        def f(tbl: pa.Table) -> pa.Table:
-            # map-side dedup: only distinct keys per batch enter the shuffle
-            t = pa.table({c: canonical_keys(tbl.column(c)) for c in cols})
-            t = t.group_by(cols).aggregate([])
-            return t.append_column(
-                "__side", pa.array(np.full(len(t), side, dtype=np.int8))
-            )
-        return f
-
-    return (
-        a_ds.select_columns(cols).map_batches(tag(0), batch_format="pyarrow",
-                                              zero_copy_batch=True)
-        .union(b_ds.select_columns(cols).map_batches(tag(1), batch_format="pyarrow",
-                                                     zero_copy_batch=True))
-    )
+def _distinct(cols: list[str]):
+    def f(tbl: pa.Table) -> pa.Table:
+        # map-side dedup: only distinct keys per batch enter the shuffle
+        t = pa.table({c: canonical_keys(tbl.column(c)) for c in cols})
+        return group_aggregate(t, cols, [])
+    return f
 
 
 def _setop(a_ds, b_ds, cols: list[str], keep: str):
     cols = list(cols)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        sides = g.group_by(cols).aggregate([("__side", "min"), ("__side", "max")])
+    def reduce_bucket(a: pa.Table, b: pa.Table) -> pa.Table:
+        g = pa.concat_tables([
+            t.select(cols).append_column(
+                "__side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
+            for side, t in ((0, a), (1, b))])
+        sides = group_aggregate(g, cols, [("__side", "min"), ("__side", "max")])
         lo, hi = sides.column("__side_min"), sides.column("__side_max")
         if keep == "intersect":
             mask = pc.and_(pc.equal(lo, 0), pc.equal(hi, 1))
@@ -54,8 +47,10 @@ def _setop(a_ds, b_ds, cols: list[str], keep: str):
             mask = pc.equal(hi, 0)
         return sides.filter(mask).select(cols)
 
-    return grouped_apply_bucketed(_tagged_union(a_ds, b_ds, cols), cols,
-                                  reduce_bucket, batch_format="pyarrow")
+    a_ds, b_ds = (d.select_columns(cols).map_batches(
+        _distinct(cols), batch_format="pyarrow", zero_copy_batch=True)
+        for d in (a_ds, b_ds))
+    return two_sided_exchange(a_ds, b_ds, cols, reduce_bucket, n_buckets=256)
 
 
 def intersect_distinct(a_ds, b_ds, cols: list[str]):

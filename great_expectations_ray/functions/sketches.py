@@ -235,48 +235,40 @@ def grouped_theta_distinct(
 
     Output columns: group_cols + ``distinct_est`` (float64).  Null group
     keys form their own group."""
-    import pandas as pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
+    from great_expectations_ray.functions.kll import _ragged
+    from great_expectations_ray.functions.ks import _with_keys
 
     group_cols = list(group_cols)
 
     def partial(tbl: pa.Table) -> pa.Table:
-        df = tbl.select(group_cols + [value_col]).to_pandas()
-        rows = {c: [] for c in group_cols}
+        g, bounds = key_groups(tbl.select(group_cols + [value_col]), group_cols)
+        vals = g.column(value_col).combine_chunks()
         hashes, thetas = [], []
-        for key, g in df.groupby(group_cols, sort=False, dropna=False):
-            if not isinstance(key, tuple):
-                key = (key,)
+        for s, e in zip(bounds[:-1], bounds[1:]):
             sk = ThetaSketch(k)
-            sk.update_column(pa.Array.from_pandas(g[value_col]))
+            sk.update_column(vals.slice(s, e - s))
             row = sk.to_row()
-            for c, v in zip(group_cols, key):
-                rows[c].append(None if pd.isna(v) else v)
             hashes.append(row["hashes"].tolist())
             thetas.append(int(row["theta_m1"]))
-        schema = pa.schema(
-            [tbl.schema.field(c) for c in group_cols]
-            + [("__hashes", pa.list_(pa.uint64())), ("__theta_m1", pa.uint64())]
-        )
-        out = {c: rows[c] for c in group_cols}
-        out["__hashes"] = hashes
-        out["__theta_m1"] = thetas
-        return pa.table(out, schema=schema)
+        return _with_keys(g, bounds, group_cols, {
+            "__hashes": pa.array(hashes, pa.list_(pa.uint64())),
+            "__theta_m1": pa.array(thetas, pa.uint64())})
 
-    def bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        recs = []
-        for key, g in df.groupby(group_cols, sort=False, dropna=False):
-            if not isinstance(key, tuple):
-                key = (key,)
+    def bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, group_cols)
+        hashes = _ragged(g.column("__hashes"))
+        tm1 = np.asarray(g.column("__theta_m1"))
+        ests = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
             merged = ThetaSketch(k)
-            for hs, tm1 in zip(g["__hashes"], g["__theta_m1"]):
+            for i in range(s, e):
                 merged.merge(ThetaSketch.from_row(
-                    {"hashes": np.asarray(hs, dtype=np.uint64),
-                     "theta_m1": np.uint64(tm1), "k": k}))
-            recs.append(dict(zip(group_cols, key))
-                        | {"distinct_est": merged.estimate()})
-        return pd.DataFrame(recs, columns=group_cols + ["distinct_est"])
+                    {"hashes": hashes[i].astype(np.uint64),
+                     "theta_m1": np.uint64(tm1[i]), "k": k}))
+            ests.append(merged.estimate())
+        return _with_keys(g, bounds, group_cols,
+                          {"distinct_est": pa.array(ests, pa.float64())})
 
     parts_ds = ds.select_columns(group_cols + [value_col]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True

@@ -2,9 +2,10 @@
 lead over (PARTITION BY key ORDER BY order_cols).
 
 Ray Data has no window functions; this fills the gap with the engine's
-standard wide-op shape: ONE bucketed ``groupby(hash(key))`` exchange (equal
+standard wide-op shape: ONE bucketed exchange on the partition key (equal
 keys co-locate; high key cardinality costs no per-group overhead — see
-functions/bucketed.py), then one vectorized pandas pass per bucket.
+functions/bucketed.py), then one vectorized Arrow/numpy pass per bucket over
+its rows sorted by (partition, order) (``bucketed.key_groups``).
 
 Semantics match SQL:
 
@@ -13,7 +14,7 @@ Semantics match SQL:
   has); each entry is ``"col"`` (ASC) or ``("col", "desc")``, nulls LAST
   either way (mirror with NULLS LAST in oracle SQL for DESC);
 - null order keys sort LAST and still receive ranks (SQL NULLS LAST) —
-  they never crash the kernel;
+  they never crash the kernel; a null partition key is one partition;
 - ``rank`` = row_number of the first peer (method='min'), ``dense_rank``
   increments once per distinct order tuple; both handle composite
   orderings via vectorized run detection over the sorted bucket.
@@ -25,28 +26,68 @@ from typing import Iterable
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+from great_expectations_ray.functions.bucketed import (
+    group_aggregate,
+    group_codes,
+    grouped_apply_bucketed,
+    key_groups,
+)
 
 _SUPPORTED = ("row_number", "rank", "dense_rank", "lag", "lead",
               "moving_sum", "moving_avg")
 
 
-def _run_starts(df: pd.DataFrame, cols: list[str]) -> np.ndarray:
-    """Boolean mask: row starts a new run of equal values over ``cols``
-    (nulls compare equal to nulls, like SQL grouping)."""
-    n = len(df)
-    start = np.zeros(n, dtype=bool)
-    if n == 0:
-        return start
-    start[0] = True
-    for c in cols:
-        v = df[c].to_numpy()
-        neq = v[1:] != v[:-1]
-        isna = pd.isna(df[c]).to_numpy()
-        neq &= ~(isna[1:] & isna[:-1])  # null == null for peer grouping
-        start[1:] |= neq
-    return start
+def _partitions(t: pa.Table, partition_by: str, order_cols: list[str],
+                order_asc: list[bool]):
+    """The bucket sorted by (partition, order) and, per row, its 1-based
+    position in its partition and its partition's first row."""
+    t, bounds = key_groups(t, [partition_by], [
+        (c, "ascending" if a else "descending") for c, a in zip(order_cols, order_asc)])
+    sizes = np.diff(bounds)
+    first = np.repeat(bounds[:-1], sizes)
+    return t, np.arange(t.num_rows) - first + 1, first
+
+
+def _neighbour(col, rn: np.ndarray, step: int) -> pa.Array:
+    """``col`` of the previous (``step=1``, lag) or next (``step=-1``,
+    lead) row of the same partition; null where there is none."""
+    n = len(rn)
+    miss = rn == 1 if step > 0 else np.r_[rn[1:] == 1, True][:n]
+    idx = np.where(miss, 0, np.arange(n) - step)
+    return col.take(pa.array(idx, mask=miss))
+
+
+def _renamed(t: pa.Table, names: dict) -> pa.Table:
+    return t.rename_columns([names.get(c, c) for c in t.column_names])
+
+
+def _numbers(col, gap):
+    """``(values, valid mask, gap)``: temporal columns as exact int64 in
+    their own unit (the gap converted to it), others as float64."""
+    t = col.type
+    valid = np.asarray(pc.is_valid(col)) & ~np.asarray(pc.is_null(col, nan_is_null=True))
+    if pa.types.is_timestamp(t) or pa.types.is_duration(t):
+        per = {"s": 10**9, "ms": 10**6, "us": 10**3, "ns": 1}[t.unit]
+        col, gap, fill = pc.cast(col, pa.int64()), pd.Timedelta(gap).value / per, 0
+    elif pa.types.is_date32(t):
+        col, gap, fill = pc.cast(col, pa.int32()), pd.Timedelta(gap).value / 86_400e9, 0
+    else:
+        col, fill = pc.cast(col, pa.float64()), 0.0
+    return np.asarray(pc.fill_null(col, fill)), valid, gap
+
+
+def _session_idx(t: pa.Table, rn: np.ndarray, first: np.ndarray, ts_col: str,
+                 gap) -> np.ndarray:
+    """1-based session index per row: a session starts at a partition's
+    first row, after a null ts, and where ``ts - previous ts > gap``."""
+    ts, valid, gap = _numbers(t.column(ts_col), gap)
+    new = (rn == 1) | ~np.r_[True, valid[:-1]][:len(ts)]
+    new[1:] |= valid[1:] & (ts[1:] - ts[:-1] > gap)
+    run = np.cumsum(new)
+    return (run - run[first] + 1).astype(np.int64)
 
 
 def windowed_rank(
@@ -89,52 +130,45 @@ def windowed_rank(
     needed = sorted({partition_by, *order_cols, *keep_cols}
                     | ({value_col} if value_col else set()))
 
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([partition_by, *order_cols], kind="mergesort",
-                          ascending=[True, *order_asc], na_position="last")
-        grp = g.groupby(partition_by, sort=False, dropna=False)
-        out = g[needed].copy()
-        rn = (grp.cumcount() + 1).to_numpy()
+    def bucket(t: pa.Table) -> pa.Table:
+        t, rn, first = _partitions(t, partition_by, order_cols, order_asc)
+        out = t.select(needed)
         if "row_number" in outputs:
-            out["row_number"] = rn
+            out = out.append_column("row_number", pa.array(rn))
         if "rank" in outputs or "dense_rank" in outputs:
-            # a new peer run starts where the partition key OR any order
-            # column changes (nulls are peers of nulls — SQL NULLS LAST)
-            starts = _run_starts(g, [partition_by, *order_cols])
+            # a peer run starts where the partition key OR any order column
+            # changes (nulls are peers of nulls — SQL NULLS LAST)
+            peer = group_codes(t, [partition_by, *order_cols])
+            starts = np.r_[True, peer[1:] != peer[:-1]][:len(peer)]
             if "rank" in outputs:
-                # rank = row_number of the run's FIRST row: forward-fill the
-                # index of the latest run start (rn resets per partition, so
-                # accumulate positions, not rn values)
-                idx = np.where(starts, np.arange(len(g)), 0)
-                out["rank"] = rn[np.maximum.accumulate(idx)]
+                # rank = row_number of the run's FIRST row
+                idx = np.where(starts, np.arange(len(rn)), 0)
+                out = out.append_column("rank", pa.array(rn[np.maximum.accumulate(idx)]))
             if "dense_rank" in outputs:
-                # dense rank restarts at 1 on each partition boundary
-                part_start = _run_starts(g, [partition_by])
                 run_id = np.cumsum(starts)
-                part_run_id = np.where(part_start, run_id, 0)
-                out["dense_rank"] = run_id - np.maximum.accumulate(part_run_id) + 1
+                out = out.append_column("dense_rank", pa.array(run_id - run_id[first] + 1))
         if "lag" in outputs:
-            out["lag"] = grp[value_col].shift(1)
+            out = out.append_column("lag", _neighbour(t.column(value_col), rn, 1))
         if "lead" in outputs:
-            out["lead"] = grp[value_col].shift(-1)
+            out = out.append_column("lead", _neighbour(t.column(value_col), rn, -1))
         if "moving_sum" in outputs or "moving_avg" in outputs:
-            # frame sum accumulated oldest->newest via per-partition shifts;
-            # with an integer value column each add is exact, so the result
-            # is independent of accumulation order (SQL-engine parity)
-            s = grp[value_col]
-            msum = np.zeros(len(g), dtype=np.float64)
-            cnt = np.zeros(len(g), dtype=np.int64)
+            # frame sum accumulated oldest->newest; with an integer value
+            # column each add is exact, so the result is independent of
+            # accumulation order (SQL-engine parity)
+            v = np.asarray(pc.fill_null(pc.cast(t.column(value_col), pa.float64()), np.nan))
+            msum = np.zeros(len(rn), dtype=np.float64)
+            cnt = np.zeros(len(rn), dtype=np.int64)
             for j in range(frame_rows, -1, -1):
-                sh = s.shift(j)
-                ok = sh.notna().to_numpy()
-                msum += np.where(ok, sh.fillna(0).to_numpy(np.float64), 0.0)
+                sh = np.r_[np.full(min(j, len(v)), np.nan), v[:len(v) - j]]
+                ok = (rn > j) & ~np.isnan(sh)
+                msum += np.where(ok, sh, 0.0)
                 cnt += ok
+            # all-null frame -> NULL, as SQL SUM() OVER does
             if "moving_sum" in outputs:
-                # all-null frame -> NULL, as SQL SUM() OVER does
-                out["moving_sum"] = np.where(cnt > 0, msum, np.nan)
+                out = out.append_column("moving_sum", pa.array(msum, mask=cnt == 0))
             if "moving_avg" in outputs:
-                out["moving_avg"] = np.where(cnt > 0, msum / np.maximum(cnt, 1),
-                                             np.nan)
+                out = out.append_column("moving_avg", pa.array(
+                    msum / np.maximum(cnt, 1), mask=cnt == 0))
         return out
 
     return grouped_apply_bucketed(ds.select_columns(needed), [partition_by], bucket)
@@ -175,22 +209,11 @@ def sessionize(
     columns, or a number for numeric ts columns."""
     order_cols, order_asc = _norm_order(order_by)
     needed = sorted({partition_by, ts_col, *order_cols, *keep_cols})
-    gap_v = gap if isinstance(gap, (int, float)) else pd.Timedelta(gap)
 
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([partition_by, *order_cols], kind="mergesort",
-                          ascending=[True, *order_asc], na_position="last")
-        grp = g.groupby(partition_by, sort=False, dropna=False)
-        out = g[needed].copy()
-        prev = grp[ts_col].shift(1)
-        new = prev.isna().to_numpy() | ((g[ts_col] - prev) > gap_v).to_numpy()
-        # per-partition cumsum of session starts: global cumsum minus the
-        # running count at each partition's first row
-        run = np.cumsum(new)
-        part_start = _run_starts(g, [partition_by])
-        base = np.where(part_start, run - 1, 0)
-        out[out_col] = (run - np.maximum.accumulate(base)).astype(np.int64)
-        return out
+    def bucket(t: pa.Table) -> pa.Table:
+        t, rn, first = _partitions(t, partition_by, order_cols, order_asc)
+        return t.select(needed).append_column(
+            out_col, pa.array(_session_idx(t, rn, first, ts_col, gap)))
 
     return grouped_apply_bucketed(ds.select_columns(needed), [partition_by], bucket)
 
@@ -211,28 +234,25 @@ def session_stats(
     order_cols, order_asc = _norm_order(order_by)
     needed = sorted({partition_by, ts_col, *order_cols}
                     | ({value_col} if value_col else set()))
-    gap_v = gap if isinstance(gap, (int, float)) else pd.Timedelta(gap)
 
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([partition_by, *order_cols], kind="mergesort",
-                          ascending=[True, *order_asc], na_position="last")
-        grp = g.groupby(partition_by, sort=False, dropna=False)
-        prev = grp[ts_col].shift(1)
-        new = prev.isna().to_numpy() | ((g[ts_col] - prev) > gap_v).to_numpy()
-        run = np.cumsum(new)
-        part_start = _run_starts(g, [partition_by])
-        base = np.where(part_start, run - 1, 0)
-        sidx = (run - np.maximum.accumulate(base)).astype(np.int64)
-        agg = {"n_events": (ts_col, "size"),
-               "t_start": (ts_col, "min"), "t_end": (ts_col, "max")}
+    def bucket(t: pa.Table) -> pa.Table:
+        t, rn, first = _partitions(t, partition_by, order_cols, order_asc)
+        sidx = _session_idx(t, rn, first, ts_col, gap)
+        # a session is one run of rows: it starts where its index changes
+        run = np.cumsum(np.r_[True, (sidx[1:] != sidx[:-1]) | (rn[1:] == 1)][:len(sidx)])
+        aggs = [(ts_col, "min"), (ts_col, "max")]
         if value_col:
-            agg["value_sum"] = (value_col, "sum")
-        gg = g.assign(**{"__sidx": sidx}).groupby(
-            [partition_by, "__sidx"], sort=False, dropna=False)
-        out = gg.agg(**agg).reset_index()
-        out = out.rename(columns={"__sidx": "session_idx"})
-        out["n_events"] = out["n_events"].astype(np.int64)
-        return out
+            aggs.append((value_col, "sum"))
+        g = t.append_column("__run", pa.array(run)).group_by(
+            "__run", use_threads=False).aggregate(aggs)
+        heads = np.flatnonzero(np.r_[True, run[1:] != run[:-1]][:len(run)])
+        cols = {partition_by: t.column(partition_by).take(heads),
+                "session_idx": pa.array(sidx[heads]),
+                "n_events": pa.array(np.diff(np.r_[heads, len(run)]).astype(np.int64)),
+                "t_start": g.column(f"{ts_col}_min"), "t_end": g.column(f"{ts_col}_max")}
+        if value_col:
+            cols["value_sum"] = g.column(f"{value_col}_sum")
+        return pa.table(cols)
 
     return grouped_apply_bucketed(ds.select_columns(needed), [partition_by], bucket)
 
@@ -289,35 +309,31 @@ def hopping_window_stats(
                                  ts_col, col)
         return tbl
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t = df[ts_col].to_numpy()
+    def partial(tbl: pa.Table) -> pa.Table:
+        t = np.asarray(tbl.column(ts_col))
         k_min = (t - width_v) // slide_v + 1   # numpy // floors
         k_max = t // slide_v
         counts = (k_max - k_min + 1).astype(np.int64)
-        idx = np.repeat(np.arange(len(df)), counts)
-        starts = np.zeros(len(df), dtype=np.int64)
+        idx = np.repeat(np.arange(len(t)), counts)
+        starts = np.zeros(len(t), dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
         off = np.arange(int(counts.sum())) - np.repeat(starts, counts)
-        exp = pd.DataFrame({
-            "window_start": (k_min[idx] + off) * slide_v,
-        })
+        exp = {"window_start": pa.array((k_min[idx] + off) * slide_v)}
         if partition_by:
-            exp[partition_by] = df[partition_by].to_numpy()[idx]
-        agg = {"n_events": ("window_start", "size")}
+            exp[partition_by] = tbl.column(partition_by).take(idx)
+        aggs = [("window_start", "count")]
         if value_col:
-            exp["__v"] = df[value_col].to_numpy()[idx]
-            agg["value_sum"] = ("__v", "sum")
-        return exp.groupby(keys, sort=False).agg(**agg).reset_index()
+            exp["__v"] = tbl.column(value_col).take(idx)
+            aggs.append(("__v", "sum"))
+        return _renamed(group_aggregate(pa.table(exp), keys, aggs),
+                        {"window_start_count": "n_events", "__v_sum": "value_sum"})
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        agg = {"n_events": ("n_events", "sum")}
-        if value_col:
-            agg["value_sum"] = ("value_sum", "sum")
-        out = g.groupby(keys, sort=False).agg(**agg).reset_index()
-        out["n_events"] = out["n_events"].astype(np.int64)
-        return out
+    def final(g: pa.Table) -> pa.Table:
+        aggs = [("n_events", "sum")] + ([("value_sum", "sum")] if value_col else [])
+        return _renamed(group_aggregate(g, keys, aggs),
+                        {"n_events_sum": "n_events", "value_sum_sum": "value_sum"})
 
     partials = ds.select_columns(needed).map_batches(
         to_int, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(partial, batch_format="pandas")
+    ).map_batches(partial, batch_format="pyarrow")
     return grouped_apply_bucketed(partials, keys, final)

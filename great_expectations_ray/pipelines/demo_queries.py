@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 from great_expectations_ray.core.row_conditions import compile_row_condition
 from great_expectations_ray.core.suite import ExpectationSuite
 from great_expectations_ray.engine import validate
+from great_expectations_ray.functions.bucketed import group_aggregate
 from great_expectations_ray.pipelines.quality_filter import RuleEvalScrub
 from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.ann import brute_force_topk
@@ -852,7 +853,8 @@ def _grouped_sum(ds, keys: list[str], cols: list[str]):
     """In-batch partial group + one groupby.sum (map-side combine)."""
 
     def partial(tbl: pa.Table) -> pa.Table:
-        return tbl.select(keys + cols).group_by(keys).aggregate(
+        return group_aggregate(
+            tbl.select(keys + cols), keys,
             [(c, "sum") for c in cols]
         )
 
@@ -3467,6 +3469,7 @@ def q_web_pipeline_docs(sf_dir: str) -> pd.DataFrame:
     from great_expectations_ray.stages.boilerplate import remove_boilerplate
     from great_expectations_ray.stages.dedup import md5_column
     from great_expectations_ray.stages.normalize import NormalizeConfig, normalize_array
+    from great_expectations_ray.stages.stratified import _topk
     from great_expectations_ray.stages.toxicity import ToxicityScorer
     from great_expectations_ray.stages.urlops import tag_urls
 
@@ -3515,15 +3518,14 @@ def q_web_pipeline_docs(sf_dir: str) -> pd.DataFrame:
         rank = md5_column(pc.cast(tbl.column("doc_id"), pa.string()))
         return tbl.select(keep_cols).append_column("_rank", rank)
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["domain", "_rank", "doc_id"], kind="mergesort")
-        return df.groupby("domain", sort=False).head(_WEB_CAP_K)
+    def topk(t: pa.Table) -> pa.Table:
+        return _topk(t, ["domain"], "doc_id", _WEB_CAP_K)
 
     pruned = (tagged.map_batches(add_rank, batch_format="pyarrow",
                                  zero_copy_batch=True)
-              .map_batches(topk, batch_format="pandas"))
+              .map_batches(topk, batch_format="pyarrow"))
     capped = grouped_apply_bucketed(pruned, ["domain"],
-                                    lambda g: topk(g)[keep_cols])
+                                    lambda g: topk(g).select(keep_cols))
 
     # remove_boilerplate streams its input TWICE (df pass + rewrite);
     # materialize the capped survivors so the derive + canon + bucketed cap

@@ -361,11 +361,7 @@ def validate_grouped_wide(
     samples)."""
     import json as _json
 
-    import pandas as _pd
-
-    from great_expectations_ray.functions.bucketed import (
-        grouped_apply_bucketed,
-    )
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
     result_format, partial_unexpected_count, include_rows, index_cols = (
         _result_format_opts(result_format, partial_unexpected_count))
@@ -387,14 +383,18 @@ def validate_grouped_wide(
     out_names = (["group_key"] if single
                  else [f"group_{c}" for c in by_cols])
 
-    def finish_bucket(g: _pd.DataFrame) -> _pd.DataFrame:
+    stats = pa.schema([("success", pa.bool_())] + [
+        (n, pa.int64()) for n in ("evaluated_expectations", "successful_expectations",
+                                  "unsuccessful_expectations", "row_count")]
+        + ([("result_json", pa.string())] if include_results else []))
+
+    def finish_bucket(g: pa.Table) -> pa.Table:
         rows = []
-        gb = key_names[0] if single else key_names
-        for key, sub in g.groupby(gb, dropna=False, sort=False):
-            if not isinstance(key, tuple):
-                key = (key,)
-            key = tuple(None if _pd.isna(k) else k for k in key)
-            merged = _merge_partials([bytes(p) for p in sub["partial"]])
+        g, bounds = key_groups(g, key_names)
+        heads = g.select(key_names).take(bounds[:-1])
+        for i, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+            key = tuple(heads.column(k)[i].as_py() for k in key_names)
+            merged = _merge_partials(g.column("partial").slice(s, e - s).to_pylist())
             svr = _finish_suite(
                 plan, suite, merged,
                 pa.schema([]) if merged["schema"] is None else merged["schema"],
@@ -402,8 +402,7 @@ def validate_grouped_wide(
                 partial_unexpected_count=partial_unexpected_count,
                 include_unexpected_rows=include_rows,
             )
-            row = dict(zip(out_names, key))
-            row.update({
+            row = {
                 "success": bool(svr.success),
                 "evaluated_expectations":
                     int(svr.statistics["evaluated_expectations"]),
@@ -412,14 +411,17 @@ def validate_grouped_wide(
                 "unsuccessful_expectations":
                     int(svr.statistics["unsuccessful_expectations"]),
                 "row_count": int(svr.meta["row_count"]),
-            })
+            }
             if include_results:
                 svr.meta["group_key"] = key[0] if single else list(key)
                 svr.meta["group_by"] = by
                 row["result_json"] = _json.dumps(svr.to_json_dict(),
                                                  default=str)
             rows.append(row)
-        return _pd.DataFrame(rows)
+        out = pa.Table.from_pylist(rows, schema=stats)
+        for j, (name, k) in enumerate(zip(out_names, key_names)):
+            out = out.add_column(j, name, heads.column(k))
+        return out
 
     return grouped_apply_bucketed(parts, key_names, finish_bucket,
                                   n_buckets=n_buckets)

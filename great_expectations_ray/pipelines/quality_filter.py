@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 
 from great_expectations_ray.core.results import calc_validation_statistics, mostly_success
 from great_expectations_ray.core.suite import ExpectationConfiguration, ExpectationSuite
+from great_expectations_ray.functions.bucketed import group_aggregate
 from great_expectations_ray.functions.column_map import CONDITION_KERNELS
 from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.langid import LangIdScorer
@@ -207,7 +208,7 @@ def rollup_partial_fn(key_list: list[str], n_rules: int):
             data[f"viol_{i}"] = pa.array(viol)
         t = pa.table(data)
         aggs = [("rows", "sum"), ("kept", "sum")] + [(f"viol_{i}", "sum") for i in range(n_rules)]
-        return t.group_by(key_list).aggregate(aggs)
+        return group_aggregate(t, key_list, aggs)
 
     return partial
 
@@ -234,7 +235,8 @@ def _rollup_from_partials(partials_ds, suite: ExpectationSuite, keys) -> list[di
     if not blocks:
         return []
     merged_tbl = pa.concat_tables(blocks, promote_options="default")
-    grouped_tbl = merged_tbl.group_by(key_list).aggregate(
+    grouped_tbl = group_aggregate(
+        merged_tbl, key_list,
         [(c, "sum") for c in agg_cols]
     )
     grouped = grouped_tbl.to_pylist()

@@ -38,8 +38,9 @@ from great_expectations_ray.functions.bucketed import (
     _MIX1,
     _MIX2,
     poly_hash_strings,
+    two_sided_exchange,
 )
-from great_expectations_ray.functions.joins import key_in, two_sided_exchange
+from great_expectations_ray.functions.joins import key_in
 from great_expectations_ray.stages._per_worker import map_per_worker
 
 
@@ -220,8 +221,8 @@ def mark_known(
             "is_known": key_in(cand, snap.column(key_col), key_col),
         })
 
-    verified = two_sided_exchange(candidates, snap_pruned, on=key_col,
-                                  n_buckets=n_buckets, bucket_fn=verify_bucket)
+    verified = two_sided_exchange(candidates, snap_pruned, [key_col], verify_bucket,
+                                  n_buckets=n_buckets)
     return novel.union(verified)
 
 

@@ -93,8 +93,7 @@ def frequent_lines(ds, *, content_col: str = "content", min_docs: int,
         tot = sum_by_key(t, ["line"], "df")
         return tot.filter(pc.greater_equal(tot.column("df"), min_docs))
 
-    return grouped_apply_bucketed(partials, ["line"], merge,
-                                  n_buckets=n_buckets, batch_format="pyarrow")
+    return grouped_apply_bucketed(partials, ["line"], merge, n_buckets=n_buckets)
 
 
 class _BoilerplateRewriter:
@@ -216,7 +215,7 @@ def _remove_boilerplate_joined(
       → grouped_apply_bucketed on id → (id, '3,17,42')
       → ds ⋈ positions [bucketed on id] → per-batch position rewrite
     """
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, joined_per_key
     from great_expectations_ray.functions.joins import hash_bucket_join
 
     exploded = ds.select_columns([id_col, content_col]).map_batches(
@@ -227,13 +226,8 @@ def _remove_boilerplate_joined(
         exploded, freq, on="line", n_buckets=n_buckets, how="semi",
     ).select_columns([id_col, "__pos"])
 
-    def agg_positions(g):
-        import pandas as pd
-
-        gb = g.groupby(id_col, sort=False)["__pos"].agg(
-            lambda s: ",".join(map(str, sorted(s)))
-        )
-        return pd.DataFrame({id_col: gb.index, "__drop_pos": gb.values})
+    def agg_positions(g: pa.Table) -> pa.Table:
+        return joined_per_key(g, [id_col], "__pos", "__drop_pos", order_by=["__pos"])
 
     per_id = grouped_apply_bucketed(dropped, [id_col], agg_positions,
                                     n_buckets=n_buckets)

@@ -102,7 +102,7 @@ def distributed_word_counts(
         return rd.from_arrow(sum_and_cut(
             pa.concat_tables(blocks, promote_options="default")))
     return grouped_apply_bucketed(mat, ["word"], sum_and_cut,
-                                  n_buckets=n_buckets, batch_format="pyarrow")
+                                  n_buckets=n_buckets)
 
 
 def _merge_loop(

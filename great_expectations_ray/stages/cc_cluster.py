@@ -13,7 +13,7 @@ Scale shape:
 - edges are emitted per LSH bucket as a STAR (bucket-min -> member), so a
   bucket of size s contributes s-1 edges, never s² pairs;
 - components run hash-min label propagation with shortcut doubling: per
-  round ONE tagged-union bucketed exchange (deliver labels along edges plus
+  round ONE two-sided bucketed exchange (deliver labels along edges plus
   label edges) and ONE bucketed group-min — labels only ever decrease, the
   loop stops when a round changes nothing, and the label edges make rounds
   O(log max-cluster-diameter);
@@ -26,7 +26,6 @@ is part of the training-data surface the north rule asks for.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -50,7 +49,7 @@ def minhash_bucket_edges(
     ``max_bucket_size`` are truncated to the cap (ordered by id, so the kept
     members still cluster with the representative) — a degenerate bucket
     cannot melt a reducer."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
     from great_expectations_ray.stages.neardup import band_keys, minhash_signatures
 
     def explode(tbl: pa.Table) -> pa.Table:
@@ -65,22 +64,16 @@ def minhash_bucket_edges(
             "bkey": pa.array(bk.reshape(-1)),
         })
 
-    def edges_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["band", "bkey", id_col], kind="mergesort")
-        ids = g[id_col].to_numpy()
-        grp_first = ~g.duplicated(subset=["band", "bkey"], keep="first").to_numpy()
-        # representative (bucket min) for every row = forward-fill of firsts
-        rep_idx = np.maximum.accumulate(
-            np.where(grp_first, np.arange(len(g)), -1)
-        )
-        src = ids[rep_idx]
-        member = ~grp_first
-        if max_bucket_size:
-            # position within the group (0 = representative)
-            pos = np.arange(len(g)) - rep_idx
-            member &= pos < max_bucket_size
-        out = pd.DataFrame({"src": src[member], "dst": ids[member]})
-        return out.drop_duplicates()
+    def edges_bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, ["band", "bkey"], [(id_col, "ascending")])
+        # representative (bucket min) for every row: its run's first row
+        rep_idx = np.repeat(bounds[:-1], np.diff(bounds))
+        # position within the group (0 = representative)
+        pos = np.arange(g.num_rows) - rep_idx
+        member = (pos > 0) & ((pos < max_bucket_size) if max_bucket_size else True)
+        ids = g.column(id_col)
+        out = pa.table({"src": ids.take(rep_idx[member]), "dst": ids.filter(pa.array(member))})
+        return out.group_by(["src", "dst"]).aggregate([])
 
     exploded = ds.select_columns([id_col, text_col]).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True
@@ -141,7 +134,7 @@ def connected_components(
     takes the min of its own label and the labels of its neighbours over
     ``E ∪ {u <-> label(u)}`` — the label edges let a hub re-broadcast the
     round's min to all members, so convergence needs O(log diameter) rounds,
-    not O(diameter).  One round = one tagged-union bucketed exchange
+    not O(diameter).  One round = one two-sided bucketed exchange
     (deliver labels along edges) + one bucketed group-min; the driver sees
     only a per-round changed-count scalar.  Stops when a round changes
     nothing.  Both paths emit identical (node, component) labels.
@@ -150,7 +143,10 @@ def connected_components(
     component by definition and never enter the exchange."""
     import ray.data as rd
 
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import (
+        grouped_apply_bucketed,
+        two_sided_exchange,
+    )
 
     if max_driver_edges and edges.count() <= max_driver_edges:
         batches = list(edges.iter_batches(batch_format="pyarrow"))
@@ -178,38 +174,27 @@ def connected_components(
     edges_sym = edges.map_batches(sym, batch_format="pyarrow",
                                   zero_copy_batch=True).materialize()
 
+    def msgs(node, cand, is_self: int) -> pa.Table:
+        return pa.table({"node": node, "cand": cand,
+                         "is_self": np.full(len(node), is_self, dtype=np.int8)})
+
     # initial labels: min(self, direct neighbours) via one group-min
     def init_cand(tbl: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": tbl.column("node"),
-            "cand": tbl.column("nbr"),
-            "is_self": pa.array(np.zeros(tbl.num_rows, dtype=np.int8)),
-        })
-
-    def self_cand(tbl: pa.Table) -> pa.Table:
         u = pc.unique(tbl.column("node"))
-        return pa.table({
-            "node": u,
-            "cand": u,
-            "is_self": pa.array(np.ones(len(u), dtype=np.int8)),
-        })
+        return pa.concat_tables([msgs(tbl.column("node"), tbl.column("nbr"), 0),
+                                 msgs(u, u, 1)])
 
-    def label_min(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["node", "cand"], kind="mergesort")
-        first = ~g.duplicated(subset=["node"], keep="first").to_numpy()
-        nodes = g["node"].to_numpy()[first]
-        lbl = g["cand"].to_numpy()[first]
+    def label_min(g: pa.Table) -> pa.Table:
+        lbl = g.group_by("node").aggregate([("cand", "min")])
         # changed iff the min differs from the node's own previous label
-        own = g[g["is_self"] == 1].drop_duplicates(subset=["node"])
-        own_map = pd.Series(own["cand"].to_numpy(), index=own["node"])
-        changed = (own_map.reindex(nodes).to_numpy() != lbl).astype(np.int8)
-        return pd.DataFrame({"node": nodes, "cand": lbl, "changed": changed})
+        own = g.filter(pc.equal(g.column("is_self"), 1)).group_by("node") \
+            .aggregate([("cand", "min")]).rename_columns(["node", "own"])
+        j = lbl.join(own, "node", join_type="left outer")
+        changed = pc.fill_null(pc.not_equal(j.column("cand_min"), j.column("own")), True)
+        return pa.table({"node": j.column("node"), "cand": j.column("cand_min"),
+                         "changed": pc.cast(changed, pa.int8())})
 
-    inbox0 = edges_sym.map_batches(
-        init_cand, batch_format="pyarrow", zero_copy_batch=True
-    ).union(edges_sym.map_batches(
-        self_cand, batch_format="pyarrow", zero_copy_batch=True
-    ))
+    inbox0 = edges_sym.map_batches(init_cand, batch_format="pyarrow", zero_copy_batch=True)
     labels = grouped_apply_bucketed(
         inbox0, ["node"], label_min, n_buckets=n_buckets
     ).materialize()
@@ -219,57 +204,39 @@ def connected_components(
             break
         lbl_pairs = labels.drop_columns(["changed"])
 
-        # deliver label(u) along E ∪ label edges: tagged union of
-        # (edge rows: node/nbr) and (label rows: node/label), ONE bucketed
-        # exchange; per node group emit label(u) to every neighbour, to the
+        # deliver label(u) along E ∪ label edges: ONE two-sided exchange on
+        # node of the edge rows (node/nbr) and the label rows.  Each label
+        # row u -> label(u) travels twice: as u's own label (is_own=1) and
+        # as the reverse edge label(u) -> u (is_own=0: the hub re-broadcasts
+        # ITS label to u — pointer jumping, what makes rounds O(log
+        # diameter)).  Per node emit label(u) to every neighbour, to the
         # label target (shortcut), and back to u itself
-        def tag_edges(tbl: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": tbl.column("node"),
-                "other": tbl.column("nbr"),
-                "is_lbl": pa.array(np.zeros(tbl.num_rows, dtype=np.int8)),
-            })
-
-        def tag_labels(tbl: pa.Table) -> pa.Table:
-            # forward (u -> label(u)): is_lbl=1, the node's own-label row.
-            # reverse (label(u) -> u): is_lbl=0, a plain shortcut edge — the
-            # hub re-broadcasts ITS label to u (pointer jumping; this is
-            # what makes rounds O(log diameter))
+        def label_rows(tbl: pa.Table) -> pa.Table:
             n_ = tbl.column("node").combine_chunks()
             c_ = tbl.column("cand").combine_chunks()
             return pa.table({
                 "node": pa.concat_arrays([n_, c_]),
                 "other": pa.concat_arrays([c_, n_]),
-                "is_lbl": pa.array(np.concatenate([
-                    np.ones(len(n_), dtype=np.int8),
-                    np.zeros(len(n_), dtype=np.int8),
-                ])),
+                "is_own": np.repeat(np.array([1, 0], dtype=np.int8), len(n_)),
             })
 
-        def deliver(g: pd.DataFrame) -> pd.DataFrame:
-            own = g[g["is_lbl"] == 1].drop_duplicates(subset=["node"])
-            own_map = pd.Series(own["other"].to_numpy(), index=own["node"])
-            lbl_per_row = g["node"].map(own_map).to_numpy()
-            # to every neighbour AND label target: candidate = label(u)
-            to_other = pd.DataFrame({
-                "node": g["other"].to_numpy(),
-                "cand": lbl_per_row,
-                "is_self": np.zeros(len(g), dtype=np.int8),
-            })
-            # back to u itself (carries the old label for change detection)
-            to_self = pd.DataFrame({
-                "node": own["node"].to_numpy(),
-                "cand": own["other"].to_numpy(),
-                "is_self": np.ones(len(own), dtype=np.int8),
-            })
-            return pd.concat([to_other, to_self], ignore_index=True)
+        def deliver(e: pa.Table, lbl: pa.Table) -> pa.Table:
+            is_own = pc.equal(lbl.column("is_own"), 1)
+            own = lbl.filter(is_own).select(["node", "other"]) \
+                .rename_columns(["node", "cand"])
+            rev = lbl.filter(pc.invert(is_own)).select(["node", "other"]) \
+                .rename_columns(["node", "nbr"])
+            e = pa.concat_tables([e, rev], promote_options="permissive") \
+                .join(own, "node", join_type="left outer")
+            return pa.concat_tables([
+                msgs(e.column("nbr"), e.column("cand"), 0),  # to every neighbour
+                msgs(own.column("cand"), own.column("cand"), 0),  # to the label target
+                # back to u itself (carries the old label for change detection)
+                msgs(own.column("node"), own.column("cand"), 1)])
 
-        inbox = grouped_apply_bucketed(
-            edges_sym.map_batches(tag_edges, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-            .union(lbl_pairs.map_batches(tag_labels, batch_format="pyarrow")),
-            ["node"], deliver, n_buckets=n_buckets,
-        )
+        inbox = two_sided_exchange(
+            edges_sym, lbl_pairs.map_batches(label_rows, batch_format="pyarrow"),
+            ["node"], deliver, n_buckets=n_buckets)
         labels = grouped_apply_bucketed(
             inbox, ["node"], label_min, n_buckets=n_buckets
         ).materialize()
@@ -408,9 +375,7 @@ def keep_best_in_cluster(
     per-cluster Python).  Docs missing from ``score_ds`` rank below every
     scored doc (score -inf), so a cluster keeps a scored member when it has
     one."""
-    import pandas as _pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
     from great_expectations_ray.functions.joins import hash_bucket_join
 
     joined = hash_bucket_join(
@@ -419,12 +384,13 @@ def keep_best_in_cluster(
         on=id_col, how="left", n_buckets=n_buckets,
     )
 
-    def pick(g: _pd.DataFrame) -> _pd.DataFrame:
-        s = g[score_col].fillna(float("-inf"))
-        g = g.assign(**{score_col: s}).sort_values(
-            ["cluster", score_col, id_col],
-            ascending=[True, False, True], kind="mergesort",
-        )
-        return g[[id_col, "cluster"]].assign(keep=~g["cluster"].duplicated())
+    def pick(g: pa.Table) -> pa.Table:
+        s = pc.fill_null(pc.cast(g.column(score_col), pa.float64()), float("-inf"))
+        g = g.set_column(g.column_names.index(score_col), score_col, s)
+        g, bounds = key_groups(g, ["cluster"], [(score_col, "descending"),
+                                                (id_col, "ascending")])
+        keep = np.zeros(g.num_rows, dtype=bool)
+        keep[bounds[:-1]] = True
+        return g.select([id_col, "cluster"]).append_column("keep", pa.array(keep))
 
     return grouped_apply_bucketed(joined, ["cluster"], pick)

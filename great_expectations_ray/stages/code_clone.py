@@ -68,9 +68,7 @@ def mark_code_clones(
     """Per-row clone verdicts: ``clone_key`` (sha256 hex of the normalized
     text) and ``is_clone`` (1 unless this row is the keeper — the smallest
     id sharing the key).  ONE bucketed exchange over (id, 64-byte digest)."""
-    import pandas as pd
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
     from great_expectations_ray.stages.scrub import sha256_column
 
     def keyed(tbl: pa.Table) -> pa.Table:
@@ -80,12 +78,11 @@ def mark_code_clones(
             "clone_key": sha256_column(norm),
         })
 
-    def bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values(["clone_key", id_col], kind="mergesort")
-        first = ~df["clone_key"].duplicated()
-        out = df[[id_col, "clone_key"]].copy()
-        out["is_clone"] = (~first).astype(np.int64)
-        return out
+    def bucket(t: pa.Table) -> pa.Table:
+        t, bounds = key_groups(t, ["clone_key"], [(id_col, "ascending")])
+        clone = np.ones(t.num_rows, dtype=np.int64)
+        clone[bounds[:-1]] = 0
+        return t.select([id_col, "clone_key"]).append_column("is_clone", pa.array(clone))
 
     keys = ds.select_columns([id_col, content_col]).map_batches(
         keyed, batch_format="pyarrow", zero_copy_batch=True

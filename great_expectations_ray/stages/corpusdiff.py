@@ -14,7 +14,6 @@ Arrow buffer).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -24,38 +23,27 @@ STATUSES = ("added", "removed", "changed", "unchanged")
 def diff_corpora(old_ds, new_ds, *, id_col: str = "doc_id",
                  content_col: str = "text", n_buckets: int = 64):
     """Dataset of (id_col, status) over the UNION of both sides' ids."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import two_sided_exchange
     from great_expectations_ray.stages.scrub import sha256_column
 
-    def project(side: int):
-        def f(tbl: pa.Table) -> pa.Table:
-            return pa.table({
-                id_col: tbl.column(id_col),
-                "h": sha256_column(tbl.column(content_col)),
-                "side": pa.array(
-                    np.full(tbl.num_rows, side, dtype=np.int8)),
-            })
+    def project(tbl: pa.Table) -> pa.Table:
+        tbl = tbl.filter(pc.is_valid(tbl.column(id_col)))  # a null id is no doc
+        return pa.table({id_col: tbl.column(id_col),
+                         "h": sha256_column(tbl.column(content_col))})
 
-        return f
+    old, new = (d.select_columns([id_col, content_col]).map_batches(
+        project, batch_format="pyarrow", zero_copy_batch=True) for d in (old_ds, new_ds))
 
-    both = (
-        old_ds.select_columns([id_col, content_col])
-        .map_batches(project(0), batch_format="pyarrow", zero_copy_batch=True)
-        .union(new_ds.select_columns([id_col, content_col])
-               .map_batches(project(1), batch_format="pyarrow",
-                            zero_copy_batch=True)))
+    def resolve(o: pa.Table, n: pa.Table) -> pa.Table:
+        g = pa.concat_tables([
+            t.append_column("side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
+            for side, t in ((0, o), (1, n))])
+        g = g.group_by(id_col).aggregate(
+            [("side", "min"), ("side", "max"), ("h", "count_distinct")])
+        lo, hi = np.asarray(g.column("side_min")), np.asarray(g.column("side_max"))
+        status = np.where(lo == 1, "added", np.where(
+            hi == 0, "removed",
+            np.where(np.asarray(g.column("h_count_distinct")) > 1, "changed", "unchanged")))
+        return pa.table({id_col: g.column(id_col), "status": pa.array(status, pa.string())})
 
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([id_col, "side"], kind="mergesort")
-        grp = g.groupby(id_col, sort=False)
-        sides = grp["side"].agg(["min", "max"])
-        nh = grp["h"].nunique()
-        status = np.where(
-            sides["min"] == 1, "added",
-            np.where(sides["max"] == 0, "removed",
-                     np.where(nh > 1, "changed", "unchanged")))
-        return pd.DataFrame({id_col: sides.index.to_numpy(),
-                             "status": status})
-
-    return grouped_apply_bucketed(both, [id_col], resolve,
-                                  n_buckets=n_buckets)
+    return two_sided_exchange(old, new, [id_col], resolve, n_buckets=n_buckets)

@@ -15,7 +15,7 @@ key per row in a vectorized ``map_batches``, then ONE hash shuffle on the key
 from __future__ import annotations
 
 import hashlib
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -56,7 +56,7 @@ def _dedup_key_column(tbl: pa.Table, columns: list[str]) -> pa.Array:
 def dedup_exact(ds, key_columns: list[str], order_by: str, n_buckets: int = 256):
     """Keep exactly one row per key: the row with the MINIMUM ``order_by``
     value (deterministic keep-first).  One shuffle, bucketed: per-key work is
-    a vectorized ``sort + drop_duplicates`` over each hash bucket, so reduce
+    a vectorized sort + first-of-run take over each hash bucket, so reduce
     cost is independent of key cardinality (Ray's per-group overhead is
     pathological at millions of distinct keys — see functions/bucketed.py).
 
@@ -66,17 +66,16 @@ def dedup_exact(ds, key_columns: list[str], order_by: str, n_buckets: int = 256)
     SURVEY §4).
     """
 
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
     from great_expectations_ray.stages.skew import local_keep_first
 
     def add_key_and_prereduce(tbl: pa.Table) -> pa.Table:
         tbl = tbl.append_column("__dedup_key", _dedup_key_column(tbl, key_columns))
         return local_keep_first(tbl, "__dedup_key", order_by)
 
-    def keep_first_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__dedup_key", order_by], kind="mergesort")
-        g = g.drop_duplicates("__dedup_key", keep="first")
-        return g.drop(columns=["__dedup_key", "__bucket"])
+    def keep_first_bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, ["__dedup_key"], [(order_by, "ascending")])
+        return g.take(bounds[:-1]).drop_columns(["__dedup_key"])
 
     keyed = ds.map_batches(
         add_key_and_prereduce, batch_format="pyarrow", zero_copy_batch=True
@@ -89,17 +88,18 @@ def dedup_exact(ds, key_columns: list[str], order_by: str, n_buckets: int = 256)
 def mark_exact_duplicates(ds, key_columns: list[str], order_by: str, n_buckets: int = 256):
     """Like ``dedup_exact`` but keeps all rows, adding ``is_duplicate``
     (True for every row except the keep-first of its group).  Bucketed:
-    the mark is a vectorized ``duplicated(keep='first')`` per hash bucket."""
+    the mark is every row but the first of its key run per hash bucket."""
 
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
     def add_key(tbl: pa.Table) -> pa.Table:
         return tbl.append_column("__dedup_key", _dedup_key_column(tbl, key_columns))
 
-    def mark_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__dedup_key", order_by], kind="mergesort")
-        g["is_duplicate"] = g.duplicated("__dedup_key", keep="first")
-        return g.drop(columns=["__dedup_key", "__bucket"])
+    def mark_bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, ["__dedup_key"], [(order_by, "ascending")])
+        dup = np.ones(g.num_rows, dtype=bool)
+        dup[bounds[:-1]] = False
+        return g.drop_columns(["__dedup_key"]).append_column("is_duplicate", pa.array(dup))
 
     keyed = ds.map_batches(add_key, batch_format="pyarrow", zero_copy_batch=True)
     return grouped_apply_bucketed(
@@ -176,31 +176,21 @@ def dedup_keep_best(
     Same scale shape as keep-first: a map-side per-batch combine leaves at
     most one row per key per batch, then ONE bucketed exchange finishes
     each key vectorized — a hot key costs the reducer #batches rows."""
-    import pandas as pd
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    order = [(score_col, "descending" if higher_is_better else "ascending"),
+             (tie_break, "ascending")]
 
-    ascending = [not higher_is_better, True]
-    sort_cols = [score_col, tie_break]
-
-    def best_of(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(sort_cols, ascending=ascending,
-                              kind="mergesort").drop_duplicates(
-            "__dedup_key", keep="first")
+    def best_of(t: pa.Table) -> pa.Table:
+        t, bounds = key_groups(t, ["__dedup_key"], order)
+        return t.take(bounds[:-1])
 
     def add_key_and_prereduce(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.append_column(
-            "__dedup_key", _dedup_key_column(tbl, key_columns))
-        return pa.Table.from_pandas(best_of(tbl.to_pandas()),
-                                    preserve_index=False)
+        return best_of(tbl.append_column(
+            "__dedup_key", _dedup_key_column(tbl, key_columns)))
 
-    def keep_best_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # per-key sort inside the bucket: key first so drop_duplicates sees
-        # each key's best-sorted run
-        g = g.sort_values(["__dedup_key"] + sort_cols,
-                          ascending=[True] + ascending, kind="mergesort")
-        g = g.drop_duplicates("__dedup_key", keep="first")
-        return g.drop(columns=["__dedup_key", "__bucket"])
+    def keep_best_bucket(g: pa.Table) -> pa.Table:
+        return best_of(g).drop_columns(["__dedup_key"])
 
     keyed = ds.map_batches(
         add_key_and_prereduce, batch_format="pyarrow", zero_copy_batch=True)

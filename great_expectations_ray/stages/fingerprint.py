@@ -18,7 +18,6 @@ bucketed-exchange patterns used by the near-dup family.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -103,7 +102,7 @@ def fingerprint_candidate_ids(ds, *, id_col: str, text_col: str = "content",
     cap needed, which preserves the winnowing guarantee: any shared span of
     length >= w + k - 1 makes BOTH docs candidates.  Output may repeat an id
     across buckets; consumers dedupe."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import distinct_in_group, grouped_apply_bucketed
 
     def explode(tbl: pa.Table) -> pa.Table:
         fps, _ = winnow_fingerprints_batch(tbl.column(text_col), k=k, w=w)
@@ -115,9 +114,9 @@ def fingerprint_candidate_ids(ds, *, id_col: str, text_col: str = "content",
             id_col: pa.array(np.repeat(ids, lens)),
         })
 
-    def shared_ids(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("fp", sort=False)[id_col].transform("nunique") >= 2
-        return g.loc[m, [id_col]].drop_duplicates()
+    def shared_ids(g: pa.Table) -> pa.Table:
+        m = distinct_in_group(g, "fp", id_col) >= 2
+        return g.select([id_col]).filter(pa.array(m)).group_by([id_col]).aggregate([])
 
     return grouped_apply_bucketed(
         ds.select_columns([id_col, text_col])
@@ -137,7 +136,7 @@ def fingerprint_overlap_candidates(ds, *, id_col: str, text_col: str = "content"
     Scale note: a fingerprint shared by f docs contributes O(f²) pairs —
     ubiquitous boilerplate fingerprints are dropped via a per-fingerprint
     frequency cap (128), the standard winnowing-index move."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
     def explode(tbl: pa.Table) -> pa.Table:
         fps, _ = winnow_fingerprints_batch(tbl.column(text_col), k=k, w=w)
@@ -149,28 +148,25 @@ def fingerprint_overlap_candidates(ds, *, id_col: str, text_col: str = "content"
             id_col: pa.array(np.repeat(ids, lens)),
         })
 
-    def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        rows_a, rows_b = [], []
-        for _, grp in g.groupby("fp", sort=False):
-            ids = np.sort(grp[id_col].to_numpy())
-            if len(ids) < 2 or len(ids) > 128:  # frequency cap
+    def pairs_bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, ["fp"], [(id_col, "ascending")])
+        all_ids = np.asarray(g.column(id_col))
+        rows_a, rows_b = [all_ids[:0]], [all_ids[:0]]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            if e - s < 2 or e - s > 128:  # frequency cap
                 continue
+            ids = all_ids[s:e]
             ia, ib = np.triu_indices(len(ids), k=1)
             rows_a.append(ids[ia])
             rows_b.append(ids[ib])
-        if not rows_a:
-            return pd.DataFrame({"id_a": [], "id_b": [], "cnt": []}).astype(
-                {"id_a": "int64", "id_b": "int64", "cnt": "int64"})
-        a = np.concatenate(rows_a)
-        b = np.concatenate(rows_b)
-        out = pd.DataFrame({"id_a": a, "id_b": b})
-        out = out.groupby(["id_a", "id_b"], sort=False).size().reset_index(name="cnt")
-        return out
+        out = pa.table({"id_a": np.concatenate(rows_a), "id_b": np.concatenate(rows_b)})
+        return out.group_by(["id_a", "id_b"]).aggregate([([], "count_all")]) \
+            .rename_columns(["id_a", "id_b", "cnt"])
 
-    def combine_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["id_a", "id_b"], sort=True)["cnt"].sum().reset_index(
-            name="shared")
-        return out[out["shared"] >= min_shared]
+    def combine_bucket(g: pa.Table) -> pa.Table:
+        out = g.group_by(["id_a", "id_b"]).aggregate([("cnt", "sum")]) \
+            .rename_columns(["id_a", "id_b", "shared"])
+        return out.filter(pc.greater_equal(out.column("shared"), min_shared))
 
     pair_partials = grouped_apply_bucketed(
         ds.select_columns([id_col, text_col])

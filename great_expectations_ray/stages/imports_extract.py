@@ -124,4 +124,4 @@ def import_counts(ds, *, content_col: str = "content",
     )
     return grouped_apply_bucketed(partials, ["module"],
                                   lambda t: sum_by_key(t, ["module"], "cnt"),
-                                  n_buckets=n_buckets, batch_format="pyarrow")
+                                  n_buckets=n_buckets)

@@ -12,7 +12,7 @@ system ingests:
    distinct (term, doc) pairs.
 2. ONE bucketed exchange on term (``grouped_apply_bucketed``); per term:
    ``df``, ``tf_sum`` and the doc-sorted posting list, assembled with
-   vectorized pandas string ops.
+   Arrow string kernels (``binary_join`` over each term's run).
 
 Posting lists for stopword-frequency terms are inherently corpus-sized;
 the output stays a Dataset (one row per term) so the caller streams it to
@@ -24,7 +24,6 @@ has no retrieval surface; this is part of the repo's LLM-pipeline layer
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -67,7 +66,11 @@ def build_inverted_index(ds, *, text_col: str = "text",
     more than N entries of one term, and global df is a trivial downstream
     sum.  Shards of one term concatenate (in shard order) to exactly the
     unsharded posting."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import (
+        group_aggregate,
+        grouped_apply_bucketed,
+        joined_per_key,
+    )
 
     pairs = ds.select_columns([id_col, text_col]).map_batches(
         lambda t: term_doc_frequencies(t, text_col=text_col, id_col=id_col),
@@ -84,14 +87,14 @@ def build_inverted_index(ds, *, text_col: str = "text",
     else:
         keys = ["term"]
 
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([*keys, "doc_id"], kind="mergesort")
-        entry = g["doc_id"].astype(str) + ":" + g["tf"].astype(str)
-        out = (g.assign(entry=entry)
-               .groupby(keys, sort=True)
-               .agg(df=("doc_id", "size"), tf_sum=("tf", "sum"),
-                    posting=("entry", ",".join))
-               .reset_index())
-        return out.astype({"df": "int64", "tf_sum": "int64"})
+    def assemble(g: pa.Table) -> pa.Table:
+        entry = pc.binary_join_element_wise(
+            pc.cast(g.column("doc_id"), pa.string()), pc.cast(g.column("tf"), pa.string()), ":")
+        out = joined_per_key(g.append_column("entry", entry), keys, "entry", "posting",
+                             order_by=["doc_id"])
+        sums = group_aggregate(g, keys, [([], "count_all"), ("tf", "sum")])
+        sums = sums.rename_columns([*keys, "df", "tf_sum"]).cast(pa.schema(
+            [sums.schema.field(k) for k in keys] + [("df", pa.int64()), ("tf_sum", pa.int64())]))
+        return sums.join(out, keys=keys, join_type="inner").select([*keys, "df", "tf_sum", "posting"])
 
     return grouped_apply_bucketed(pairs, keys, assemble, n_buckets=n_buckets)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.functions.bucketed import group_aggregate
+
 # priority order: first match wins
 DEFAULT_LICENSE_PATTERNS: tuple[tuple[str, str], ...] = (
     ("mit", r"SPDX-License-Identifier: MIT|MIT License"),
@@ -81,11 +83,8 @@ def repo_majority_license(
     tagged = tag_licenses(ds, content_col=content_col, patterns=patterns)
 
     def local_counts(tbl: pa.Table) -> pa.Table:
-        g = (
-            tbl.select([repo_col, "license"])
-            .group_by([repo_col, "license"])
-            .aggregate([([], "count_all")])
-        )
+        g = group_aggregate(tbl.select([repo_col, "license"]), [repo_col, "license"],
+                            [([], "count_all")])
         return pa.table({
             repo_col: g.column(repo_col),
             "license": g.column("license"),

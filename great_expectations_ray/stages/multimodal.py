@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -409,10 +410,8 @@ def hash64_mark_duplicates(hashed, *, id_col: str, hash_col: str,
     media are killed before marking.  Only (id, 8-byte hash) rows enter the
     exchange — shared by the image dHash and audio energy-fingerprint
     dedups."""
-    import pandas as pd
-
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
-    from great_expectations_ray.stages.neardup import _bucketed_any_mark
+    from great_expectations_ray.stages.neardup import _bucketed_any_mark, _first_of_run_marks
 
     def explode(tbl: pa.Table) -> pa.Table:
         h = np.asarray(tbl.column(hash_col)).astype(np.uint64)
@@ -428,37 +427,24 @@ def hash64_mark_duplicates(hashed, *, id_col: str, hash_col: str,
             }))
         return pa.concat_tables(parts)
 
-    def mark_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["band", "bkey", id_col], kind="mergesort")
-        ids = g[id_col].to_numpy()
-        hs = g["dhash"].to_numpy().astype(np.uint64)
-        band = g["band"].to_numpy()
-        bkey = g["bkey"].to_numpy()
-        dup = np.zeros(len(g), dtype=bool)
-        if len(g):
-            newseg = np.empty(len(g), dtype=bool)
-            newseg[0] = True
-            newseg[1:] = (band[1:] != band[:-1]) | (bkey[1:] != bkey[:-1])
-            firsts = np.flatnonzero(newseg)
-            ends = np.append(firsts[1:], len(g))
-            # python loop over multi-member GROUPS only, not rows
-            for s, e in zip(firsts[ends - firsts >= 2],
-                            ends[ends - firsts >= 2]):
+    def mark_bucket(g: pa.Table) -> pa.Table:
+        g, bounds, _ = _first_of_run_marks(g, ["band", "bkey"], id_col)
+        hs = np.asarray(g.column("dhash")).astype(np.uint64)
+        dup = np.zeros(g.num_rows, dtype=bool)
+        # python loop over multi-member GROUPS only, not rows
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            if e - s >= 2:
                 # verify against the group's keeper (min id): exact 64-bit
                 # Hamming kills band-collision false positives
                 dup[s + 1:e] = hamming64(hs[s + 1:e], hs[s]) <= max_distance
-        return pd.DataFrame({id_col: ids, "is_neardup": dup})
+        return pa.table({id_col: g.column(id_col), "is_neardup": dup})
 
     marked = grouped_apply_bucketed(
         hashed.map_batches(explode, batch_format="pyarrow",
                            zero_copy_batch=True),
         ["band", "bkey"], mark_bucket,
     )
-    out = _bucketed_any_mark(marked, id_col)
-    # any-mark reducers emit Ray's aggregate column name on pandas blocks
-    return out.map_batches(
-        lambda df: df.rename(columns={"max(is_neardup)": "is_neardup"}),
-        batch_format="pandas")
+    return _bucketed_any_mark(marked, id_col, "is_neardup")
 
 
 def dhash_mark_duplicates(
@@ -661,10 +647,8 @@ def video_mark_duplicates(
     the same approximation the image/audio paths take: members verify
     against the bucket keeper, not transitively.  Returns
     ``(id_col, is_neardup)``."""
-    import pandas as pd
-
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
-    from great_expectations_ray.stages.neardup import _bucketed_any_mark
+    from great_expectations_ray.stages.neardup import _bucketed_any_mark, _first_of_run_marks
 
     if prehashed is not None:
         hashed = prehashed
@@ -693,40 +677,29 @@ def video_mark_duplicates(
     frames = hashed.map_batches(explode, batch_format="pyarrow",
                                 zero_copy_batch=True)
 
-    def star(g: pd.DataFrame) -> pd.DataFrame:
+    def star(g: pa.Table) -> pa.Table:
         # per frame-hash bucket: keeper = min id; one edge keeper->member
         # per member, both frame counts riding along (no join needed later)
-        g = g.sort_values(["fh", id_col], kind="mergesort")
-        fh = g["fh"].to_numpy()
-        ids = g[id_col].to_numpy()
-        nf = g["nf"].to_numpy()
-        newseg = np.empty(len(g), dtype=bool)
-        if len(g):
-            newseg[0] = True
-            newseg[1:] = fh[1:] != fh[:-1]
-        seg = np.cumsum(newseg) - 1
-        firsts = np.flatnonzero(newseg)
-        keeper_idx = firsts[seg]
-        member = keeper_idx != np.arange(len(g))
-        return pd.DataFrame({
-            "a": ids[keeper_idx][member],
-            "b": ids[member],
-            "n_a": nf[keeper_idx][member].astype(np.int32),
-            "n_b": nf[member].astype(np.int32),
+        g, bounds, member = _first_of_run_marks(g, ["fh"], id_col)
+        keeper = np.repeat(bounds[:-1], np.diff(bounds))[member]
+        m = pa.array(member)
+        return pa.table({
+            "a": g.column(id_col).take(keeper), "b": g.column(id_col).filter(m),
+            "n_a": pc.cast(g.column("nf").take(keeper), pa.int32()),
+            "n_b": pc.cast(g.column("nf").filter(m), pa.int32()),
         })
 
     edges = grouped_apply_bucketed(frames, ["fh"], star)
 
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
+    def verify(g: pa.Table) -> pa.Table:
         # per (a, b) pair: shared-frame count vs the smaller video (the
-        # bucket carries many pairs — aggregate per pair, vectorized)
-        gb = (g.groupby(["a", "b"], sort=False)
-               .agg(shared=("n_a", "size"), n_a=("n_a", "first"),
-                    n_b=("n_b", "first"))
-               .reset_index())
-        ok = gb["shared"].to_numpy() >= min_overlap * np.minimum(
-            gb["n_a"].to_numpy(), gb["n_b"].to_numpy())
-        return pd.DataFrame({id_col: gb["b"], "is_neardup": ok})
+        # bucket carries many pairs — aggregate per pair, vectorized; a
+        # pair's frame counts are the same on every row)
+        gb = g.group_by(["a", "b"]).aggregate(
+            [([], "count_all"), ("n_a", "min"), ("n_b", "min")])
+        ok = np.asarray(gb.column("count_all")) >= min_overlap * np.minimum(
+            np.asarray(gb.column("n_a_min")), np.asarray(gb.column("n_b_min")))
+        return pa.table({id_col: gb.column("b"), "is_neardup": ok})
 
     marked = grouped_apply_bucketed(edges, ["a", "b"], verify)
     base = hashed.map_batches(
@@ -735,10 +708,7 @@ def video_mark_duplicates(
             "is_neardup": pa.array(np.zeros(len(t), dtype=bool)),
         }),
         batch_format="pyarrow", zero_copy_batch=True)
-    out = _bucketed_any_mark(base.union(marked), id_col)
-    return out.map_batches(
-        lambda df: df.rename(columns={"max(is_neardup)": "is_neardup"}),
-        batch_format="pandas")
+    return _bucketed_any_mark(base.union(marked), id_col, "is_neardup")
 
 
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,6 @@ marking.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -28,19 +27,35 @@ from great_expectations_ray.stages._per_worker import map_per_worker
 _MERSENNE = (1 << 61) - 1
 
 
-def _bucketed_any_mark(marked_ds, id_col: str):
+def _bucketed_any_mark(marked_ds, id_col: str, out: str = "max(is_neardup)"):
     """``groupby(id).max(is_neardup)`` without per-group reduce overhead:
-    hash-bucket the ids, vectorized ``groupby().max()`` per bucket.  Output
-    column is named ``max(is_neardup)`` (Ray aggregate naming, kept for
-    API compatibility)."""
+    hash-bucket the ids, one Arrow ``group_by`` max per bucket.  The output
+    column is named ``out``, by default ``max(is_neardup)`` (Ray aggregate
+    naming, kept for API compatibility)."""
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
-    def reduce_max(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(id_col, sort=True)["is_neardup"].max().reset_index()
-        out.columns = [id_col, "max(is_neardup)"]
-        return out
+    def reduce_max(g: pa.Table) -> pa.Table:
+        m = g.group_by(id_col).aggregate([("is_neardup", "max")])
+        return pa.table({id_col: m.column(id_col), out: m.column("is_neardup_max")})
 
     return grouped_apply_bucketed(marked_ds, [id_col], reduce_max)
+
+
+def _first_of_run_marks(g: pa.Table, keys: list[str], id_col: str):
+    """The bucket sorted by (keys, id), its run bounds, and per row: does a
+    LOWER id share its key run (every row but each run's first)."""
+    from great_expectations_ray.functions.bucketed import key_groups
+
+    g, bounds = key_groups(g, keys, [(id_col, "ascending")])
+    dup = np.ones(g.num_rows, dtype=bool)
+    dup[bounds[:-1]] = False
+    return g, bounds, dup
+
+
+def _list_rows(col, s: int, e: int, dtype) -> np.ndarray:
+    """Rows ``s:e`` of a fixed-width list column as one 2-D array."""
+    sl = col.slice(s, e - s)
+    return np.asarray(pc.list_flatten(sl), dtype=dtype).reshape(e - s, -1)
 
 
 def _shingle_hashes(data: np.ndarray, offsets: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,28 +242,28 @@ def minhash_lsh_mark_duplicates(
 
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
-    def mark_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def mark_bucket(g: pa.Table) -> pa.Table:
         """One hash BUCKET of (band, bkey) groups — vectorized across all
         groups in the bucket (Ray's per-group reduce overhead is pathological
         at #docs×#bands group counts; see functions/bucketed.py)."""
-        g = g.sort_values(["band", "bkey", id_col], kind="mergesort").reset_index(drop=True)
-        if jaccard_threshold is None:
-            # near-dup iff a LOWER id shares the (band, bkey) group
-            dup = g.duplicated(subset=["band", "bkey"], keep="first").to_numpy()
-        else:
-            dup = np.zeros(len(g), dtype=bool)
-            for _, grp in g.groupby(["band", "bkey"], sort=False):
-                loc = grp.index.to_numpy()  # positional after reset_index
-                sigs = np.stack(grp["sig"].to_numpy())
-                if len(grp) > max_bucket_size:
+        # near-dup iff a LOWER id shares the (band, bkey) group
+        g, bounds, dup = _first_of_run_marks(g, ["band", "bkey"], id_col)
+        if jaccard_threshold is not None:
+            dup[:] = False
+            sig = g.column("sig").combine_chunks()
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                if e - s < 2:
+                    continue
+                sigs = _list_rows(sig, s, e, np.uint64)
+                if e - s > max_bucket_size:
                     # degenerate group: verify vs representative only — O(n)
                     sim = (sigs[1:] == sigs[0]).mean(axis=1)
-                    dup[loc[1:]] = sim >= jaccard_threshold
+                    dup[s + 1:e] = sim >= jaccard_threshold
                 else:
-                    for i in range(1, len(grp)):
+                    for i in range(1, e - s):
                         sim = (sigs[i] == sigs[:i]).mean(axis=1).max()
-                        dup[loc[i]] = sim >= jaccard_threshold
-        return pd.DataFrame({id_col: g[id_col].to_numpy(), "is_neardup": dup})
+                        dup[s + i] = sim >= jaccard_threshold
+        return pa.table({id_col: g.column(id_col), "is_neardup": dup})
 
     marked = grouped_apply_bucketed(
         ds.select_columns([id_col, text_col])
@@ -363,10 +378,9 @@ def simhash_mark_duplicates(ds, *, text_col: str = "content", id_col: str,
 
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
-    def mark_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["band", "bkey", id_col], kind="mergesort")
-        dup = g.duplicated(subset=["band", "bkey"], keep="first").to_numpy()
-        return pd.DataFrame({id_col: g[id_col].to_numpy(), "is_neardup": dup})
+    def mark_bucket(g: pa.Table) -> pa.Table:
+        g, _, dup = _first_of_run_marks(g, ["band", "bkey"], id_col)
+        return pa.table({id_col: g.column(id_col), "is_neardup": dup})
 
     marked = grouped_apply_bucketed(
         ds.select_columns([id_col, text_col])
@@ -450,14 +464,15 @@ def ngram_jaccard_mark_duplicates(
             "bkey": pa.array(bk.reshape(-1)),
         })
 
-    def star_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        rep = g.groupby(["band", "bkey"], sort=False)[id_col].transform("min")
-        ids = g[id_col].to_numpy()
-        m = ids != rep.to_numpy()
-        return pd.DataFrame({"a": rep.to_numpy()[m], "b": ids[m]})
+    def star_pairs(g: pa.Table) -> pa.Table:
+        # each run's first row holds its min id, the representative
+        g, bounds, m = _first_of_run_marks(g, ["band", "bkey"], id_col)
+        rep = np.repeat(bounds[:-1], np.diff(bounds))
+        ids = g.column(id_col)
+        return pa.table({"a": ids.take(rep[m]), "b": ids.filter(pa.array(m))})
 
-    def distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
+    def distinct_pairs(g: pa.Table) -> pa.Table:
+        return g.group_by(["a", "b"]).aggregate([])
 
     exploded = ds.select_columns([id_col, text_col]).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True
@@ -470,13 +485,11 @@ def ngram_jaccard_mark_duplicates(
     # to_pandas(limit=) raises rather than silently materializing more.
     pairs_df = pairs_ds.to_pandas(limit=max_candidate_pairs)
 
-    def all_false(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            id_col: df[id_col].to_numpy(),
-            "is_neardup": np.zeros(len(df), dtype=bool),
-        })
+    def all_false(t: pa.Table) -> pa.Table:
+        return pa.table({id_col: t.column(id_col),
+                         "is_neardup": np.zeros(t.num_rows, dtype=bool)})
 
-    base = ds.select_columns([id_col]).map_batches(all_false, batch_format="pandas")
+    base = ds.select_columns([id_col]).map_batches(all_false, batch_format="pyarrow")
     if len(pairs_df) == 0:  # no candidates anywhere (also loses its columns)
         return _bucketed_any_mark(base, id_col)
 
@@ -548,17 +561,23 @@ def ngram_jaccard_mark_duplicates(
     routed = map_per_worker(ds.select_columns([id_col, text_col]), _RouteSets,
                             batch_format="pyarrow", zero_copy_batch=True)
 
-    def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def verify_bucket(g: pa.Table) -> pa.Table:
+        from great_expectations_ray.functions.bucketed import key_groups
+
+        g, bounds = key_groups(g, ["a"])
+        role, bs = np.asarray(g.column("role")), np.asarray(g.column("b"))
+        sh = g.column("sh").combine_chunks()
+        flat = np.asarray(pc.list_flatten(sh), dtype=np.uint64)
+        offs = np.r_[0, np.cumsum(np.asarray(pc.list_value_length(sh).fill_null(0)))]
         out_b: list[int] = []
         out_flag: list[bool] = []
-        for _, grp in g.groupby("a", sort=False):
-            rep_rows = grp[grp["role"] == 1]
-            if len(rep_rows) == 0:
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            rep = np.flatnonzero(role[s:e] == 1)
+            if len(rep) == 0:
                 continue
-            sa = np.asarray(rep_rows["sh"].iloc[0], dtype=np.uint64)
-            mem = grp[grp["role"] == 0]
-            for b, sb in zip(mem["b"].to_numpy(), mem["sh"].to_numpy()):
-                sb = np.asarray(sb, dtype=np.uint64)
+            sa = flat[offs[s + rep[0]]:offs[s + rep[0] + 1]]
+            for i in s + np.flatnonzero(role[s:e] == 0):
+                b, sb = bs[i], flat[offs[i]:offs[i + 1]]
                 if sa.size == 0 and sb.size == 0:
                     j = 1.0
                 elif sa.size == 0 or sb.size == 0:
@@ -568,7 +587,7 @@ def ngram_jaccard_mark_duplicates(
                     j = inter / (sa.size + sb.size - inter)
                 out_b.append(int(b))
                 out_flag.append(j >= threshold)
-        return pd.DataFrame({
+        return pa.table({
             id_col: np.asarray(out_b, dtype=np.int64),
             "is_neardup": np.asarray(out_flag, dtype=bool),
         })
@@ -607,31 +626,33 @@ def embedding_mark_duplicates(
             emb_col: tbl.column(emb_col),
         })
 
-    def mark(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(id_col, kind="mergesort")
-        ids = g[id_col].to_numpy()
-        M = np.stack(g[emb_col].to_numpy()).astype(np.float64)
-        norms = np.linalg.norm(M, axis=1)
-        n = len(g)
-        dup = np.zeros(n, dtype=bool)
-        if n > max_bucket_size:
-            # degenerate bucket: one matvec vs the representative — O(n·d)
-            sims = (M[1:] @ M[0]) / np.maximum(norms[1:] * norms[0], 1e-30)
-            dup[1:] = sims >= cosine_threshold
-        elif n > 1:
-            # one GEMM for the whole bucket: dup[i] iff any LOWER-id j has
-            # cosine >= threshold (strict lower triangle)
-            sims = (M @ M.T) / np.maximum(np.outer(norms, norms), 1e-30)
-            lower = np.tril(sims >= cosine_threshold, k=-1)
-            dup = lower.any(axis=1)
-        return pd.DataFrame({id_col: ids, "is_neardup": dup})
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
-    marked = (
+    def mark(g: pa.Table) -> pa.Table:
+        # ≤2^n_planes LSH buckets — a per-bucket verify is inherent
+        g, bounds = key_groups(g, ["bkey"], [(id_col, "ascending")])
+        dup = np.zeros(g.num_rows, dtype=bool)
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            n = e - s
+            if n < 2:
+                continue
+            M = _emb_matrix(g.column(emb_col).slice(s, n)).astype(np.float64)
+            norms = np.linalg.norm(M, axis=1)
+            if n > max_bucket_size:
+                # degenerate bucket: one matvec vs the representative — O(n·d)
+                sims = (M[1:] @ M[0]) / np.maximum(norms[1:] * norms[0], 1e-30)
+                dup[s + 1:e] = sims >= cosine_threshold
+            else:
+                # one GEMM for the whole bucket: dup[i] iff any LOWER-id j
+                # has cosine >= threshold (strict lower triangle)
+                sims = (M @ M.T) / np.maximum(np.outer(norms, norms), 1e-30)
+                dup[s:e] = np.tril(sims >= cosine_threshold, k=-1).any(axis=1)
+        return pa.table({id_col: g.column(id_col), "is_neardup": dup})
+
+    marked = grouped_apply_bucketed(
         ds.select_columns([id_col, emb_col])
-        .map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkey")  # ≤2^n_planes groups — per-group verify is inherent
-        .map_groups(mark, batch_format="pandas")
-    )
+        .map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+        ["bkey"], mark)
     return _bucketed_any_mark(marked, id_col)
 
 
@@ -658,49 +679,33 @@ def mark_known_neardup(
     ``minhash_lsh_mark_duplicates``, so thresholds tuned in-corpus carry
     over.  Returns a Dataset of ``(id_col, is_known)`` over the NEW side
     only."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import group_codes, two_sided_exchange
 
-    def explode_side(side: int):
-        def fn(tbl: pa.Table) -> pa.Table:
-            sig = minhash_signatures(
-                tbl.column(text_col), num_perm=num_perm,
-                shingle_k=shingle_k, seed=seed)
-            bk = band_keys(sig, bands)
-            n = len(sig)
-            ids = np.asarray(tbl.column(id_col))
-            return pa.table({
-                id_col: pa.array(np.repeat(ids, bands)),
-                "band": pa.array(np.tile(np.arange(bands, dtype=np.int64), n)),
-                "bkey": pa.array(bk.reshape(-1)),
-                "side": pa.array(np.full(n * bands, side, dtype=np.int8)),
-            })
-
-        return fn
-
-    both = (
-        new_ds.select_columns([id_col, text_col])
-        .map_batches(explode_side(1), batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            snapshot_ds.select_columns([id_col, text_col])
-            .map_batches(explode_side(0), batch_format="pyarrow",
-                         zero_copy_batch=True))
-    )
-
-    def mark_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # per (band, bkey) group: a NEW row is known iff the group contains
-        # any snapshot row (side 0); vectorized across all groups in the
-        # bucket via a transform-min
-        has_snap = g.groupby(["band", "bkey"], sort=False)["side"].transform("min") == 0
-        new_rows = g["side"].to_numpy() == 1
-        return pd.DataFrame({
-            id_col: g.loc[new_rows, id_col].to_numpy(),
-            "is_neardup": has_snap.to_numpy()[new_rows],
+    def explode(tbl: pa.Table) -> pa.Table:
+        sig = minhash_signatures(
+            tbl.column(text_col), num_perm=num_perm,
+            shingle_k=shingle_k, seed=seed)
+        bk = band_keys(sig, bands)
+        n = len(sig)
+        ids = np.asarray(tbl.column(id_col))
+        return pa.table({
+            id_col: pa.array(np.repeat(ids, bands)),
+            "band": pa.array(np.tile(np.arange(bands, dtype=np.int64), n)),
+            "bkey": pa.array(bk.reshape(-1)),
         })
 
-    marked = grouped_apply_bucketed(both, ["band", "bkey"], mark_bucket)
-    reduced = _bucketed_any_mark(marked, id_col)
+    new, snap = (d.select_columns([id_col, text_col]).map_batches(
+        explode, batch_format="pyarrow", zero_copy_batch=True)
+        for d in (new_ds, snapshot_ds))
 
-    def rename(df: pd.DataFrame) -> pd.DataFrame:
-        return df.rename(columns={"max(is_neardup)": "is_known"})
+    def mark_bucket(new: pa.Table, snap: pa.Table) -> pa.Table:
+        # a NEW row is known iff a snapshot row shares its (band, bkey)
+        keys = ["band", "bkey"]
+        codes = group_codes(pa.concat_tables([new.select(keys), snap.select(keys)]), keys)
+        return pa.table({
+            id_col: new.column(id_col),
+            "is_neardup": np.isin(codes[:new.num_rows], codes[new.num_rows:]),
+        })
 
-    return reduced.map_batches(rename, batch_format="pandas")
+    marked = two_sided_exchange(new, snap, ["band", "bkey"], mark_bucket, n_buckets=256)
+    return _bucketed_any_mark(marked, id_col, "is_known")

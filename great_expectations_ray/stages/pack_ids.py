@@ -52,8 +52,8 @@ from great_expectations_ray.stages.wordpiece import encode_word
 def ensure_list_int32(ids, n_rows: int) -> pa.Array:
     """Return an id-list column as a plain ``list<int32>`` array.
 
-    Ray stores list rows that crossed a pandas hop (``batch_format="pandas"``
-    stages, ``map_groups``) as ArrowTensorArray extension arrays — fixed-shape
+    Ray stores list rows that crossed a pandas hop (a pandas-format map
+    stage, or ``from_pandas`` input) as ArrowTensorArray extension arrays — fixed-shape
     when every row has equal length, variable-shaped otherwise.  Arrow's list
     kernels (``list_value_length``, ``.offsets``/``.values``) have no tensor
     kernels, so every list-consuming stage normalizes through this helper
@@ -258,30 +258,22 @@ def pack_sequences(
     frags = sorted_ds.map_batches(
         fragments, batch_format="pyarrow", batch_size=None)
 
-    from great_expectations_ray.functions.bucketed import (
-        grouped_apply_bucketed,
-    )
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
-    def assemble_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def assemble_bucket(g: pa.Table) -> pa.Table:
         # all fragments of a sequence share its bucket; one vectorized pass
         # assembles EVERY sequence in the bucket (no per-group python)
-        g = g.sort_values(["seq_id", "frag_start"], kind="mergesort")
-        if not len(g):
-            return pd.DataFrame({"seq_id": pd.Series([], dtype="int64"),
-                                 "token_ids": pd.Series([], dtype="object"),
-                                 "n_tokens": pd.Series([], dtype="int64")})
-        arrs = [np.asarray(f, dtype=np.int32) for f in g["frags"]]
-        flat = np.concatenate(arrs)
-        lens = np.fromiter((len(a) for a in arrs), dtype=np.int64,
-                           count=len(arrs))
-        sid = g["seq_id"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]])
-        seq_tok = np.add.reduceat(lens, starts)
-        cut = np.cumsum(seq_tok)[:-1]
-        return pd.DataFrame({
-            "seq_id": sid[starts],
-            "token_ids": np.split(flat, cut),
-            "n_tokens": seq_tok,
+        g, bounds = key_groups(g, ["seq_id"], [("frag_start", "ascending")])
+        frags = g.column("frags").combine_chunks()
+        flat = pc.list_flatten(frags)
+        # token offset of each sequence = its first fragment's offset
+        offs = np.asarray(pc.list_value_length(frags).fill_null(0)).astype(np.int64)
+        at = np.r_[0, np.cumsum(offs)][bounds]
+        return pa.table({
+            "seq_id": g.column("seq_id").take(bounds[:-1]),
+            "token_ids": pa.ListArray.from_arrays(pa.array(at, pa.int32()),
+                                                  pc.cast(flat, pa.int32())),
+            "n_tokens": pa.array(np.diff(at)),
         })
 
     return grouped_apply_bucketed(frags, ["seq_id"], assemble_bucket)

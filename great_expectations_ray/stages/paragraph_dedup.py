@@ -33,7 +33,6 @@ the paragraph text itself, so any collision would surface as a gate mismatch.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -93,15 +92,18 @@ def paragraph_drop_marks(
 ):
     """Dataset of ``(id_col, para_idx)`` — every paragraph occurrence that is
     NOT the global first of its content class.  One bucketed exchange."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
     exploded = explode_paragraph_keys(
         ds, text_col=text_col, id_col=id_col, sep=sep, min_len=min_len
     )
 
-    def losers(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__pkey", id_col, "para_idx"], kind="mergesort")
-        return g.loc[g.duplicated("__pkey", keep="first"), [id_col, "para_idx"]]
+    def losers(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, ["__pkey"], [(id_col, "ascending"),
+                                               ("para_idx", "ascending")])
+        lose = np.ones(g.num_rows, dtype=bool)
+        lose[bounds[:-1]] = False
+        return g.select([id_col, "para_idx"]).filter(pa.array(lose))
 
     return grouped_apply_bucketed(exploded, ["__pkey"], losers, n_buckets=n_buckets)
 
@@ -221,18 +223,13 @@ def dedup_paragraphs(
         )
 
     # large-drops path: aggregate per doc, bucketed join, rebuild per batch
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, joined_per_key
     from great_expectations_ray.functions.joins import hash_bucket_join
 
-    def agg_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def agg_bucket(g: pa.Table) -> pa.Table:
         # comma-joined string, not a list column: Arrow's join carries no
         # list columns
-        out = (
-            g.groupby(id_col, sort=False)["para_idx"]
-            .agg(lambda s: ",".join(map(str, s)))
-            .reset_index()
-        )
-        return out.rename(columns={"para_idx": "__drop_idxs"})
+        return joined_per_key(g, [id_col], "para_idx", "__drop_idxs")
 
     drop_lists = grouped_apply_bucketed(drops, [id_col], agg_bucket, n_buckets=n_buckets)
     joined = hash_bucket_join(

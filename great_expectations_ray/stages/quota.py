@@ -24,7 +24,6 @@ this module's per-group sequential semantics are what those avoid.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -41,7 +40,7 @@ def select_top_fraction_grouped(
     """Dataset of (group_col, id_col, selected) — True for exactly
     ``ceil(frac * group_size)`` rows per group (highest score, ties to the
     lowest id)."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
     def proj(tbl: pa.Table) -> pa.Table:
         return pa.table({
@@ -55,19 +54,14 @@ def select_top_fraction_grouped(
 
     from great_expectations_ray.stages.topfrac import frac_ceil
 
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([group_col, "score", id_col], kind="mergesort",
-                          ascending=[True, False, True])
-        grp = g.groupby(group_col, sort=False)
-        rn = (grp.cumcount() + 1).to_numpy()
-        size = grp[id_col].transform("size").to_numpy()
+    def bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, [group_col], [("score", "descending"),
+                                                (id_col, "ascending")])
+        size = np.repeat(np.diff(bounds), np.diff(bounds))
+        rn = np.arange(g.num_rows) - np.repeat(bounds[:-1], np.diff(bounds)) + 1
         # DECIMAL-exact quota (double 0.07*100 would ceil to 8, not 7)
-        cap = frac_ceil(frac, size)
-        return pd.DataFrame({
-            group_col: g[group_col].to_numpy(),
-            id_col: g[id_col].to_numpy(),
-            "selected": rn <= cap,
-        })
+        return g.select([group_col, id_col]).append_column(
+            "selected", pa.array(rn <= frac_ceil(frac, size)))
 
     return grouped_apply_bucketed(pairs, [group_col], bucket,
                                   n_buckets=n_buckets)
@@ -84,7 +78,7 @@ def token_budget_cutoff(
 ):
     """Dataset of (group_col, id_col, selected) — True while the running
     per-group token sum (in ascending id order) stays ``<= budget``."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
     def proj(tbl: pa.Table) -> pa.Table:
         return pa.table({
@@ -96,14 +90,13 @@ def token_budget_cutoff(
     pairs = ds.select_columns([group_col, id_col, token_col]).map_batches(
         proj, batch_format="pyarrow", zero_copy_batch=True)
 
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([group_col, id_col], kind="mergesort")
-        cum = g.groupby(group_col, sort=False)["tokens"].cumsum().to_numpy()
-        return pd.DataFrame({
-            group_col: g[group_col].to_numpy(),
-            id_col: g[id_col].to_numpy(),
-            "selected": cum <= budget,
-        })
+    def bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, [group_col], [(id_col, "ascending")])
+        cum = np.cumsum(np.asarray(g.column("tokens").fill_null(0)))
+        base = np.r_[0, cum][bounds[:-1]]
+        cum = cum - np.repeat(base, np.diff(bounds))
+        return g.select([group_col, id_col]).append_column(
+            "selected", pa.array(cum <= budget))
 
     return grouped_apply_bucketed(pairs, [group_col], bucket,
                                   n_buckets=n_buckets)

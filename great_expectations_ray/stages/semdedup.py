@@ -26,9 +26,7 @@ Scalable shape:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from great_expectations_ray.stages.ann import _emb_matrix, _kmeans_cosine
 
@@ -106,23 +104,12 @@ def semdedup(
         # one bucket holds MANY clusters (cluster count is n/cluster_size —
         # unbounded, so Ray's per-group reduce is the wrong substrate); sort
         # by (cluster, id) once and prune each equal-cluster run
-        order = pc.sort_indices(
-            g, sort_keys=[("cluster", "ascending"), (id_col, "ascending")])
-        g = g.take(order)
-        cl = np.asarray(g.column("cluster"))
-        if len(cl) == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "cluster": pa.array([], pa.int64()),
-                             "is_dup": pa.array([], pa.bool_())})
-        starts = np.flatnonzero(np.concatenate(([True], cl[1:] != cl[:-1])))
-        ends = np.append(starts[1:], len(cl))
+        g, bounds = key_groups(g, ["cluster"], [(id_col, "ascending")])
         return pa.concat_tables(
             [prune_one(g.slice(int(s), int(e - s)))
-             for s, e in zip(starts, ends)]
-        )
+             for s, e in zip(bounds[:-1], bounds[1:])])
 
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 
     labeled = ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-    return grouped_apply_bucketed(labeled, ["cluster"], prune_bucket,
-                                  batch_format="pyarrow")
+    return grouped_apply_bucketed(labeled, ["cluster"], prune_bucket)

@@ -50,10 +50,13 @@ import os
 import struct
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _MAGIC = b"MMIDIDX\x00\x00"
 _VERSION = 1
+_TOKEN_SCHEMA = pa.schema([("seq_id", pa.int64()), ("token_ids", pa.list_(pa.int32())),
+                           ("n_tokens", pa.int64())])
 # Megatron-LM public dtype codes (indexed_dataset.py): 4=int32, 8=uint16.
 _DTYPE_CODES = {np.dtype(np.uint16): 8, np.dtype(np.int32): 4}
 _CODE_DTYPES = {8: np.dtype(np.uint16), 4: np.dtype(np.int32)}
@@ -147,16 +150,18 @@ def write_token_shards(
     code = _DTYPE_CODES[np_dtype]
     os.makedirs(out_dir, exist_ok=True)
 
-    def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def write_bucket(g: pa.Table) -> pa.Table:
         # bucket tasks may land on any node: ensure the (shared-FS) dir
         # exists locally too, not just where the driver ran makedirs
         os.makedirs(out_dir, exist_ok=True)
         rows = []
-        g = g.sort_values(seq_id_col, kind="mergesort")
-        shard_of = (g[seq_id_col].to_numpy() // seqs_per_shard).astype(np.int64)
+        g = g.sort_by(seq_id_col)
+        sids = np.asarray(g.column(seq_id_col))
+        ids = g.column(ids_col).combine_chunks()
+        shard_of = sids // seqs_per_shard
         for shard in np.unique(shard_of):
-            sg = g[shard_of == shard]
-            sid = sg[seq_id_col].to_numpy()
+            at = np.flatnonzero(shard_of == shard)  # one run: g is sorted
+            sid = sids[at[0]:at[-1] + 1]
             first = int(shard) * seqs_per_shard
             expect = np.arange(first, first + len(sid))
             if not np.array_equal(sid, expect):
@@ -166,19 +171,15 @@ def write_token_shards(
                     "construction — re-keyed or filtered input needs a "
                     "re-numbering pass first)"
                 )
-            arrs = [np.asarray(a) for a in sg[ids_col]]
-            for a in arrs:
-                if len(a) and (a.min() < 0 or (np_dtype == np.uint16 and a.max() >= (1 << 16))):
-                    raise ValueError(
-                        "write_token_shards: token id out of range for "
-                        f"dtype {np_dtype} (pass vocab_size=None for int32)"
-                    )
-            sizes = np.fromiter((len(a) for a in arrs), dtype=np.int32, count=len(arrs))
-            flat = (
-                np.concatenate(arrs).astype(np_dtype)
-                if len(arrs)
-                else np.array([], dtype=np_dtype)
-            )
+            lists = ids.slice(at[0], len(sid))
+            flat = np.asarray(pc.list_flatten(lists))
+            if len(flat) and (flat.min() < 0 or (np_dtype == np.uint16 and flat.max() >= (1 << 16))):
+                raise ValueError(
+                    "write_token_shards: token id out of range for "
+                    f"dtype {np_dtype} (pass vocab_size=None for int32)"
+                )
+            sizes = np.asarray(pc.list_value_length(lists).fill_null(0)).astype(np.int32)
+            flat = flat.astype(np_dtype)
             bin_bytes = flat.astype(np_dtype.newbyteorder("<")).tobytes()
             idx_bytes = _idx_bytes(sizes, np_dtype.itemsize, code)
             bin_path, idx_path = _shard_paths(out_dir, int(shard))
@@ -207,13 +208,11 @@ def write_token_shards(
                     "skipped": skipped,
                 }
             )
-        return pd.DataFrame(rows)
+        return pa.Table.from_pylist(rows)
 
     from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
 
-    def add_shard(tbl) -> "pd.DataFrame":
-        import pyarrow as pa
-
+    def add_shard(tbl: pa.Table) -> pa.Table:
         from great_expectations_ray.stages.pack_ids import ensure_list_int32
 
         sid = np.asarray(tbl.column(seq_id_col).combine_chunks(), dtype=np.int64)
@@ -266,17 +265,14 @@ def read_token_shards(out_dir: str, *, verify: bool = False):
     with open(os.path.join(out_dir, "manifest.json")) as f:
         manifest = json.load(f)
     if not manifest["shards"]:
-        return ray.data.from_pandas(
-            pd.DataFrame({"seq_id": pd.Series([], dtype="int64"),
-                          "token_ids": pd.Series([], dtype="object"),
-                          "n_tokens": pd.Series([], dtype="int64")}))
+        return ray.data.from_arrow(_TOKEN_SCHEMA.empty_table())
     items = [
         {**s, "__dir": out_dir, "__verify": verify} for s in manifest["shards"]
     ]
 
-    def load(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for r in df.to_dict("records"):
+    def load(tbl: pa.Table) -> pa.Table:
+        out = [_TOKEN_SCHEMA.empty_table()]
+        for r in tbl.to_pylist():
             bin_path, idx_path = _shard_paths(r["__dir"], int(r["shard"]))
             dtype, sizes, pointers = parse_idx(idx_path)
             with open(bin_path, "rb") as f:
@@ -289,32 +285,15 @@ def read_token_shards(out_dir: str, *, verify: bool = False):
                         f"({sha[:12]} != {r['sha256_bin'][:12]})"
                     )
             flat = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(np.int32)
-            cuts = np.cumsum(sizes[:-1]) if len(sizes) > 1 else []
-            out.append(
-                pd.DataFrame(
-                    {
-                        "seq_id": np.arange(
-                            r["first_seq_id"],
-                            r["first_seq_id"] + len(sizes),
-                            dtype=np.int64,
-                        ),
-                        "token_ids": np.split(flat, cuts) if len(sizes) else [],
-                        "n_tokens": sizes.astype(np.int64),
-                    }
-                )
-            )
-        return (
-            pd.concat(out, ignore_index=True)
-            if out
-            else pd.DataFrame(
-                {
-                    "seq_id": pd.Series([], dtype="int64"),
-                    "token_ids": pd.Series([], dtype="object"),
-                    "n_tokens": pd.Series([], dtype="int64"),
-                }
-            )
-        )
+            offsets = np.r_[0, np.cumsum(sizes)].astype(np.int32)
+            out.append(pa.table({
+                "seq_id": np.arange(r["first_seq_id"], r["first_seq_id"] + len(sizes),
+                                    dtype=np.int64),
+                "token_ids": pa.ListArray.from_arrays(pa.array(offsets), pa.array(flat)),
+                "n_tokens": sizes.astype(np.int64),
+            }, schema=_TOKEN_SCHEMA))
+        return pa.concat_tables(out)
 
     return ray.data.from_items(items).map_batches(
-        load, batch_format="pandas", batch_size=1
+        load, batch_format="pyarrow", batch_size=1
     )

@@ -44,10 +44,7 @@ def local_keep_first(tbl: pa.Table, key_col: str, order_by: str) -> pa.Table:
     """Per-batch keep-first combine: at most ONE row per key leaves the batch
     (the min-order one), so the later keep-first shuffle sees ≤ #batches rows
     per key instead of the full (possibly hot) group."""
-    import pandas as pd
+    from great_expectations_ray.functions.bucketed import key_groups
 
-    df = tbl.to_pandas()
-    df = df.sort_values(order_by, kind="mergesort").drop_duplicates(
-        subset=[key_col], keep="first"
-    )
-    return pa.Table.from_pandas(df, preserve_index=False)
+    tbl, bounds = key_groups(tbl, [key_col], [(order_by, "ascending")])
+    return tbl.take(bounds[:-1])

@@ -16,11 +16,11 @@ cardinality costs no per-group overhead)."""
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
 from great_expectations_ray.stages.dedup import md5_column
 
 
@@ -33,11 +33,12 @@ def _rank_table(tbl: pa.Table, strata_cols: list[str], id_col: str) -> pa.Table:
     return pa.table(cols)
 
 
-def _topk(df: pd.DataFrame, strata_cols: list[str], id_col: str, k: int) -> pd.DataFrame:
-    df = df.sort_values([*strata_cols, "_rank", id_col], kind="mergesort")
-    # dropna=False: a null stratum key is its own stratum with its own quota
-    # (matches the SQL oracle's PARTITION BY, where NULL forms a partition)
-    return df.groupby(list(strata_cols), sort=False, dropna=False).head(k)
+def _topk(t: pa.Table, strata_cols: list[str], id_col: str, k: int) -> pa.Table:
+    # a null stratum key is its own stratum with its own quota (matches the
+    # SQL oracle's PARTITION BY, where NULL forms a partition)
+    t, bounds = key_groups(t, strata_cols, [("_rank", "ascending"), (id_col, "ascending")])
+    pos = np.arange(t.num_rows) - np.repeat(bounds[:-1], np.diff(bounds))
+    return t.filter(pa.array(pos < k))
 
 
 def stratified_sample(ds, *, strata_cols: list[str], id_col: str, k: int):
@@ -48,15 +49,12 @@ def stratified_sample(ds, *, strata_cols: list[str], id_col: str, k: int):
     strata_cols = list(strata_cols)
 
     def local(tbl: pa.Table) -> pa.Table:
-        t = _rank_table(tbl, strata_cols, id_col)
-        return pa.Table.from_pandas(
-            _topk(t.to_pandas(), strata_cols, id_col, k), preserve_index=False
-        )
+        return _topk(_rank_table(tbl, strata_cols, id_col), strata_cols, id_col, k)
 
     candidates = ds.select_columns([*strata_cols, id_col]).map_batches(
         local, batch_format="pyarrow", zero_copy_batch=True
     )
     keep = [*strata_cols, id_col]
     return grouped_apply_bucketed(
-        candidates, strata_cols, lambda g: _topk(g, strata_cols, id_col, k)[keep]
+        candidates, strata_cols, lambda g: _topk(g, strata_cols, id_col, k).select(keep)
     )

@@ -34,11 +34,14 @@ the DuckDB ``substr`` oracle asserts (TESTDATA documents are ASCII).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+from great_expectations_ray.functions.bucketed import (
+    distinct_in_group,
+    grouped_apply_bucketed,
+    key_groups,
+)
 from great_expectations_ray.stages._per_worker import map_per_worker
 from great_expectations_ray.stages.scrub import _string_buffer_views
 
@@ -154,9 +157,9 @@ def duplicate_substrings(
     exploded = ds.select_columns([id_col, content_col]).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True)
 
-    def keep_cross_doc_dups(g: pd.DataFrame) -> pd.DataFrame:
-        shared = g.groupby("win", sort=False)[id_col].transform("nunique") >= 2
-        return g.loc[shared, [id_col, "pos"]]
+    def keep_cross_doc_dups(g: pa.Table) -> pa.Table:
+        return g.select([id_col, "pos"]).filter(
+            pa.array(distinct_in_group(g, "win", id_col) >= 2))
 
     dup_rows = grouped_apply_bucketed(exploded, ["win"], keep_cross_doc_dups)
 
@@ -171,12 +174,11 @@ def duplicate_substrings(
     partials = dup_rows.map_batches(
         local_agg, batch_format="pyarrow", zero_copy_batch=True)
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(id_col, sort=False).agg(
-            dup_windows=("dup_windows", "sum"),
-            first_dup_pos=("first_dup_pos", "min"),
-        ).reset_index()
-        return out
+    def merge(g: pa.Table) -> pa.Table:
+        out = g.group_by(id_col).aggregate([("dup_windows", "sum"),
+                                            ("first_dup_pos", "min")])
+        return out.rename_columns([id_col, "dup_windows", "first_dup_pos"]) \
+            .select([id_col, "dup_windows", "first_dup_pos"])
 
     return grouped_apply_bucketed(partials, [id_col], merge)
 
@@ -209,35 +211,30 @@ def duplicate_occurrence_cuts(
     exploded = ds.select_columns([id_col, content_col]).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True)
 
-    def non_keepers(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["win", id_col, "pos"], kind="mergesort")
-        grp = g.groupby("win", sort=False)
-        shared = grp[id_col].transform("nunique") >= 2
-        keeper = ~g.duplicated(subset=["win"], keep="first")
-        keep_rows = shared & ~keeper
-        return g.loc[keep_rows, [id_col, "pos"]]
+    def non_keepers(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, ["win"], [(id_col, "ascending"), ("pos", "ascending")])
+        drop = distinct_in_group(g, "win", id_col) >= 2
+        drop[bounds[:-1]] = False  # the keeper: each window's first occurrence
+        return g.select([id_col, "pos"]).filter(pa.array(drop))
 
     marks = grouped_apply_bucketed(exploded, ["win"], non_keepers)
 
-    def merge_ranges(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({id_col: [], "start": [], "end": []})
-        g = g.sort_values([id_col, "pos"], kind="mergesort")
-        ids = g[id_col].to_numpy()
-        pos = g["pos"].to_numpy(np.int64)
+    def merge_ranges(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, [id_col], [("pos", "ascending")])
+        pos = np.asarray(pc.cast(g.column("pos"), pa.int64()))
         end = pos + window
         # Fully vectorized interval merge.  All marks share one window width,
         # so end = pos + window is monotone nondecreasing within a doc's
         # pos-sorted marks — the running max of previous ends IS end[i-1],
         # and a mark opens a new merged range iff it starts a new doc or its
         # pos clears the previous mark's end.
-        new_range = np.empty(len(g), dtype=bool)
-        new_range[0] = True
-        new_range[1:] = (ids[1:] != ids[:-1]) | (pos[1:] > end[:-1])
+        new_range = np.zeros(len(pos), dtype=bool)
+        new_range[1:] = pos[1:] > end[:-1]
+        new_range[bounds[:-1]] = True
         firsts = np.flatnonzero(new_range)
-        lasts = np.append(firsts[1:], len(g)) - 1
-        return pd.DataFrame({id_col: ids[firsts], "start": pos[firsts],
-                             "end": end[lasts]})
+        lasts = np.append(firsts[1:], len(pos)) - 1
+        return pa.table({id_col: g.column(id_col).take(firsts),
+                         "start": pa.array(pos[firsts]), "end": pa.array(end[lasts])})
 
     return grouped_apply_bucketed(marks, [id_col], merge_ranges)
 
@@ -336,15 +333,14 @@ def _remove_cuts_joined(ds, cuts_ds, *, content_col: str, id_col: str):
     join; the cut map never lands on the driver.  Per-doc ranges serialize
     to one ``"s-e,s-e"`` string (Arrow's join carries no list columns — the
     boilerplate-fallback pattern), and the rewrite is Arrow-native."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, joined_per_key
     from great_expectations_ray.functions.joins import hash_bucket_join
 
-    def agg_cuts(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([id_col, "start"], kind="mergesort")
-        out = (g.assign(__r=g["start"].astype(str) + "-" + g["end"].astype(str))
-               .groupby(id_col, sort=False)["__r"]
-               .agg(",".join).reset_index())
-        return out.rename(columns={"__r": "__cuts"})
+    def agg_cuts(g: pa.Table) -> pa.Table:
+        r = pc.binary_join_element_wise(pc.cast(g.column("start"), pa.string()),
+                                        pc.cast(g.column("end"), pa.string()), "-")
+        return joined_per_key(g.append_column("__r", r), [id_col], "__r", "__cuts",
+                              order_by=["start"])
 
     cut_lists = grouped_apply_bucketed(cuts_ds, [id_col], agg_cuts)
     joined = hash_bucket_join(ds, cut_lists, on=id_col, how="left")

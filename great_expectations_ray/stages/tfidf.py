@@ -32,6 +32,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.functions.bucketed import group_aggregate
+
 
 def _explode_terms(tbl: pa.Table, text_col: str, id_col: str, sep: str) -> pa.Table:
     """(id, term) pairs for every non-empty token — vectorized split off the
@@ -67,15 +69,15 @@ def document_frequencies(
 
     def partial_df(tbl: pa.Table) -> pa.Table:
         pairs = _explode_terms(tbl, text_col, id_col, sep)
-        g = (pairs.group_by([id_col, "term"]).aggregate([])
-             .group_by("term").aggregate([([], "count_all")]))
+        g = group_aggregate(pairs, [id_col, "term"], []) \
+            .group_by("term").aggregate([([], "count_all")])
         return pa.table({"term": pc.cast(g.column("term"), pa.string()),
                          "df": g.column("count_all")})
 
     partials = ds.map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
     return grouped_apply_bucketed(partials, ["term"],
                                   lambda t: sum_by_key(t, ["term"], "df"),
-                                  n_buckets=n_buckets, batch_format="pyarrow")
+                                  n_buckets=n_buckets)
 
 
 def tfidf_topk(
@@ -103,8 +105,8 @@ def tfidf_topk(
     df_map = df_tbl.set_index("term")["df"]
 
     def top_k(tbl: pa.Table) -> pd.DataFrame:
-        g = (_explode_terms(tbl, text_col, id_col, sep)
-             .group_by([id_col, "term"]).aggregate([([], "count_all")]))
+        g = group_aggregate(_explode_terms(tbl, text_col, id_col, sep), [id_col, "term"],
+                            [([], "count_all")])
         tf = pa.table({id_col: g.column(id_col), "term": g.column("term"),
                        "tf": g.column("count_all")}).to_pandas()
         tf["df"] = tf["term"].map(df_map)

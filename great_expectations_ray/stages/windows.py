@@ -3,8 +3,9 @@
 The reference has NO streaming/window semantics (SURVEY §2.6) — these are the
 training-pipeline extensions for stream-shaped tables (`events`): treat the
 input as an ordered, partitioned log; windows are computed per key inside
-``groupby(key).map_groups`` over the ts-sorted group (ordering assumption:
-ts is unique per (key, event_id) tiebreak — stated per the Ray guide).
+one bucketed exchange on the key (``functions/bucketed.py``), over each
+key's ts-sorted run (ordering assumption: ts is unique per (key, event_id)
+tiebreak — stated per the Ray guide).
 
 - tumbling: fixed-width buckets — ALSO expressible as a pure bucket groupby
   (``floor(ts/width)``), which is the shuffle-cheap path used by default.
@@ -15,7 +16,6 @@ ts is unique per (key, event_id) tiebreak — stated per the Ray guide).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 
 def _bucketed_window_sum(partials_ds, key_col: str):
@@ -27,10 +27,10 @@ def _bucketed_window_sum(partials_ds, key_col: str):
     naming (``sum(cnt_sum)``, ``sum(val_sum_sum)``) for API compatibility."""
     import pyarrow as pa
 
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    from great_expectations_ray.functions.bucketed import group_aggregate, grouped_apply_bucketed
 
     def combine(t: pa.Table) -> pa.Table:
-        agg = t.group_by([key_col, "window_start"]).aggregate(
+        agg = group_aggregate(t, [key_col, "window_start"],
             [("cnt_sum", "sum"), ("val_sum_sum", "sum")]
         )
         return pa.table({
@@ -40,9 +40,7 @@ def _bucketed_window_sum(partials_ds, key_col: str):
             "sum(val_sum_sum)": agg.column("val_sum_sum_sum"),
         })
 
-    return grouped_apply_bucketed(
-        partials_ds, [key_col, "window_start"], combine, batch_format="pyarrow"
-    )
+    return grouped_apply_bucketed(partials_ds, [key_col, "window_start"], combine)
 
 
 def tumbling_window_agg(
@@ -61,6 +59,8 @@ def tumbling_window_agg(
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from great_expectations_ray.functions.bucketed import group_aggregate
+
     def bucketize(tbl: pa.Table) -> pa.Table:
         ts = pc.cast(tbl.column(ts_col), pa.int64())
         bucket = pc.multiply(pc.divide(ts, width_us), width_us)
@@ -71,7 +71,7 @@ def tumbling_window_agg(
             "val_sum": pc.cast(tbl.column(value_col), pa.float64()),
         })
         # map-side partial per (key, bucket) before the shuffle
-        return t.group_by([key_col, "window_start"]).aggregate(
+        return group_aggregate(t, [key_col, "window_start"],
             [("cnt", "sum"), ("val_sum", "sum")]
         )
 
@@ -98,6 +98,8 @@ def sliding_window_agg(
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from great_expectations_ray.functions.bucketed import group_aggregate
+
     k = width_us // slide_us
 
     def explode(tbl: pa.Table) -> pa.Table:
@@ -117,7 +119,7 @@ def sliding_window_agg(
             "cnt": pa.array(np.ones(int(flat_valid.sum()), dtype=np.int64)),
             "val_sum": pa.array(vals[flat_valid]),
         })
-        return t.group_by([key_col, "window_start"]).aggregate(
+        return group_aggregate(t, [key_col, "window_start"],
             [("cnt", "sum"), ("val_sum", "sum")]
         )
 
@@ -141,29 +143,29 @@ def session_windows(
     cumsum session ids, one groupby agg) — per-key Python callbacks don't
     survive millions of keys (functions/bucketed.py)."""
 
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    def sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col], kind="mergesort")
-        if str(g[ts_col].dtype).startswith("datetime64"):
-            # normalize to microseconds regardless of pandas' stored unit
-            ts = g[ts_col].astype("datetime64[us]").astype("int64").to_numpy()
-        else:
-            ts = g[ts_col].astype("int64").to_numpy()
-        keys = g[key_col].to_numpy()
-        new_session = np.ones(len(ts), dtype=bool)
-        if len(ts) > 1:
-            same_key = keys[1:] == keys[:-1]
-            new_session[1:] = ~same_key | ((ts[1:] - ts[:-1]) > gap_us)
-        sid = np.cumsum(new_session) - 1
-        out = pd.DataFrame({key_col: keys, "__sid": sid, "ts": ts})
-        agg = out.groupby("__sid").agg(
-            **{key_col: (key_col, "first")},
-            session_start=("ts", "min"),
-            session_end=("ts", "max"),
-            n_events=("ts", "size"),
-        ).reset_index(drop=True)
-        return agg[[key_col, "session_start", "session_end", "n_events"]]
+    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
+
+    def sessionize_bucket(g: pa.Table) -> pa.Table:
+        g, bounds = key_groups(g, [key_col], [(ts_col, "ascending")])
+        col = g.column(ts_col)
+        if pa.types.is_timestamp(col.type):
+            # normalize to microseconds regardless of the stored unit
+            col = pc.cast(col, pa.timestamp("us", col.type.tz))
+        ts = np.asarray(pc.cast(col, pa.int64()))
+        new = np.zeros(len(ts), dtype=bool)
+        new[1:] = (ts[1:] - ts[:-1]) > gap_us
+        new[bounds[:-1]] = True
+        starts = np.flatnonzero(new)
+        ends = np.r_[starts[1:], len(ts)]
+        return pa.table({
+            key_col: g.column(key_col).take(starts),
+            "session_start": pa.array(ts[starts]),
+            "session_end": pa.array(ts[ends - 1]),
+            "n_events": pa.array(ends - starts),
+        })
 
     return grouped_apply_bucketed(
         ds.select_columns([key_col, ts_col]), [key_col], sessionize_bucket

@@ -123,3 +123,20 @@ def test_joined_fallback_runs_the_frequent_lines_exchange_once(ray_session):
                                  id_col="doc_id").take_all()
     assert {r["doc_id"]: r["n_dropped"] for r in out} == {0: 2, 1: 1, 2: 1, 3: 2}
     assert sum("_LineDocFreq" in p for p in plans) == 1, plans
+
+
+def test_joined_fallback_probes_no_exchange_for_a_schema(ray_session):
+    """The joins take each side's schema without running an exchange twice:
+    no logged execution that ends in a ``LimitOperator`` holds an
+    all-to-all operator (the semi-join and the per-id positions exchange
+    ran once more inside such schema probes)."""
+    from tests.test_unique_keys import _logged
+
+    ds = _corpus().repartition(2)
+    with _logged() as (plans, _):
+        out = remove_boilerplate(ds, min_docs=2, max_set_size=0,
+                                 id_col="doc_id").take_all()
+    assert len(out) == 4
+    probes = [p for p in plans
+              if p.rsplit("->", 1)[-1].strip().startswith("LimitOperator")]
+    assert not [p for p in probes if "AllToAll" in p], probes

@@ -10,6 +10,7 @@ import math
 
 import duckdb
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
@@ -152,30 +153,26 @@ def test_bad_how_and_overlapping_columns_fail(ray_session):
 
 
 def test_pandas_blocks_do_not_retype_the_exchange(ray_session):
-    """A pandas bucket function that returns empty frames leaves empty
-    pandas blocks, which Ray's map stages pass through untouched; once they
-    outnumber the Arrow blocks, Ray's sort merges every bucket through
-    pandas.  Rows cross the exchange as Arrow IPC bytes, so int64 keys past
-    2**53, nullable ints and NaN keys come out exact."""
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed
-
+    """Empty pandas blocks that outnumber the Arrow blocks make Ray's sort
+    merge every bucket through pandas.  Rows cross the exchange as Arrow
+    IPC bytes, so int64 keys past 2**53, nullable ints and NaN keys come
+    out exact."""
     big = 2**62 + 1
     left = rd.from_arrow(pa.table({
         "k": pa.array([big, big + 2, 5, None], pa.int64()),
         "v": pa.array([1, None, 3, 4], pa.int64()),
         "f": pa.array([NAN, 1.5, None, 2.0]),
     }))
-    right = grouped_apply_bucketed(
-        rd.from_arrow(pa.table({"k": pa.array([big, 7], pa.int64()),
-                                "w": ["x", "y"]})).repartition(2),
-        ["k"], lambda df: df[df.k == big], n_buckets=16)
+    no_rows = pd.DataFrame({"k": pd.Series([], dtype="int64"),
+                            "w": pd.Series([], dtype=object)})
+    right = rd.from_arrow(pa.table({"k": pa.array([big], pa.int64()),
+                                    "w": ["x"]})).union(rd.from_pandas([no_rows] * 6))
     got = _collect(hash_bucket_join(left, right, on="k", how="left", n_buckets=8))
     assert got.schema.field("k").type == got.schema.field("v").type == pa.int64()
     assert _rows(got, ["k", "v", "w"]) == sorted(
         [(big, 1, "x"), (big + 2, None, None), (5, 3, None), (None, 4, None)], key=repr)
     nan_keys = rd.from_arrow(pa.table({"f": pa.array([NAN, 9.0])}))
-    empties = grouped_apply_bucketed(nan_keys, ["f"], lambda df: df[df.f > 10],
-                                     n_buckets=16)
+    empties = rd.from_pandas([pd.DataFrame({"f": pd.Series([], dtype=float)})] * 4)
     got = _collect(hash_bucket_join(left, nan_keys.union(empties), on="f",
                                     how="semi"))
     assert got.column("k").to_pylist() == [big]

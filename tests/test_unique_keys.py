@@ -307,7 +307,7 @@ def test_add_bucket_keeps_equal_floats_together(ray_session):
         return f.group_by("f").aggregate([([], "count_all")])
 
     ds = rd.from_arrow([pa.table({"f": [v] * 3}) for v in (0.0, -0.0, 0.0, -0.0)])
-    out = grouped_apply_bucketed(ds, ["f"], count, batch_format="pyarrow").take_all()
+    out = grouped_apply_bucketed(ds, ["f"], count).take_all()
     assert [r["count_all"] for r in out] == [12]
 
 
