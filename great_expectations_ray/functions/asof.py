@@ -28,7 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from great_expectations_ray.functions.bucketed import group_codes, two_sided_exchange
+from great_expectations_ray.functions.bucketed import group_codes, tag_sides, two_sided_exchange
 
 
 def _usable(t: pa.Table, cols: list[str]) -> np.ndarray:
@@ -90,7 +90,7 @@ def asof_join(
                         + [r.column(c).take(hit) for c in right_cols],
                         names=[by, on, *left_cols, *out_right])
 
-    return two_sided_exchange(
+    return two_sided_exchange(tag_sides(
         left_ds.select_columns(sorted({by, on, *left_cols})),
         right_ds.select_columns(sorted({by, on, *right_cols})),
-        [by], merge_bucket, n_buckets=256)
+        [by], n_buckets=256), merge_bucket)

@@ -23,6 +23,8 @@ work is vectorized, so a hot key costs O(its rows), not O(groups).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -195,14 +197,14 @@ def distinct_in_group(tbl: pa.Table, key: str, col: str) -> np.ndarray:
 
 
 def joined_per_key(tbl: pa.Table, key_cols: list[str], col: str, out: str,
-                   order_by: list[str] = (), sep: str = ",") -> pa.Table:
+                   order_by: list[str] = ()) -> pa.Table:
     """One row per distinct key: the key columns and ``out``, the key's
-    ``col`` values as strings joined by ``sep`` in ``order_by`` order."""
+    ``col`` values as strings joined by ``,`` in ``order_by`` order."""
     tbl, bounds = key_groups(tbl, key_cols, [(c, "ascending") for c in order_by])
     vals = pc.cast(tbl.column(col), pa.string()).combine_chunks()
     lists = pa.LargeListArray.from_arrays(pa.array(bounds, pa.int64()), vals)
     return tbl.select(key_cols).take(bounds[:-1]).append_column(
-        out, pc.binary_join(lists, sep))
+        out, pc.binary_join(lists, ","))
 
 
 # a slice is small: a thread pool per stream costs more than it saves
@@ -225,15 +227,20 @@ def _pack(tbl: pa.Table, bounds: np.ndarray) -> pa.Array:
         [None, pa.py_buffer(np.array(offsets, dtype=np.int64)), sink.getvalue()])
 
 
-def _unpack(payloads: pa.LargeBinaryArray, schema: pa.Schema | None) -> pa.Table | None:
-    """The slices :func:`_pack` wrote, read back as one table of one chunk
-    (Arrow kernels in a bucket function run faster on contiguous columns
-    than on one chunk per slice)."""
-    offs = np.frombuffer(payloads.buffers()[1], dtype=np.int64)[
-        payloads.offset:payloads.offset + len(payloads) + 1]
-    data = payloads.buffers()[2]
-    tables = [pa.ipc.open_stream(data.slice(s, e - s), options=_IPC_READ).read_all()
-              for s, e in zip(offs[:-1], offs[1:])]
+def _unpack(g: pa.Table, schema: pa.Schema | None) -> pa.Table | None:
+    """The slices :func:`_pack` wrote into ``g``'s ``__rows``, read where
+    they lie (no copy of the payload bytes) and returned as one table of
+    one chunk (Arrow kernels in a bucket function run faster on contiguous
+    columns than on one chunk per slice)."""
+    tables = []
+    for rows in g.column("__rows").chunks:
+        # a sort that merged the bucket through pandas hands ``binary`` back
+        rows = rows.cast(pa.large_binary())
+        offs = np.frombuffer(rows.buffers()[1], dtype=np.int64)[
+            rows.offset:rows.offset + len(rows) + 1]
+        tables += [pa.ipc.open_stream(rows.buffers()[2].slice(s, e - s),
+                                      options=_IPC_READ).read_all()
+                   for s, e in zip(offs[:-1], offs[1:])]
     if not tables:
         return None if schema is None else schema.empty_table()
     return pa.concat_tables(tables, promote_options="permissive").combine_chunks()
@@ -242,7 +249,11 @@ def _unpack(payloads: pa.LargeBinaryArray, schema: pa.Schema | None) -> pa.Table
 def _tag(tbl: pa.Table, key_cols: list[str], key_types: dict, n_buckets: int,
          side: int) -> pa.Table:
     """One row ``(__bucket, __side, __rows)`` per bucket the batch's rows
-    hash to: the bucket's rows as one Arrow IPC stream."""
+    hash to: the bucket's rows as one Arrow IPC stream.  A key column named
+    in ``key_types`` is hashed as that type; the rows keep their own.  A
+    batch of already tagged rows is bucketed again."""
+    if "__rows" in tbl.column_names:
+        tbl = _unpack(tbl, None)
     keys = pa.table({c: pc.cast(tbl.column(c), key_types[c]) if c in key_types
                      else tbl.column(c) for c in key_cols})
     b = add_bucket(keys, key_cols, n_buckets).column("__bucket").to_numpy()
@@ -257,38 +268,38 @@ def _tag(tbl: pa.Table, key_cols: list[str], key_types: dict, n_buckets: int,
     })
 
 
-def side_schema(ds) -> tuple[object, pa.Schema | None]:
-    """``(ds, its Arrow schema)`` without running any part of ``ds`` twice:
-    a schema Ray already knows is read as is; a lazy side is materialized
-    first, so its plan runs once, here, and its blocks feed the caller.  A
-    one-block probe (``ds.schema()``) would re-run the side's plan, its
-    exchanges included, and cancel the probe's other tasks, which has
-    crashed Ray's reference counting.  ``None`` for a side with no rows
-    and no schema.  pandas-block object columns are typed as strings."""
-    sch = ds.schema(fetch_if_missing=False)
-    if sch is None:
-        ds = ds.materialize()
-        sch = ds.schema()
-    if sch is None:
-        return ds, None
-    return ds, pa.schema([(n, t if isinstance(t, pa.DataType) else pa.string())
-                          for n, t in zip(sch.names, sch.types)])
+def _tagged(ds, key_cols: list[str], key_types: dict, n_buckets: int, side: int):
+    return ds.map_batches(_tag, fn_args=(key_cols, key_types, n_buckets, side),
+                          batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _exchange(sides: list, key_cols: list[str], bucket_fn, n_buckets: int,
-              schemas: list, key_types: dict):
-    """The package's one bucketed exchange.  Each batch of each side is
-    split by :func:`add_bucket` on its key (cast to ``key_types``), each
-    bucket's slice travels as ONE row ``(__bucket, __side, __rows)`` whose
+def _payload_schema(tagged) -> pa.Schema | None:
+    """The rows' schema of a materialized tagged side, read from its first
+    IPC payload where that block lives; ``None`` for a side with no rows."""
+    import ray
+
+    for bundle in tagged.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                return ray.get(ray.remote(
+                    lambda b: _unpack(b.slice(0, 1), None).schema).remote(ref))
+    return None
+
+
+def _exchange(tagged: list, bucket_fn, schemas: list, key_types: dict):
+    """The package's one bucketed exchange.  Each batch of each side was
+    split by :func:`add_bucket` on its key (:func:`_tag`): each bucket's
+    slice travels as ONE row ``(__bucket, __side, __rows)`` whose
     ``__rows`` is an Arrow IPC stream of the slice, and the union of the
     sides is grouped by ``__bucket`` once.  The rows cross the exchange as
     opaque bytes, so nothing pads, re-types or loses them (Ray's sort may
     merge a bucket through pandas, which turns nullable ints into floats
     and NaN into null).  ``bucket_fn`` gets one typed ``pa.Table`` per side
-    (a side with no rows in the bucket arrives as ``schemas[i]``'s empty
-    table) and returns a ``pa.Table``, whose schema metadata is dropped
-    (pandas metadata inherited from a pandas-written source is a dict,
-    which Ray's block-schema deduplication cannot hash)."""
+    with each key column cast to ``key_types`` (a side with no rows in the
+    bucket arrives as ``schemas[i]``'s empty table) and returns a
+    ``pa.Table``, whose schema metadata is dropped (pandas metadata
+    inherited from a pandas-written source is a dict, which Ray's
+    block-schema deduplication cannot hash)."""
     def keyed(t: pa.Table) -> pa.Table:
         for c, typ in key_types.items():
             i = t.column_names.index(c)
@@ -296,15 +307,13 @@ def _exchange(sides: list, key_cols: list[str], bucket_fn, n_buckets: int,
         return t
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        side = g.column("__side").to_numpy()
-        # a sort that merged the bucket through pandas hands ``binary`` back
-        rows = g.column("__rows").combine_chunks().cast(pa.large_binary())
-        return bucket_fn(*[keyed(_unpack(rows.filter(pa.array(side == i)), schemas[i]))
-                           for i in range(len(schemas))]).replace_schema_metadata()
+        parts = [g]
+        if len(schemas) > 1:
+            side = g.column("__side").to_numpy()
+            parts = [g.filter(pa.array(side == i)) for i in range(len(schemas))]
+        return bucket_fn(*[keyed(_unpack(p, sch))
+                           for p, sch in zip(parts, schemas)]).replace_schema_metadata()
 
-    tagged = [d.map_batches(_tag, fn_args=(key_cols, key_types, n_buckets, i),
-                            batch_format="pyarrow", zero_copy_batch=True)
-              for i, d in enumerate(sides)]
     union = tagged[0] if len(tagged) == 1 else tagged[0].union(*tagged[1:])
     return union.groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
 
@@ -317,40 +326,80 @@ def grouped_apply_bucketed(ds, key_cols: list[str], bucket_fn, *,
     handle multiple keys itself — e.g. ``Table.group_by(key).aggregate``
     or :func:`key_groups`; it returns a ``pa.Table``.  Exactly one
     all-to-all exchange (:func:`_exchange`)."""
-    return _exchange([ds], list(key_cols), bucket_fn, n_buckets, [None], {})
+    tagged = _tagged(ds, list(key_cols), {}, n_buckets, 0)
+    return _exchange([tagged], bucket_fn, [None], {})
 
 
-def two_sided_exchange(left, right, key_cols: list[str], bucket_fn, *,
-                       n_buckets: int):
-    """:func:`grouped_apply_bucketed` over two sides that share the key
-    ``key_cols``: ``bucket_fn(l, r)`` receives one bucket's left and right
-    rows, typed as their source with each key column on the common type of
-    both sides (``int32`` meets ``int64``, ``string`` meets
-    ``large_string``; float keys hash after ``-0.0``/NaN
-    canonicalisation).  A key column in the returned table is cast back to
-    the left key's type (every key emitted is a left value: lossless)."""
+def _hashes_alike(a: pa.DataType, b: pa.DataType) -> bool:
+    """Whether :func:`column_hash` gives a value the same hash as ``a`` and
+    as ``b`` (it hashes every integer as 64 bits, every float as ``float64``
+    and a string by its bytes)."""
+    return a == b or any(k(a) and k(b) for k in (
+        pa.types.is_integer, pa.types.is_floating,
+        lambda t: pa.types.is_string(t) or pa.types.is_large_string(t)))
+
+
+class TaggedSides(NamedTuple):
+    """Two sides bucketed on a shared key (:func:`tag_sides`)."""
+    tagged: list
+    schemas: list
+    key_types: dict
+
+
+def _arrow_schema(sch) -> pa.Schema | None:
+    """A Ray dataset schema as Arrow's; pandas-block object columns are
+    typed as strings."""
+    if sch is None:
+        return None
+    return pa.schema([(n, t if isinstance(t, pa.DataType) else pa.string())
+                      for n, t in zip(sch.names, sch.types)])
+
+
+def tag_sides(left, right, key_cols: list[str], *, n_buckets: int) -> TaggedSides:
+    """Bucket both sides on ``key_cols`` for :func:`two_sided_exchange`, and
+    take each side's Arrow schema without running a side with rows twice
+    (a one-block ``ds.schema()`` probe would re-run the side's plan, its
+    exchanges included).  A schema Ray already knows is read as is.
+    Otherwise the side is tagged on its own key types and materialized
+    (the exchange holds the tagged rows anyway), and its schema is read
+    from one IPC payload; only when a key hashes otherwise on the common
+    type (``int`` meets ``float``; :func:`column_hash` ignores integer,
+    float and string widths) are those tagged rows bucketed again.  Ray's
+    map skips empty blocks, so a side
+    with no rows is run once more to read the schema of its own (empty)
+    blocks; a side with no schema even then gets the other side's keys
+    alone."""
     key_cols = list(key_cols)
-    (left, l_schema), (right, r_schema) = side_schema(left), side_schema(right)
-    # a side with no schema is empty: give it the other side's keys alone
-    if l_schema is None and r_schema is None:
-        l_schema = pa.schema([(c, pa.null()) for c in key_cols])
-    l_schema = l_schema or pa.schema([r_schema.field(c) for c in key_cols])
-    r_schema = r_schema or pa.schema([l_schema.field(c) for c in key_cols])
+    sides, tagged = [left, right], [None, None]
+    schemas = [_arrow_schema(ds.schema(fetch_if_missing=False)) for ds in sides]
+    for i, ds in enumerate(sides):
+        if schemas[i] is None:
+            tagged[i] = _tagged(ds, key_cols, {}, n_buckets, i).materialize()
+            schemas[i] = (_payload_schema(tagged[i])
+                          or _arrow_schema(ds.materialize().schema()))
+    if schemas[0] is None and schemas[1] is None:
+        schemas[0] = pa.schema([(c, pa.null()) for c in key_cols])
+    for i in (0, 1):
+        schemas[i] = schemas[i] or pa.schema([schemas[1 - i].field(c) for c in key_cols])
     key_types = {c: pa.unify_schemas(
-        [pa.schema([l_schema.field(c)]), pa.schema([r_schema.field(c)])],
+        [pa.schema([s.field(c)]) for s in schemas],
         promote_options="permissive").field(c).type for c in key_cols}
-    l_types = {c: l_schema.field(c).type for c in key_cols}
+    for i, ds in enumerate(sides):
+        if tagged[i] is None:
+            tagged[i] = _tagged(ds, key_cols, key_types, n_buckets, i)
+        elif not all(_hashes_alike(schemas[i].field(c).type, key_types[c])
+                     for c in key_cols):
+            tagged[i] = _tagged(tagged[i], key_cols, key_types, n_buckets, i)
+    return TaggedSides(tagged, schemas, key_types)
 
-    def fn(l: pa.Table, r: pa.Table) -> pa.Table:
-        out = bucket_fn(l, r)
-        for c, typ in l_types.items():
-            if c in out.column_names:
-                i = out.column_names.index(c)
-                out = out.set_column(i, c, pc.cast(out.column(i), typ))
-        return out
 
-    return _exchange([left, right], key_cols, fn, n_buckets,
-                     [l_schema, r_schema], key_types)
+def two_sided_exchange(sides: TaggedSides, bucket_fn):
+    """:func:`grouped_apply_bucketed` over two :func:`tag_sides` sides:
+    ``bucket_fn(l, r)`` receives one bucket's left and right rows, typed as
+    their source with each key column on the common type of both sides
+    (``int32`` meets ``int64``, ``string`` meets ``large_string``; float
+    keys hash after ``-0.0``/NaN canonicalisation)."""
+    return _exchange(sides.tagged, bucket_fn, sides.schemas, sides.key_types)
 
 
 def sum_by_key(t: pa.Table, key_cols: list[str], cnt_col: str) -> pa.Table:

@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.functions.aggregates import canonical_keys
-from great_expectations_ray.functions.bucketed import side_schema, two_sided_exchange
+from great_expectations_ray.functions.bucketed import tag_sides, two_sided_exchange
 from great_expectations_ray.stages._per_worker import map_per_worker
 
 
@@ -103,34 +103,36 @@ def hash_bucket_join(left, right, *, on: str, n_buckets: int = 32,
     keeps (semi) or drops (anti) the left rows whose key appears on the
     right, with the left columns only; only the right's key column crosses
     the exchange.  A null key matches nothing: anti keeps its rows."""
+    if how not in ("semi", "anti", *_JOIN_TYPES):
+        raise ValueError(f"how must be inner, left, semi or anti, not {how!r}")
     if how in ("semi", "anti"):
         right = right.select_columns([on])
-
-        def bucket_fn(l: pa.Table, r: pa.Table) -> pa.Table:
-            m = key_in(l, r.column(on), on)
-            return l.filter(pc.invert(m) if how == "anti" else m)
-    elif how in _JOIN_TYPES:
-        (left, l_sch), (right, r_sch) = side_schema(left), side_schema(right)
-        l_fields = list(zip(l_sch.names, l_sch.types)) if l_sch else []
-        r_fields = list(zip(r_sch.names, r_sch.types)) if r_sch else []
-        overlap = {n for n, _ in l_fields} & {n for n, _ in r_fields} - {on}
+    sides = tag_sides(left, right, [on], n_buckets=n_buckets)
+    l_sch, r_sch = sides.schemas
+    if how in _JOIN_TYPES:
+        overlap = set(l_sch.names) & set(r_sch.names) - {on}
         if overlap:
             raise ValueError(f"overlapping non-key columns: {sorted(overlap)}")
-        nested = [n for n, t in l_fields + r_fields
-                  if n != on and (pa.types.is_nested(t)
-                                  or isinstance(t, pa.ExtensionType))]
+        nested = [f.name for f in (*l_sch, *r_sch)
+                  if f.name != on and (pa.types.is_nested(f.type)
+                                       or isinstance(f.type, pa.ExtensionType))]
         if nested:
             raise ValueError(
                 f"hash_bucket_join: column(s) {nested} have a list/struct/"
                 "extension type, which Arrow's join cannot carry; "
                 "serialize them (e.g. comma-joined strings) first")
+    key_type = l_sch.field(on).type
 
-        def bucket_fn(l: pa.Table, r: pa.Table) -> pa.Table:
+    def bucket_fn(l: pa.Table, r: pa.Table) -> pa.Table:
+        if how in ("semi", "anti"):
+            m = key_in(l, r.column(on), on)
+            out = l.filter(pc.invert(m) if how == "anti" else m)
+        else:
             l = l.set_column(l.column_names.index(on), on, canonical_keys(l.column(on)))
             r = r.set_column(r.column_names.index(on), on, canonical_keys(r.column(on)))
-            return l.join(r, keys=on, join_type=_JOIN_TYPES[how],
-                          coalesce_keys=True)
-    else:
-        raise ValueError(f"how must be inner, left, semi or anti, not {how!r}")
+            out = l.join(r, keys=on, join_type=_JOIN_TYPES[how], coalesce_keys=True)
+        # every key emitted is a left value: back to the left's type, lossless
+        i = out.column_names.index(on)
+        return out.set_column(i, on, pc.cast(out.column(i), key_type))
 
-    return two_sided_exchange(left, right, [on], bucket_fn, n_buckets=n_buckets)
+    return two_sided_exchange(sides, bucket_fn)

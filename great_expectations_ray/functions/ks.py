@@ -341,12 +341,20 @@ def _ks_2samp_from_tagged(tagged) -> dict:
 
 
 def _float_values(col) -> np.ndarray:
-    """float64 values, NaN for null (numeric columns; anything else NaN)."""
+    """float64 values, NaN for null; a value that is no number raises."""
+    return np.asarray(pc.fill_null(pc.cast(col, pa.float64()), np.nan))
+
+
+def _coerced_float_values(col) -> np.ndarray:
+    """float64 values, NaN for a null or for a value that does not parse as
+    a number (each value on its own)."""
     try:
-        col = pc.cast(col, pa.float64(), safe=False)
+        return _float_values(col)
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-        return np.full(len(col), np.nan)
-    return np.asarray(pc.fill_null(col, np.nan))
+        import pandas as pd
+
+        return pd.to_numeric(col.to_pandas(), errors="coerce").to_numpy(
+            np.float64, na_value=np.nan)
 
 
 def _with_keys(g: pa.Table, bounds: np.ndarray, group_cols: list[str],
@@ -386,7 +394,7 @@ def grouped_parameterized_ks(
 
     def bucket(g: pa.Table) -> pa.Table:
         g, bounds = key_groups(g, group_cols)
-        allv = _float_values(g.column(value_col))
+        allv = _coerced_float_values(g.column(value_col))
         ns, ds_, ps = [], [], []
         for s, e in zip(bounds[:-1], bounds[1:]):
             vals = allv[s:e]
@@ -430,7 +438,7 @@ def grouped_ks_2samp(
     Output: group_cols + ``(n_a, n_b int64, d_statistic, p_value float64)``
     — groups empty on EITHER side yield nulls (no drift verdict without
     both samples)."""
-    from great_expectations_ray.functions.bucketed import key_groups, two_sided_exchange
+    from great_expectations_ray.functions.bucketed import key_groups, tag_sides, two_sided_exchange
     from great_expectations_ray.functions.stats_math import ks_2samp_p_asymptotic
 
     group_cols = list(group_cols)
@@ -472,5 +480,5 @@ def grouped_ks_2samp(
             "p_value": pa.array(ps, pa.float64())})
 
     cols = group_cols + [value_col]
-    return two_sided_exchange(ds_a.select_columns(cols), ds_b.select_columns(cols),
-                              group_cols, bucket, n_buckets=n_buckets)
+    return two_sided_exchange(tag_sides(ds_a.select_columns(cols), ds_b.select_columns(cols),
+                                        group_cols, n_buckets=n_buckets), bucket)

@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.functions.aggregates import canonical_keys
-from great_expectations_ray.functions.bucketed import group_aggregate, two_sided_exchange
+from great_expectations_ray.functions.bucketed import group_aggregate, tag_sides, two_sided_exchange
 
 
 def _distinct(cols: list[str]):
@@ -50,7 +50,7 @@ def _setop(a_ds, b_ds, cols: list[str], keep: str):
     a_ds, b_ds = (d.select_columns(cols).map_batches(
         _distinct(cols), batch_format="pyarrow", zero_copy_batch=True)
         for d in (a_ds, b_ds))
-    return two_sided_exchange(a_ds, b_ds, cols, reduce_bucket, n_buckets=256)
+    return two_sided_exchange(tag_sides(a_ds, b_ds, cols, n_buckets=256), reduce_bucket)
 
 
 def intersect_distinct(a_ds, b_ds, cols: list[str]):

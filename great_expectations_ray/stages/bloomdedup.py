@@ -38,6 +38,7 @@ from great_expectations_ray.functions.bucketed import (
     _MIX1,
     _MIX2,
     poly_hash_strings,
+    tag_sides,
     two_sided_exchange,
 )
 from great_expectations_ray.functions.joins import key_in
@@ -221,8 +222,8 @@ def mark_known(
             "is_known": key_in(cand, snap.column(key_col), key_col),
         })
 
-    verified = two_sided_exchange(candidates, snap_pruned, [key_col], verify_bucket,
-                                  n_buckets=n_buckets)
+    verified = two_sided_exchange(
+        tag_sides(candidates, snap_pruned, [key_col], n_buckets=n_buckets), verify_bucket)
     return novel.union(verified)
 
 

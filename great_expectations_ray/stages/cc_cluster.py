@@ -145,6 +145,7 @@ def connected_components(
 
     from great_expectations_ray.functions.bucketed import (
         grouped_apply_bucketed,
+        tag_sides,
         two_sided_exchange,
     )
 
@@ -234,9 +235,9 @@ def connected_components(
                 # back to u itself (carries the old label for change detection)
                 msgs(own.column("node"), own.column("cand"), 1)])
 
-        inbox = two_sided_exchange(
+        inbox = two_sided_exchange(tag_sides(
             edges_sym, lbl_pairs.map_batches(label_rows, batch_format="pyarrow"),
-            ["node"], deliver, n_buckets=n_buckets)
+            ["node"], n_buckets=n_buckets), deliver)
         labels = grouped_apply_bucketed(
             inbox, ["node"], label_min, n_buckets=n_buckets
         ).materialize()

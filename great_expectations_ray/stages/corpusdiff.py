@@ -23,7 +23,7 @@ STATUSES = ("added", "removed", "changed", "unchanged")
 def diff_corpora(old_ds, new_ds, *, id_col: str = "doc_id",
                  content_col: str = "text", n_buckets: int = 64):
     """Dataset of (id_col, status) over the UNION of both sides' ids."""
-    from great_expectations_ray.functions.bucketed import two_sided_exchange
+    from great_expectations_ray.functions.bucketed import tag_sides, two_sided_exchange
     from great_expectations_ray.stages.scrub import sha256_column
 
     def project(tbl: pa.Table) -> pa.Table:
@@ -46,4 +46,4 @@ def diff_corpora(old_ds, new_ds, *, id_col: str = "doc_id",
             np.where(np.asarray(g.column("h_count_distinct")) > 1, "changed", "unchanged")))
         return pa.table({id_col: g.column(id_col), "status": pa.array(status, pa.string())})
 
-    return two_sided_exchange(old, new, [id_col], resolve, n_buckets=n_buckets)
+    return two_sided_exchange(tag_sides(old, new, [id_col], n_buckets=n_buckets), resolve)

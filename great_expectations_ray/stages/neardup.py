@@ -679,7 +679,7 @@ def mark_known_neardup(
     ``minhash_lsh_mark_duplicates``, so thresholds tuned in-corpus carry
     over.  Returns a Dataset of ``(id_col, is_known)`` over the NEW side
     only."""
-    from great_expectations_ray.functions.bucketed import group_codes, two_sided_exchange
+    from great_expectations_ray.functions.bucketed import group_codes, tag_sides, two_sided_exchange
 
     def explode(tbl: pa.Table) -> pa.Table:
         sig = minhash_signatures(
@@ -707,5 +707,6 @@ def mark_known_neardup(
             "is_neardup": np.isin(codes[:new.num_rows], codes[new.num_rows:]),
         })
 
-    marked = two_sided_exchange(new, snap, ["band", "bkey"], mark_bucket, n_buckets=256)
+    marked = two_sided_exchange(tag_sides(new, snap, ["band", "bkey"], n_buckets=256),
+                                mark_bucket)
     return _bucketed_any_mark(marked, id_col, "is_known")

@@ -1,6 +1,7 @@
 """Corpus diff (stages/corpusdiff.py)."""
 
 import pandas as pd
+import pyarrow as pa
 import ray
 
 from great_expectations_ray.stages.corpusdiff import diff_corpora
@@ -44,3 +45,16 @@ def test_diff_corpora_null_content():
     new = [{"doc_id": 1, "text": None}]
     out = _run(old, new, parts=1)
     assert out["status"].tolist() == ["unchanged"]
+
+
+def test_diff_corpora_wider_new_ids():
+    """Ids ADDED on the new side keep their value when the new side's id
+    type is wider than the old side's (int32 old, int64 new)."""
+    big = 1 << 40
+    old = ray.data.from_arrow(pa.table({"doc_id": pa.array([1, 2], pa.int32()),
+                                        "text": ["x", "y"]}))
+    new = ray.data.from_arrow(pa.table({"doc_id": pa.array([1, big], pa.int64()),
+                                        "text": ["x", "z"]}))
+    out = diff_corpora(old, new, id_col="doc_id", content_col="text", n_buckets=4)
+    assert sorted((r["doc_id"], r["status"]) for r in out.take_all()) == [
+        (1, "unchanged"), (2, "removed"), (big, "added")]

@@ -106,6 +106,24 @@ def test_empty_pandas_blocks_do_not_retype_buckets(ray_session):
     assert _rows(tbl.to_pylist(), ["k", "f"]) == sorted([(None, "NaN"), (1, 2.0)], key=repr)
 
 
+@pytest.mark.parametrize("n_buckets", [1, 8])
+def test_dictionary_and_nested_columns_cross_the_exchange_typed(ray_session, n_buckets):
+    """Dictionary and list columns cross the exchange with their source
+    types and values."""
+    tbl = pa.table({"k": pa.array(["a", "b", None, "a\x00b"] * 5),
+                    "d": pa.array(["x", "y", None, "x"] * 5).dictionary_encode(),
+                    "l": pa.array([[1, 2], None, [], [3]] * 5, pa.list_(pa.int64())),
+                    "i": pa.array(range(20), pa.int64())})
+    for t in (tbl, tbl.drop_columns(["d"])):
+        out = grouped_apply_bucketed(_ds(t, [3, 11], 7), ["k"], lambda b: b,
+                                     n_buckets=n_buckets).materialize()
+        got = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow")))
+        assert got.schema == t.schema
+        assert _rows(got.to_pylist(), ["i", "k", "l"]) == _rows(t.to_pylist(), ["i", "k", "l"])
+        if "d" in t.column_names:
+            assert sorted(got.to_pylist(), key=lambda r: r["i"]) == t.to_pylist()
+
+
 def test_group_aggregate_keeps_null_keyed_groups_whole():
     from great_expectations_ray.functions.bucketed import group_aggregate
 

@@ -135,6 +135,28 @@ def test_int64_right_keys_wider_than_the_left_type(ray_session):
     _check(l, r, "inner")
 
 
+def test_lazy_sides_with_int_and_float_keys_join(ray_session):
+    """Sides whose schema Ray does not know yet are bucketed on their own
+    key types, then read their schema from the tagged rows; an int key
+    meeting a float key is bucketed again on the common type, so ``1``
+    still finds ``1.0``."""
+    l = pa.table({"k": pa.array([1, 2, None, 7, 3], pa.int32()),
+                  "a": pa.array(range(5), pa.int64())})
+    r = pa.table({"k": pa.array([1.0, 7.0, 2.5, None, 7.0]),
+                  "b": pa.array([10, 20, 30, 40, 50], pa.int64())})
+
+    def lazy(t):
+        return rd.from_arrow([t.slice(0, 2), t.slice(2)]).map_batches(
+            lambda b: b, batch_format="pyarrow")
+
+    for how in _SQL:
+        got = _collect(hash_bucket_join(lazy(l), lazy(r), on="k", how=how, n_buckets=8))
+        want = _duck(l, r, how)
+        cols = want.column_names
+        assert _rows(got, cols) == _rows(want, cols), how
+        assert got.schema.field("k").type == pa.int32()
+
+
 def test_list_payload_fails_loudly(ray_session):
     l = rd.from_arrow(pa.table({"k": [1, 2], "a": [1, 2]}))
     r = rd.from_arrow(pa.table({"k": [1], "spans": [[1, 2]]}))

@@ -191,6 +191,27 @@ def test_grouped_parameterized_ks(ray_session):
     assert p["u"] > 0.05 and p["bad"] < 1e-6
 
 
+def test_grouped_ks_value_coercion(ray_session):
+    """A text value column: the one-sample form reads each value on its
+    own (an unparseable one is dropped, the rest still count), the
+    two-sample form refuses a value that is no number."""
+    import ray.data as rd
+
+    from great_expectations_ray.functions.ks import (
+        grouped_ks_2samp,
+        grouped_parameterized_ks,
+    )
+
+    tbl = pa.table({"g": ["a", "a", "a", "b"], "v": ["0.25", "oops", "0.75", "0.5"]})
+    out = {r["g"]: r for r in grouped_parameterized_ks(
+        rd.from_arrow(tbl), ["g"], "v", distribution="uniform",
+        params={"min": 0.0, "max": 1.0}, n_buckets=1).take_all()}
+    assert (out["a"]["n"], out["b"]["n"]) == (2, 1)
+    assert out["a"]["ks_statistic"] == pytest.approx(0.25)
+    with pytest.raises(Exception, match="oops"):
+        grouped_ks_2samp(rd.from_arrow(tbl), rd.from_arrow(tbl), ["g"], "v").take_all()
+
+
 def test_grouped_ks_2samp(ray_session):
     """Per-group two-sample KS == the global two-dataset operator per
     slice; one-sided-empty groups yield nulls."""
