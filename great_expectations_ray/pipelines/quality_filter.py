@@ -5,12 +5,14 @@ Stage graph: ONE streaming pass, no mid-pipeline materialization:
 
     read_parquet(columns=[repo,path,commit,lang,content])
       -> FusedQualityStage, fused into the read tasks (one instance per
-         worker process, ``stages._per_worker``); per batch:
-           TextStats (only the stats the suite judges, Arrow kernels)
+         worker process, ``stages._per_worker``); per <= 1 MiB row-aligned
+         content window, on the worker's thread pool:
+           TextStats (only the stats the suite judges, one packed-LUT pass)
            -> LangIdScorer (compile-once)
            -> PerplexityScorer (LM broadcast once via ray.put)
            -> RuleEvalScrub: ALL row rules -> keep mask + rule bitmap
               + scrub + sha256 lineage
+         then, per batch (windows joined in order):
            -> SinkStage (write mode): kept rows (scrubbed content) to data/,
               content-free lineage to lineage/, emit the rollup partial
     rollup: per-batch partial counts per rollup key (default repo, lang)
@@ -37,7 +39,7 @@ from great_expectations_ray.core.results import calc_validation_statistics, most
 from great_expectations_ray.core.suite import ExpectationConfiguration, ExpectationSuite
 from great_expectations_ray.functions.bucketed import group_aggregate
 from great_expectations_ray.functions.column_map import CONDITION_KERNELS
-from great_expectations_ray.stages._per_worker import map_per_worker
+from great_expectations_ray.stages._per_worker import map_per_worker, row_windows, window_pool
 from great_expectations_ray.stages.langid import LangIdScorer
 from great_expectations_ray.stages.perplexity import PerplexityScorer, build_reference_model
 from great_expectations_ray.stages.scrub import (
@@ -91,7 +93,9 @@ class QualityFilterConfig:
 
 class RuleEvalScrub:
     """Fused stateless stage: evaluate every row-level rule of the suite in
-    one pass over the batch, emit keep/bitmap/lineage, scrub content."""
+    one pass over the batch, emit keep/bitmap/lineage, scrub content.
+    Holds only read-only state after ``__init__`` (window threads share one
+    instance)."""
 
     def __init__(self, rule_configs: list[ExpectationConfiguration], scrub_rules: list):
         if len(rule_configs) > 64:
@@ -135,7 +139,13 @@ class FusedQualityStage:
     Fusing avoids three object-store round-trips of the (wide) content
     column between operators, and running it through
     ``stages._per_worker.map_per_worker`` fuses it into the read tasks.  The
-    LM table is fetched once per worker process from the broadcast ref."""
+    LM table is fetched once per worker process from the broadcast ref.
+
+    The per-row layers run on row-aligned windows of at most
+    ``_per_worker.WINDOW_BYTES`` of content, on the worker's
+    ``window_pool``, and the windows are joined back in order; the sink and
+    the rollup partial see the whole batch.  Every layer therefore holds
+    only read-only state after ``__init__``: the pool's threads share it."""
 
     def __init__(
         self,
@@ -155,33 +165,49 @@ class FusedQualityStage:
         # stat is a skipped pass over the content bytes
         referenced = {c.kwargs.get("column") for c in rule_configs}
         needed = tuple(s for s in ALL_TEXT_STATS if s in referenced)
+        self.key_list = list(key_list)
         self.text_stats = TextStats(stats=needed) if needed else None
         self.langid = LangIdScorer() if use_langid else None
         self.ppl = PerplexityScorer(model_ref) if model_ref is not None else None
         self.rules = RuleEvalScrub(rule_configs, scrub_rules)
         self.sink = (
-            SinkStage(data_dir, lineage_dir, list(key_list), len(rule_configs),
+            SinkStage(data_dir, lineage_dir, self.key_list, len(rule_configs),
                       emit=emit)
             if lineage_dir
             else None
         )
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
+        # an input whose schema the driver could not see without running it
+        # is checked here, on the batch
+        _check_input_columns(tbl.column_names, self.key_list)
+        lengths = pc.fill_null(pc.binary_length(tbl.column("content")), 0)
+        windows = row_windows(lengths.to_numpy())
+        if len(windows) == 1:
+            tbl = self._layers(tbl)
+        else:
+            parts = list(window_pool().map(
+                self._layers, [tbl.slice(a, b - a) for a, b in windows]))
+            # lay the batch out as one pass over it does, since the sink's
+            # parquet bytes depend on the chunking: input columns keep their
+            # chunks, the rewritten content and each added column are one
+            for i, name in enumerate(parts[0].column_names):
+                if name == "content" or name not in tbl.column_names:
+                    col = pa.concat_arrays([c for p in parts for c in p.column(i).chunks])
+                    tbl = (tbl.set_column(i, name, col) if name == "content"
+                           else tbl.append_column(name, col))
+        if self.sink is not None:
+            return self.sink(tbl)
+        return tbl
+
+    def _layers(self, tbl: pa.Table) -> pa.Table:
         if self.text_stats is not None:
             tbl = self.text_stats(tbl)
         if self.langid is not None:
             tbl = self.langid(tbl)
         if self.ppl is not None:
-            col = tbl.column("content")
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            tbl = tbl.append_column(
-                "perplexity", pa.array(self.ppl.score_array(col), pa.float64())
-            )
-        tbl = self.rules(tbl)
-        if self.sink is not None:
-            return self.sink(tbl)
-        return tbl
+            tbl = self.ppl(tbl)
+        return self.rules(tbl)
 
 
 LINEAGE_COLS = [
@@ -217,10 +243,11 @@ def _rollup_from_partials(partials_ds, suite: ExpectationSuite, keys) -> list[di
     """Merge per-batch rollup partials into final per-key suite results.
 
     Partials are already pre-aggregated per batch (≤ |keys| rows each), so
-    the merge is a driver-side pandas groupby over #batches × |keys| rows —
-    no Ray shuffle (a Ray groupby on this tiny table costs seconds of fixed
-    overhead).  At extreme batch counts, insert one ``partials_ds.repartition
-    (k).map_batches(local_sum)`` tree level before collecting."""
+    the merge is one Arrow ``group_aggregate`` on the driver over #batches ×
+    |keys| rows — no Ray shuffle (a Ray groupby on this tiny table costs
+    seconds of fixed overhead).  At extreme batch counts, insert one
+    ``partials_ds.repartition(k).map_batches(local_sum)`` tree level before
+    collecting."""
     import ray
 
     rule_configs = suite.resolved_expectations()
@@ -341,6 +368,17 @@ class SinkStage:
         return self.partial(tbl)
 
 
+def _check_input_columns(names: list[str], rollup_keys) -> None:
+    missing = [c for c in ("content", *rollup_keys) if c not in names]
+    if missing:
+        raise ValueError(
+            f"quality filter input is missing column(s) {missing}: "
+            f"got {list(names)}.  It needs 'content' plus the rollup "
+            f"keys {list(rollup_keys)}; see "
+            "corpus.write_corpus_parquet for the reference layout "
+            "(repo, path, commit, lang, content).")
+
+
 def _prepare_model_ref(raw_ds, config: QualityFilterConfig):
     """Load/train the deterministic LM and broadcast it once."""
     if not config.use_perplexity:
@@ -376,17 +414,11 @@ def run_quality_filter(
     only tiny rollup partials flow back.  Without: returns the materialized
     scored dataset + rollup (test scale only)."""
     config = config or QualityFilterConfig()
-    schema = ds.schema()
+    # only a schema Ray knows without running the input: a derived input's
+    # columns are checked by the fused stage on its first batch instead
+    schema = ds.schema(fetch_if_missing=False)
     if schema is not None:
-        missing = [c for c in ("content", *config.rollup_keys)
-                   if c not in schema.names]
-        if missing:
-            raise ValueError(
-                f"quality filter input is missing column(s) {missing}: "
-                f"got {schema.names}.  It needs 'content' plus the rollup "
-                f"keys {list(config.rollup_keys)}; see "
-                "corpus.write_corpus_parquet for the reference layout "
-                "(repo, path, commit, lang, content).")
+        _check_input_columns(schema.names, config.rollup_keys)
     model_ref = _prepare_model_ref(ds, config)
     rule_configs = config.suite.resolved_expectations()
     if not config.use_perplexity:

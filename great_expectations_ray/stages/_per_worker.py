@@ -7,17 +7,62 @@ module-level LRU, so a broadcast ref the constructor ``ray.get``s is fetched
 once per worker, the instance lives across that worker's batches as an
 actor's did, and the read and the stage fuse into one task operator on Ray's
 pooled workers instead of starting a new actor pool per call.
+
+A stage may also cut its batch into row-aligned byte windows
+(``row_windows``) and run them on the worker's one ``window_pool``.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import uuid
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 #: instances kept per worker process; the oldest call's instance (and the
 #: broadcast objects it holds) is dropped first
 MAX_INSTANCES = 4
 _INSTANCES: OrderedDict = OrderedDict()
+
+#: threads of the one window pool per worker process.  Ray counts a task as
+#: one CPU, but numpy, Arrow's RE2 kernels and hashlib release the GIL, so a
+#: task's windows can use the CPUs that other tasks hold while they sleep
+#: (a split read keeps its slots long after its blocks are out).  Fixed,
+#: like ``MAX_INSTANCES``: over-subscribing a worker's CPUs by this much was
+#: measured to cost nothing when every slot is busy.
+WINDOW_THREADS = min(4, len(os.sched_getaffinity(0)))
+#: content bytes per window: a window's per-byte temporaries stay in cache,
+#: and a 4096-row batch of source code gives the pool a few windows to share
+WINDOW_BYTES = 1 << 20
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def window_pool() -> ThreadPoolExecutor:
+    """This process's window pool, started on first use and kept for life."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(WINDOW_THREADS, thread_name_prefix="window")
+        return _POOL
+
+
+def row_windows(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Row ranges ``[a, b)`` that cover all rows in order, each of at most
+    ``WINDOW_BYTES`` of ``lengths`` (a row longer than that goes alone).
+    There is always at least one range, so an empty batch is ``[(0, 0)]``."""
+    cum = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    n, out, a = len(lengths), [], 0
+    while True:
+        b = int(np.searchsorted(cum, cum[a] + WINDOW_BYTES, side="right")) - 1
+        b = min(max(b, a + 1), n)
+        out.append((a, b))
+        if b >= n:
+            return out
+        a = b
 
 
 def _call_instance(batch, *, cls, ctor_kwargs, token):

@@ -30,12 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from great_expectations_ray.stages.text_stats import (
-    _packed_counts,
-    _string_buffer,
-    segment_max,
-    segment_sum,
-)
+from great_expectations_ray.stages.text_stats import segment_max, segment_sum, text_counts
 
 # line-anchored because each element IS one line after the split
 COMMENT_LINE_RE = r"^\s*(#|//|--|\*|/\*)"
@@ -68,8 +63,7 @@ def code_metrics_table(content: pa.Array | pa.ChunkedArray) -> dict[str, pa.Arra
     comment_lines = segment_sum(is_comment, loff64)
     max_line_len = segment_max(line_len, loff64)
 
-    data, soff = _string_buffer(s)
-    _, ws, n_chars = _packed_counts(data, soff)
+    _, ws, n_chars, _, _ = text_counts(s, lines=False)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ws_frac = np.where(n_chars > 0, ws / np.maximum(n_chars, 1), 0.0)

@@ -74,7 +74,9 @@ UNKNOWN_LANG = "unknown"
 
 class LangIdScorer:
     """Per-batch stage: ``map_per_worker(ds, LangIdScorer,
-    batch_format="pyarrow")``.  Feature spec compiled once per instance."""
+    batch_format="pyarrow")``.  Feature spec compiled once per instance;
+    holds only read-only state after ``__init__`` (window threads share one
+    instance)."""
 
     def __init__(self, column: str = "content", features: dict | None = None):
         self.column = column

@@ -7,9 +7,10 @@ the object store with ``ray.put``, and each worker fetches it ONCE in
 ``__init__`` (``stages._per_worker``) — the broadcast-small-side pattern;
 the model is never re-shipped per batch.
 
-Scoring is fully vectorized: content bytes -> trigram context ids via numpy
-stride tricks -> one fancy-index gather -> mean negative log2 prob ->
-perplexity 2^H.  No Python loop over characters.
+Scoring is fully vectorized, one row-aligned byte window at a time: each
+(c-2, c-1) byte pair, read as one big-endian uint16, indexes a 65,536-entry
+table of context rows; one gather of the logprob table -> mean negative
+log2 prob -> perplexity 2^H.  No Python loop over characters.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from great_expectations_ray.stages._per_worker import row_windows
+from great_expectations_ray.stages.text_stats import _string_buffer
 
 V = 256  # byte vocabulary
 
@@ -37,6 +41,11 @@ def ctx_bucket(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     raw = (c1.astype(np.int32) << np.int32(8)) | c2.astype(np.int32)
     mixed = (raw * np.int32(_CTX_MULT)) ^ (raw >> np.int32(7))
     return mixed % np.int32(N_CTX)
+
+
+#: the logprob table's first cell of each (c-2, c-1) context:
+#: ``ctx_bucket(c1, c2) << 8`` at index ``c1 << 8 | c2``
+_CTX_ROW = ctx_bucket(np.arange(1 << 16) >> 8, np.arange(1 << 16) & 0xFF).astype(np.intp) << 8
 
 
 def train_char_lm(texts: list[str], add_k: float = 0.1) -> np.ndarray:
@@ -77,7 +86,8 @@ class PerplexityScorer:
     batch_format="pyarrow")`` (``stages._per_worker``).
 
     ``model_ref`` may be a ``ray.ObjectRef`` (broadcast) or a plain ndarray
-    (tests)."""
+    (tests).  Holds only read-only state after ``__init__`` (window threads
+    share one instance)."""
 
     def __init__(self, model_ref=None, column: str = "content", cap_bytes: int = 65536,
                  precise: bool = False):
@@ -99,6 +109,7 @@ class PerplexityScorer:
         # traffic; right for the DRAM-bound fused pipeline where thresholds
         # are nowhere near float32 error.
         self.precise = precise
+        self._flat = self.table.reshape(-1)
         # touch every page now so the first batch doesn't pay the lazy
         # plasma page-ins inside the timed stream (float64 acc: no overflow)
         float(self.table.sum(dtype=np.float64))
@@ -112,54 +123,40 @@ class PerplexityScorer:
 
     def score_array(self, arr: pa.Array) -> np.ndarray:
         """Whole-batch scoring straight off the Arrow UTF-8 data buffer —
-        zero copy, no per-row ``as_py``.  One vectorized trigram gather over
-        the concatenated (capped) byte stream, then per-row means via
-        cumsum + offset indexing."""
-        n = len(arr)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        arr = pc.fill_null(arr, "")
-        if not (pa.types.is_large_string(arr.type) or pa.types.is_string(arr.type)):
-            arr = pc.cast(arr, pa.large_string())
-        if pa.types.is_string(arr.type):
-            arr = pc.cast(arr, pa.large_string())  # uniform int64 offsets
-        buffers = arr.buffers()
-        offsets = np.frombuffer(buffers[1], dtype=np.int64)[
-            arr.offset : arr.offset + n + 1
-        ]
-        data = np.frombuffer(buffers[2], dtype=np.uint8)
+        zero copy, no per-row ``as_py``, one ``row_windows`` window of
+        capped bytes at a time (temporaries bounded by the window)."""
+        data, offsets = _string_buffer(arr)
+        lens = np.minimum(np.diff(offsets), self.cap_bytes)
+        out = np.empty(len(lens), dtype=np.float64)
+        for a, b in row_windows(lens):
+            out[a:b] = self._score_window(data, offsets[a:b], lens[a:b])
+        return out
 
-        starts = offsets[:-1]
-        ends = np.minimum(offsets[1:], starts + self.cap_bytes)
-        lens = ends - starts
-
-        # gather the capped per-row segments into one contiguous stream
-        total = int(lens.sum())
-        out = np.empty(n, dtype=np.float64)
+    def _score_window(self, data: np.ndarray, starts: np.ndarray,
+                      lens: np.ndarray) -> np.ndarray:
+        """One trigram gather over the window's concatenated (capped) byte
+        stream, then per-row means via reduceat over the row starts."""
+        n, total = len(lens), int(lens.sum())
         if total == 0:
-            out[:] = 1e9
-            return out
-        # fast path: when no row exceeds cap_bytes the capped segments ARE the
-        # contiguous buffer — zero-copy view, no index build, no gather
-        if int(lens.sum()) == int(offsets[-1] - offsets[0]):
-            stream = data[offsets[0] : offsets[-1]]
-            seg_starts = offsets[:-1] - offsets[0]
+            return np.full(n, 1e9)
+        seg_starts = np.zeros(n, dtype=np.int64)
+        np.cumsum(lens[:-1], out=seg_starts[1:])
+        if starts[-1] + lens[-1] - starts[0] == total:
+            # no row but the last was capped: the stream IS the buffer
+            stream = data[starts[0] : starts[0] + total]
         else:
-            # index vector: for each row, starts[i] + arange(lens[i]); int32
-            # (buffers are < 2^31 per batch) halves the index traffic
-            seg_starts = np.zeros(n, dtype=np.int64)
-            np.cumsum(lens[:-1], out=seg_starts[1:])
-            idx = np.repeat((starts - seg_starts).astype(np.int32), lens) + np.arange(
-                total, dtype=np.int32
-            )
-            stream = data[idx]
+            stream = data[np.repeat(starts - seg_starts, lens) + np.arange(total)]
 
         # trigram logprobs over the stream (dtype per `precise`, see
-        # __init__).  Per-row sums via reduceat write only n outputs.
-        ctx = ctx_bucket(stream[:-2], stream[1:-1])
+        # __init__): each context's table row from ``_CTX_ROW``, read
+        # through a big-endian uint16 view of every byte pair.  Per-row sums
+        # via reduceat write only n outputs.
         lp = np.zeros(total, dtype=np.float64 if self.precise else np.float32)
         if total >= 3:
-            lp[2:] = self.table[ctx, stream[2:]]
+            pairs = np.ndarray((total - 2,), dtype=">u2", buffer=stream, strides=(1,))
+            cell = _CTX_ROW[pairs]
+            cell |= stream[2:]
+            lp[2:] = self._flat[cell]
         # zero the 2 leading positions of every row: their contexts belong to
         # the previous row; after this, a plain per-row segment sum equals the
         # sum over valid trigrams [s+2, s+len).  (Positions >= total come from
@@ -175,8 +172,7 @@ class PerplexityScorer:
             total_lp[nonempty] = np.add.reduceat(lp, seg_starts[nonempty])
         with np.errstate(divide="ignore", invalid="ignore"):
             h = -(total_lp / np.maximum(lens - 2, 1))
-        out = np.where(lens == 0, 1e9, np.where(lens < 3, 256.0, 2.0**h))
-        return out.astype(np.float64)
+        return np.where(lens == 0, 1e9, np.where(lens < 3, 256.0, 2.0**h))
 
 
 def build_reference_model(

@@ -141,3 +141,40 @@ def test_kn_perplexity_runs_no_actor_pool(ray_session):
         ppl = np.asarray(kn_perplexity(ds, column="text").to_pandas()["kn_ppl"])
     assert len(ppl) == 40 and np.isfinite(ppl).all()
     _assert_task_only(plans)
+
+
+def _window_threads() -> dict[int, int]:
+    """Window-pool threads alive in each worker process a probe reaches."""
+    import threading
+
+    def probe(tbl: pa.Table) -> pa.Table:
+        n = sum(t.name.startswith("window") for t in threading.enumerate())
+        return pa.table({"pid": [os.getpid()] * tbl.num_rows, "n": [n] * tbl.num_rows})
+
+    rows = rd.range(64, override_num_blocks=16).map_batches(
+        probe, batch_format="pyarrow", batch_size=4).to_pandas()
+    return rows.groupby("pid")["n"].max().to_dict()
+
+
+def test_window_pool_is_one_per_worker(ray_session, tmp_path):
+    """Over six flagship calls (each with new stage instances), every worker
+    process keeps at most ``WINDOW_THREADS`` window threads: the pool is
+    the process's, not the call's."""
+    from great_expectations_ray.corpus import corpus_dataset
+    from great_expectations_ray.pipelines.quality_filter import (
+        QualityFilterConfig,
+        run_quality_filter,
+    )
+
+    seen: dict[int, int] = {}
+    for i in range(6):
+        out = run_quality_filter(corpus_dataset(4000, blocks=2),
+                                 QualityFilterConfig(use_perplexity=False),
+                                 output_dir=str(tmp_path / str(i)))
+        assert sum(r["row_count"] for r in out["rollup"]) == 4000
+        for pid, n in _window_threads().items():
+            assert n <= _per_worker.WINDOW_THREADS, (pid, n)
+            seen[pid] = max(seen.get(pid, 0), n)
+    # the calls did cut windows on the workers' pools (2000-row blocks of source
+    # code are several 1 MiB windows per batch)
+    assert max(seen.values()) > 0, seen

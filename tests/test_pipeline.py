@@ -151,13 +151,52 @@ def test_quality_filter_with_exact_dedup(tmp_path):
 
 
 def test_missing_rollup_key_fails_fast():
-    """The input schema check covers the configured rollup keys: a missing
-    custom key raises before any Ray task runs and names the key, instead
-    of failing inside a Ray actor."""
+    """The input schema check covers the configured rollup keys: on an
+    input whose schema Ray knows, a missing custom key raises on the driver
+    before any Ray task runs and names the key."""
+    import ray.data as rd
+
+    from tests.test_unique_keys import _logged
+
     cfg = QualityFilterConfig(rollup_keys=("repo", "team"),
                               use_langid=False, use_perplexity=False)
-    with pytest.raises(ValueError, match=r"missing column\(s\) \['team'\]"):
-        run_quality_filter(corpus_dataset(200, blocks=2), cfg)
+    with _logged() as (plans, _):
+        with pytest.raises(ValueError, match=r"missing column\(s\) \['team'\]"):
+            run_quality_filter(rd.from_arrow(corpus_batch(0, 200)), cfg)
+    assert plans == []
+
+
+def test_missing_rollup_key_fails_on_a_derived_input():
+    """A derived input's schema is not fetched by running it: the fused
+    stage checks its first batch and its error names the missing key, in
+    the one execution over the input."""
+    from tests.test_unique_keys import _logged
+
+    cfg = QualityFilterConfig(rollup_keys=("repo", "team"),
+                              use_langid=False, use_perplexity=False)
+    with _logged() as (plans, _):
+        with pytest.raises(Exception, match=r"missing column\(s\) \['team'\]"):
+            run_quality_filter(corpus_dataset(200, blocks=2), cfg)
+    assert len(plans) == 1 and "LimitOperator" not in plans[0], plans
+
+
+@pytest.mark.parametrize("write", [False, True])
+def test_derived_input_runs_once(tmp_path, write):
+    """A ``map_batches``-derived input (with a cached LM) is run by one
+    logged execution, and no execution is a ``LimitOperator`` schema probe
+    (the in-memory mode's rollup then reads the materialized scores)."""
+    from great_expectations_ray.stages.perplexity import train_char_lm
+    from tests.test_unique_keys import _logged
+
+    lm = tmp_path / "lm.npy"
+    np.save(lm, train_char_lm(corpus_batch(0, 100).column("content").to_pylist()))
+    cfg = QualityFilterConfig(perplexity_model_path=str(lm))
+    kwargs = {"output_dir": str(tmp_path / "out")} if write else {}
+    with _logged() as (plans, _):
+        out = run_quality_filter(corpus_dataset(300, blocks=3), cfg, **kwargs)
+    assert sum(r["row_count"] for r in out["rollup"]) == 300
+    assert len([p for p in plans if "ReadRange" in p]) == 1, plans
+    assert not any("LimitOperator" in p for p in plans), plans
 
 
 def test_input_without_lang_runs_when_not_a_rollup_key(tmp_path):
