@@ -35,39 +35,36 @@ _MIX2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _POLY_B = np.uint64(1099511628211)
 
 
-def poly_hash_strings(arr: pa.Array) -> np.ndarray:
-    """uint64 hash per string — vectorized polynomial pass straight off the
-    Arrow UTF-8 buffer (Σ byte_j·B^j mod 2^64, then avalanche mixing).  Pure
-    numpy: no per-row Python, no extra imports in the worker hot path.
+def _poly_sums(arr: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """(Σ byte_j·B^j mod 2^64, byte length) per string, ``B`` the FNV prime
+    — one vectorized numpy pass over ``string_buffer`` (nulls read as ""),
+    no per-row Python.  The raw sum is the token hash of SimHash,
+    repetition, heavy hitters and BM25; :func:`poly_hash_strings` mixes it
+    into a bucket hash."""
+    from great_expectations_ray.stages.text_stats import string_buffer
 
-    Sibling kernel: ``stages/neardup.py _token_poly_hashes`` (same
-    offsets/cumsum-reduceat construction, no avalanche — keep edge-case
-    fixes in sync)."""
-    from great_expectations_ray.stages.scrub import _string_buffer_views
-
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    offs, mv = _string_buffer_views(arr)
-    offs = offs.astype(np.int64)
-    lens = offs[1:] - offs[:-1]
+    data, offs = string_buffer(arr)
+    lens = np.diff(offs)
+    h = np.zeros(len(lens), dtype=np.uint64)
     total = int(lens.sum())
-    h = np.zeros(n, dtype=np.uint64)
     if total:
-        data = np.frombuffer(mv, dtype=np.uint8)[offs[0] : offs[-1]]
-        pos = np.arange(total, dtype=np.int64)
-        seg_starts = np.zeros(n, dtype=np.int64)
+        seg_starts = np.zeros(len(lens), dtype=np.int64)
         np.cumsum(lens[:-1], out=seg_starts[1:])
-        pos -= np.repeat(seg_starts, lens)  # position within each string
-        maxlen = int(lens.max())
-        powers = np.ones(maxlen, dtype=np.uint64)
-        if maxlen > 1:
-            powers[1:] = _POLY_B
-            np.multiply.accumulate(powers, out=powers, dtype=np.uint64)
-        contrib = data.astype(np.uint64) * powers[pos]
+        # position of each byte within its string
+        pos = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, lens)
+        powers = np.full(int(lens.max()), _POLY_B, dtype=np.uint64)
+        powers[0] = 1
+        np.multiply.accumulate(powers, out=powers, dtype=np.uint64)
+        contrib = data[offs[0] : offs[-1]].astype(np.uint64) * powers[pos]
         nz = lens > 0
         h[nz] = np.add.reduceat(contrib, seg_starts[nz])
-    # length-aware avalanche so "" and prefixes don't collide trivially
+    return h, lens
+
+
+def poly_hash_strings(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """uint64 hash per string: :func:`_poly_sums` then a length-aware
+    avalanche (so "" and prefixes don't collide trivially)."""
+    h, lens = _poly_sums(arr)
     h ^= lens.astype(np.uint64) * _MIX1
     h = (h * _MIX1) ^ (h >> np.uint64(29))
     h *= _MIX2
@@ -97,10 +94,7 @@ def column_hash(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     if pa.types.is_integer(arr.type):
         target = pa.uint64() if pa.types.is_unsigned_integer(arr.type) else pa.int64()
         return _int_mix(np.asarray(pc.fill_null(pc.cast(arr, target), 0)).astype(np.uint64))
-    if not (pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
-        arr = pc.cast(arr, pa.string())
-    return poly_hash_strings(pc.fill_null(arr, ""))
+    return poly_hash_strings(arr)
 
 
 def _int_mix(x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ row is dropped iff it is *unexpected* for at least one row-level rule
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -201,6 +202,12 @@ class FusedQualityStage:
         return tbl
 
     def _layers(self, tbl: pa.Table) -> pa.Table:
+        # the window's content in one chunk (combined at most once, here),
+        # so every layer reads it in place through ``string_buffer``
+        content = tbl.column("content")
+        if content.num_chunks != 1:
+            tbl = tbl.set_column(tbl.schema.get_field_index("content"), "content",
+                                 content.combine_chunks())
         if self.text_stats is not None:
             tbl = self.text_stats(tbl)
         if self.langid is not None:
@@ -348,10 +355,7 @@ class SinkStage:
             key_cols = [c for c in ("repo", "path", "commit") if c in tbl.column_names]
             row_h = np.zeros(tbl.num_rows, dtype=np.uint64)
             for c in key_cols:
-                col = tbl.column(c).combine_chunks()
-                row_h = row_h * np.uint64(1099511628211) + poly_hash_strings(
-                    pc.fill_null(col, "")
-                )
+                row_h = row_h * np.uint64(1099511628211) + poly_hash_strings(tbl.column(c))
             frag = hashlib.sha256(row_h.tobytes()).hexdigest()[:24]
             name = f"{self.prefix}-{frag}.parquet"
             # zstd: ~2-4x smaller than snappy on source code, keeps the sink
@@ -368,11 +372,14 @@ class SinkStage:
         return self.partial(tbl)
 
 
+_MISSING_COLUMNS = "quality filter input is missing column(s)"
+
+
 def _check_input_columns(names: list[str], rollup_keys) -> None:
     missing = [c for c in ("content", *rollup_keys) if c not in names]
     if missing:
         raise ValueError(
-            f"quality filter input is missing column(s) {missing}: "
+            f"{_MISSING_COLUMNS} {missing}: "
             f"got {list(names)}.  It needs 'content' plus the rollup "
             f"keys {list(rollup_keys)}; see "
             "corpus.write_corpus_parquet for the reference layout "
@@ -400,6 +407,26 @@ def _prepare_model_ref(raw_ds, config: QualityFilterConfig):
     return ray.put(model)
 
 
+def _input_errors_as_value_errors(run):
+    """On a derived input the fused stage checks the columns inside a Ray
+    task, and Ray Data hands its ``ValueError`` back only as the text of a
+    ``RayTaskError(UserCodeException)``: raise it as the ``ValueError`` a
+    plain input gets on the driver."""
+    @functools.wraps(run)
+    def wrapped(*args, **kwargs):
+        from ray.exceptions import RayTaskError
+
+        try:
+            return run(*args, **kwargs)
+        except RayTaskError as err:
+            for line in str(err).splitlines():
+                if line.startswith(f"ValueError: {_MISSING_COLUMNS}"):
+                    raise ValueError(line.removeprefix("ValueError: ")) from None
+            raise
+    return wrapped
+
+
+@_input_errors_as_value_errors
 def run_quality_filter(
     ds,
     config: Optional[QualityFilterConfig] = None,

@@ -56,9 +56,7 @@ def key_hash64(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
         x = np.asarray(pc.fill_null(pc.cast(arr, target), 0)).astype(np.uint64)
         h = (x * _MIX1) ^ (x >> np.uint64(31))
         return h * _MIX2
-    if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
-        arr = pc.cast(arr, pa.string())
-    return poly_hash_strings(pc.fill_null(arr, ""))
+    return poly_hash_strings(arr)
 
 
 def _bloom_positions(h: np.ndarray, num_bits: int, num_hashes: int) -> np.ndarray:

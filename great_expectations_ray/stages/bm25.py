@@ -31,14 +31,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from great_expectations_ray.functions.bucketed import _poly_sums
 from great_expectations_ray.stages._per_worker import map_per_worker
-from great_expectations_ray.stages.neardup import _token_poly_hashes
 from great_expectations_ray.stages.repetition import _round6, tokenize_nonempty
 
 
 def _query_hashes(terms: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(sorted u64 hashes, argsort order) for the query terms."""
-    h = _token_poly_hashes(pa.array(list(terms), pa.string()))
+    h = _poly_sums(pa.array(list(terms), pa.string()))[0]
     order = np.argsort(h, kind="stable")
     return np.ascontiguousarray(h[order]), order
 

@@ -21,14 +21,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from great_expectations_ray.stages.scrub import _string_buffer_views
+from great_expectations_ray.stages.text_stats import string_buffer
 
 
 def _chunk_ascii(s: pa.Array, doc_ids: pa.Array, chunk_size: int,
                  step: int) -> pa.Table:
-    offs, mv = _string_buffer_views(s)
-    offs = offs.astype(np.int64)
-    data = np.frombuffer(mv, dtype=np.uint8)
+    data, offs = string_buffer(s)
     lens = offs[1:] - offs[:-1]
     n_chunks = np.where(lens > 0, (lens - 1) // step + 1, 0).astype(np.int64)
     total = int(n_chunks.sum())

@@ -4,9 +4,9 @@ template text compresses far below natural prose; random noise barely
 compresses at all).
 
 Per row: ``zlib.compress`` at a FIXED level straight off the Arrow UTF-8
-data buffer (``memoryview`` slices via ``scrub._string_buffer_views`` — no
-``as_py()`` decode, no per-row Python string).  zlib is a C call that
-releases the GIL on multi-KB payloads, so worker parallelism stacks.  The
+data buffer (``memoryview`` slices of ``text_stats.string_buffer``, read in
+place — no ``as_py()`` decode, no per-row Python string).  zlib is a C call
+that releases the GIL on multi-KB payloads, so worker parallelism stacks.  The
 ratio is a single float64 division of two exact ints — deterministic for a
 fixed zlib, which is what lets the catalog carry a per-doc fixture oracle.
 
@@ -19,9 +19,8 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from great_expectations_ray.stages.scrub import _string_buffer_views
+from great_expectations_ray.stages.text_stats import string_buffer
 
 #: fixed compression level — part of the signal's contract
 ZLIB_LEVEL = 6
@@ -30,21 +29,10 @@ ZLIB_LEVEL = 6
 def compressed_lengths(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     """int64 zlib-compressed byte length per value (nulls -> length of the
     empty-string compression, matching ``fill_null('')`` semantics)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc.cast(pc.fill_null(col, ""), pa.string())
-    views = _string_buffer_views(col)
-    out = np.empty(len(col), dtype=np.int64)
-    if views is None:  # non-string fallback, not on the hot path
-        for i, v in enumerate(col):
-            out[i] = len(zlib.compress(
-                (v.as_py() or "").encode("utf-8"), ZLIB_LEVEL))
-        return out
-    offs, mv = views
-    comp = zlib.compress
-    for i in range(len(col)):
-        out[i] = len(comp(mv[offs[i]:offs[i + 1]], ZLIB_LEVEL))
-    return out
+    data, offs = string_buffer(col)
+    mv, o, comp = memoryview(data), offs.tolist(), zlib.compress
+    return np.array([len(comp(mv[a:b], ZLIB_LEVEL)) for a, b in zip(o, o[1:])],
+                    dtype=np.int64)
 
 
 class CompressionScorer:
@@ -56,10 +44,7 @@ class CompressionScorer:
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
         col = tbl.column(self.text_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        col = pc.cast(pc.fill_null(col, ""), pa.string())
-        raw = np.asarray(pc.binary_length(col), dtype=np.int64)
+        raw = np.diff(string_buffer(col)[1])
         comp = compressed_lengths(col)
         ratio = np.where(raw > 0, comp / np.maximum(raw, 1), 0.0)
         return (tbl.append_column("raw_len", pa.array(raw))

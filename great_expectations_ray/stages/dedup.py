@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.stages.scrub import sha256_column
+from great_expectations_ray.stages.text_stats import string_buffer
 
 
 def add_content_hash(ds, column: str = "content", out: str = "content_sha256"):
@@ -112,21 +113,15 @@ def md5_column(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     (``pandas_data_sampler.py:117`` hashes str(value) with md5).
 
     String columns hash straight off the Arrow UTF-8 buffer (str(value) is
-    the value itself); other types fall back to the str() loop for md5
-    parity with the reference."""
+    the value itself; nulls give None); other types fall back to the str()
+    loop for md5 parity with the reference."""
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        data, offs = string_buffer(col)
+        mv, o, _md5 = memoryview(data), offs.tolist(), hashlib.md5
+        return pa.array([_md5(mv[a:b]).hexdigest() for a, b in zip(o, o[1:])], pa.string(),
+                        mask=np.asarray(pc.is_null(col)) if col.null_count else None)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    from great_expectations_ray.stages.scrub import _string_buffer_views
-
-    is_str = pa.types.is_string(col.type) or pa.types.is_large_string(col.type)
-    views = _string_buffer_views(col) if is_str else None
-    if views is not None and col.null_count == 0:
-        offs, mv = views
-        _md5 = hashlib.md5
-        return pa.array(
-            [_md5(mv[offs[i] : offs[i + 1]]).hexdigest() for i in range(len(col))],
-            pa.string(),
-        )
     return pa.array(
         [hashlib.md5(str(v.as_py()).encode()).hexdigest() if v.is_valid else None for v in col],
         pa.string(),

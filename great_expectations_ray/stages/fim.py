@@ -36,7 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from great_expectations_ray.stages.scrub import _string_buffer_views
+from great_expectations_ray.stages.text_stats import string_buffer
 
 #: default sentinel tokens (StarCoder spelling)
 PRE_TOKEN = "<fim_prefix>"
@@ -81,9 +81,7 @@ def _slice_ascii(offs: np.ndarray, data: np.ndarray, starts: np.ndarray,
 
 def _fim_ascii(s: pa.Array, ids: np.ndarray, rate_mod: int,
                pre: str, suf: str, mid: str):
-    offs, mv = _string_buffer_views(s)
-    offs = offs.astype(np.int64)
-    data = np.frombuffer(mv, dtype=np.uint8)
+    data, offs = string_buffer(s)
     lens = offs[1:] - offs[:-1]
     applied, lo, hi = fim_cuts(ids, lens, rate_mod)
     n = len(lens)

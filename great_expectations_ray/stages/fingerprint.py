@@ -22,6 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.stages.neardup import _concat_aranges, _shingle_hashes
+from great_expectations_ray.stages.text_stats import string_buffer
 
 
 def winnow_fingerprints_batch(
@@ -30,16 +31,7 @@ def winnow_fingerprints_batch(
     """Per-row winnowed fingerprint sets (sorted unique uint64) + shingle
     counts.  Vectorized: one shingle-hash pass over the concatenated stream,
     then ``w`` shifted gathers for the window minima."""
-    if isinstance(content, pa.ChunkedArray):
-        content = content.combine_chunks()
-    content = pc.fill_null(content, "")
-    if not pa.types.is_large_string(content.type):
-        content = pc.cast(content, pa.large_string())
-    bufs = content.buffers()
-    offsets = np.frombuffer(bufs[1], dtype=np.int64)[
-        content.offset : content.offset + len(content) + 1
-    ]
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
+    data, offsets = string_buffer(content)
     hashes, counts = _shingle_hashes(data, offsets, k)
     n = len(counts)
     win_counts = np.maximum(counts - w + 1, 0)

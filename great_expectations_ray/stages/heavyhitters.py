@@ -25,7 +25,7 @@ The two-pass shape bounds the exchange to sketch-sized partials:
   re-run with a larger capacity.
 
 Values are keyed by the shared 64-bit polynomial token hash
-(``stages/neardup._token_poly_hashes``); as elsewhere in this repo the
+(``functions/bucketed._poly_sums``); as elsewhere in this repo the
 2⁻⁶⁴-scale collision probability is documented and accepted.
 
 Reference parity: great_expectations' closest surface is
@@ -44,8 +44,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.functions.bucketed import _poly_sums
 from great_expectations_ray.stages._per_worker import map_per_worker
-from great_expectations_ray.stages.neardup import _token_poly_hashes
 from great_expectations_ray.stages.repetition import tokenize_nonempty
 
 
@@ -104,7 +104,7 @@ class _CandidateCounter:
         if self.mode == "words":
             h, _l, _d, _c = tokenize_nonempty(tbl.column(self.col))
         else:
-            h = _token_poly_hashes(_flat_values(tbl.column(self.col)))
+            h = _poly_sums(_flat_values(tbl.column(self.col)))[0]
         total = len(h)
         cnts = np.zeros(len(self.hashes), dtype=np.int64)
         if total and len(self.hashes):
@@ -172,7 +172,7 @@ def heavy_hitters(
         # nothing cleared the bar and the caller must raise capacity
         df.attrs["guaranteed"] = pass1_total == 0
         return df
-    hashes = _token_poly_hashes(cand_vals)
+    hashes = _poly_sums(cand_vals)[0]
     order = np.argsort(hashes, kind="stable")
     hashes_sorted = np.ascontiguousarray(hashes[order])
     words_sorted = cand_vals.take(pa.array(order)).to_pylist()

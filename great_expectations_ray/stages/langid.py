@@ -101,8 +101,6 @@ class LangIdScorer:
     PREFIX_CHARS = 2048
 
     def score(self, content: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(content, pa.ChunkedArray):
-            content = content.combine_chunks()
         content = pc.utf8_slice_codeunits(pc.fill_null(content, ""), 0, self.PREFIX_CHARS)
         n = len(content)
         scores = np.zeros((len(self.langs), n), dtype=np.float64)

@@ -29,6 +29,7 @@ import pyarrow as pa
 
 from great_expectations_ray.stages.dedup import md5_column
 from great_expectations_ray.stages.neardup import _concat_aranges
+from great_expectations_ray.stages.text_stats import string_buffer
 
 
 def weight_threshold_hex(w: float) -> str:
@@ -41,14 +42,8 @@ def weight_threshold_hex(w: float) -> str:
 def _hex8_to_u64(md5_hex: pa.Array) -> np.ndarray:
     """First 8 hex chars of each 32-char md5 string as uint64 — vectorized
     off the Arrow buffer (every row is exactly 32 ASCII bytes)."""
-    from great_expectations_ray.stages.scrub import _string_buffer_views
-
-    n = len(md5_hex)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    offs, mv = _string_buffer_views(md5_hex)
-    offs = offs.astype(np.int64)
-    data = np.frombuffer(mv, dtype=np.uint8)[offs[0] : offs[-1]].reshape(n, 32)
+    data, offs = string_buffer(md5_hex)
+    data = data[offs[0] : offs[-1]].reshape(len(offs) - 1, 32)
     nib = data[:, :8].astype(np.uint64)
     nib = nib - 48 - 39 * (nib >= 97)  # '0'-'9' -> 0-9, 'a'-'f' -> 10-15
     powers = (np.uint64(16) ** np.arange(7, -1, -1, dtype=np.uint64))

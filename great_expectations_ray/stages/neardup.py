@@ -22,7 +22,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.functions.bucketed import _poly_sums
 from great_expectations_ray.stages._per_worker import map_per_worker
+from great_expectations_ray.stages.text_stats import string_buffer
 
 _MERSENNE = (1 << 61) - 1
 
@@ -106,17 +108,8 @@ def minhash_signatures(
     Permutations are universal hashes a*x+b over the shingle hash set;
     per-row minima via ``np.minimum.reduceat``.  Rows with no shingles get
     all-max signatures (never collide)."""
-    if isinstance(content, pa.ChunkedArray):
-        content = content.combine_chunks()
-    content = pc.fill_null(content, "")
-    if not pa.types.is_large_string(content.type):
-        content = pc.cast(content, pa.large_string())
-    bufs = content.buffers()
-    offsets = np.frombuffer(bufs[1], dtype=np.int64)[
-        content.offset : content.offset + len(content) + 1
-    ]
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
-    n = len(content)
+    data, offsets = string_buffer(content)
+    n = len(offsets) - 1
 
     hashes, counts = _shingle_hashes(data, offsets, shingle_k)
     rng = np.random.default_rng(seed)
@@ -275,49 +268,12 @@ def minhash_lsh_mark_duplicates(
     return _bucketed_any_mark(marked, id_col)
 
 
-_SIMHASH_B = np.uint64(1099511628211)  # FNV prime mixing base
-
-
-def _token_poly_hashes(flat: pa.Array) -> np.ndarray:
-    """uint64 polynomial hash per token, fully vectorized off the flattened
-    token values buffer: h(tok) = Σ_j byte_j · B^j  (mod 2^64).  No per-token
-    Python loop, no ``as_py()``."""
-    from great_expectations_ray.stages.scrub import _string_buffer_views
-
-    m = len(flat)
-    if m == 0:
-        return np.empty(0, dtype=np.uint64)
-    offs, mv = _string_buffer_views(flat)
-    offs = offs.astype(np.int64)
-    tok_lens = offs[1:] - offs[:-1]
-    total = int(tok_lens.sum())
-    out = np.zeros(m, dtype=np.uint64)
-    if total == 0:
-        return out
-    data = np.frombuffer(mv, dtype=np.uint8)[offs[0] : offs[-1]]
-    starts = offs[:-1] - offs[0]
-    pos = _concat_aranges(tok_lens)  # position of each byte within its token
-    maxlen = int(tok_lens.max())
-    # powers[j] = B^j mod 2^64 via wrapping cumulative product of [1, B, B, …]
-    powers = np.ones(maxlen, dtype=np.uint64)
-    if maxlen > 1:
-        powers[1:] = _SIMHASH_B
-        np.multiply.accumulate(powers, out=powers, dtype=np.uint64)
-    # byte stream is contiguous token bytes (split output has no separators)
-    contrib = data.astype(np.uint64) * powers[pos]
-    nz = tok_lens > 0
-    seg_starts = np.zeros(m, dtype=np.int64)
-    np.cumsum(tok_lens[:-1], out=seg_starts[1:])
-    out[nz] = np.add.reduceat(contrib, seg_starts[nz])
-    return out
-
-
 def simhash64(
     content: pa.Array | pa.ChunkedArray, *, seed: int = 29
 ) -> np.ndarray:
     """64-bit SimHash per row from whitespace tokens.  Token extraction is
     Arrow; token hashing is one vectorized polynomial pass over the flattened
-    token bytes (``_token_poly_hashes``) — no per-token Python loop."""
+    token bytes (``bucketed._poly_sums``) — no per-token Python loop."""
     if isinstance(content, pa.ChunkedArray):
         content = content.combine_chunks()
     content = pc.fill_null(content, "")
@@ -325,7 +281,7 @@ def simhash64(
     flat = tokens.values
     tok_counts = np.asarray(pc.list_value_length(tokens), dtype=np.int64)
     mix = np.uint64(0x9E3779B97F4A7C15 + seed)
-    tok_hashes = _token_poly_hashes(flat)
+    tok_hashes = _poly_sums(flat)[0]
     tok_hashes = (tok_hashes * mix) ^ (tok_hashes >> np.uint64(13))
     tok_hashes *= np.uint64(0xC2B2AE3D27D4EB4F)
 
@@ -521,14 +477,7 @@ def ngram_jaccard_mark_duplicates(
             sub = tbl.filter(keep)
             if sub.num_rows == 0:
                 return empty_routed
-            content = pc.fill_null(sub.column(text_col).combine_chunks(), "")
-            if not pa.types.is_large_string(content.type):
-                content = pc.cast(content, pa.large_string())
-            bufs = content.buffers()
-            offsets = np.frombuffer(bufs[1], dtype=np.int64)[
-                content.offset : content.offset + len(content) + 1
-            ]
-            data = np.frombuffer(bufs[2], dtype=np.uint8)
+            data, offsets = string_buffer(sub.column(text_col))
             hashes, counts = _shingle_hashes(data, offsets, shingle_k)
             firsts = np.zeros(len(counts), dtype=np.int64)
             np.cumsum(counts[:-1], out=firsts[1:])

@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.stages._per_worker import row_windows
-from great_expectations_ray.stages.text_stats import _string_buffer
+from great_expectations_ray.stages.text_stats import string_buffer
 
 V = 256  # byte vocabulary
 
@@ -115,17 +115,15 @@ class PerplexityScorer:
         float(self.table.sum(dtype=np.float64))
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        col = tbl.column(self.column)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        out = self.score_array(col)
+        out = self.score_array(tbl.column(self.column))
         return tbl.append_column("perplexity", pa.array(out, pa.float64()))
 
-    def score_array(self, arr: pa.Array) -> np.ndarray:
-        """Whole-batch scoring straight off the Arrow UTF-8 data buffer —
-        zero copy, no per-row ``as_py``, one ``row_windows`` window of
-        capped bytes at a time (temporaries bounded by the window)."""
-        data, offsets = _string_buffer(arr)
+    def score_array(self, arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
+        """Whole-batch scoring straight off the Arrow UTF-8 data buffer
+        (``string_buffer``, read in place) — no per-row ``as_py``, one
+        ``row_windows`` window of capped bytes at a time (temporaries
+        bounded by the window)."""
+        data, offsets = string_buffer(arr)
         lens = np.minimum(np.diff(offsets), self.cap_bytes)
         out = np.empty(len(lens), dtype=np.float64)
         for a, b in row_windows(lens):
@@ -208,7 +206,6 @@ def build_reference_model(
     def smallest(tbl: pa.Table) -> pa.Table:
         col = pc.cast(tbl.column(column), pa.large_string())
         col = col.filter(pc.fill_null(pc.greater(pc.binary_length(col), 0), False))
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         return pa.table({"__h": pa.array(poly_hash_strings(col), pa.uint64()),
                          column: col}).sort_by(order).slice(0, sample_rows)
 
@@ -234,15 +231,7 @@ class _TrigramCounter:
         self.column = column
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        from great_expectations_ray.stages.scrub import _string_buffer_views
-
-        s = tbl.column(self.column)
-        if isinstance(s, pa.ChunkedArray):
-            s = s.combine_chunks()
-        s = pc.cast(pc.fill_null(s, ""), pa.large_string())
-        offs, mv = _string_buffer_views(s)
-        offs = offs.astype(np.int64)
-        data = np.frombuffer(mv, dtype=np.uint8)
+        data, offs = string_buffer(tbl.column(self.column))
         lens = offs[1:] - offs[:-1]
         n_tri = np.maximum(lens - 2, 0)
         total = int(n_tri.sum())

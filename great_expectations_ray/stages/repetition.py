@@ -31,7 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from great_expectations_ray.stages.neardup import _concat_aranges, _token_poly_hashes
+from great_expectations_ray.functions.bucketed import _poly_sums
+from great_expectations_ray.stages.neardup import _concat_aranges
 
 _GRAM_MIX = np.uint64(0x9E3779B97F4A7C15)  # per-position mixing base
 
@@ -76,7 +77,7 @@ def tokenize_nonempty(
     tok_doc_raw = np.repeat(np.arange(n_docs, dtype=np.int64), tok_counts_raw)
     keep = tok_lens_raw > 0
     if keep.any():
-        tok_hash = _token_poly_hashes(flat)[keep]
+        tok_hash = _poly_sums(flat)[0][keep]
         tok_len = tok_lens_raw[keep]
         tok_doc = tok_doc_raw[keep]
     else:

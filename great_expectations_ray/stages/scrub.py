@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from great_expectations_ray.stages.text_stats import string_buffer
+
 #: (name, RE2 pattern, replacement) — ORDER MATTERS and is part of the contract
 DEFAULT_SCRUB_RULES: list[tuple[str, str, str]] = [
     ("email", r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "<EMAIL>"),
@@ -33,63 +35,19 @@ DEFAULT_SCRUB_RULES: list[tuple[str, str, str]] = [
 ]
 
 
-_EMPTY_SHA = hashlib.sha256(b"").hexdigest()
-
-
-def _string_buffer_views(col: pa.Array):
-    """(offsets ndarray, data memoryview) for a string/binary Arrow array —
-    zero-copy views straight onto the Arrow buffers.  Returns None if the
-    array type has no contiguous byte payload."""
-    t = col.type
-    if pa.types.is_string(t) or pa.types.is_binary(t):
-        odtype = np.int32
-    elif pa.types.is_large_string(t) or pa.types.is_large_binary(t):
-        odtype = np.int64
-    else:
-        return None
-    bufs = col.buffers()
-    if bufs[1] is None or bufs[2] is None:
-        return None
-    # slice-aware: the offsets buffer covers [array.offset, array.offset+len]
-    offs = np.frombuffer(bufs[1], dtype=odtype, count=len(col) + 1 + col.offset)[
-        col.offset :
-    ]
-    return offs, memoryview(bufs[2])
-
-
 def sha256_column(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """sha256 hex of each string value (empty-string hash for nulls).
 
-    Hashes straight off the Arrow UTF-8 data buffer via memoryview slices —
-    no ``as_py()`` decode, no per-row Python string materialization.  Arrow
-    string payloads are valid UTF-8 by construction, so the buffer bytes are
-    byte-identical to ``value.encode("utf-8")`` (sha parity preserved).  Each
-    digest is one C call; hashlib releases the GIL for payloads >2 KiB.
+    Hashes straight off the Arrow UTF-8 data buffer (``string_buffer``, read
+    in place) via memoryview slices — no ``as_py()`` decode, no per-row
+    Python string materialization.  Arrow string payloads are valid UTF-8 by
+    construction, so the buffer bytes are byte-identical to
+    ``value.encode("utf-8")`` (sha parity preserved).  Each digest is one C
+    call; hashlib releases the GIL for payloads >2 KiB.
     """
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    views = _string_buffer_views(col)
-    if views is None:  # non-string fallback (rare; not on the hot path)
-        out = [
-            hashlib.sha256(
-                (v.as_py() if v.is_valid else "").encode("utf-8", "surrogatepass")
-            ).hexdigest()
-            for v in col
-        ]
-        return pa.array(out, pa.string())
-    offs, mv = views
-    _sha = hashlib.sha256
-    if col.null_count == 0:
-        out = [
-            _sha(mv[offs[i] : offs[i + 1]]).hexdigest() for i in range(len(col))
-        ]
-    else:
-        valid = np.asarray(pc.is_valid(col), dtype=bool)
-        out = [
-            _sha(mv[offs[i] : offs[i + 1]]).hexdigest() if valid[i] else _EMPTY_SHA
-            for i in range(len(col))
-        ]
-    return pa.array(out, pa.string())
+    data, offs = string_buffer(col)
+    mv, o, _sha = memoryview(data), offs.tolist(), hashlib.sha256
+    return pa.array([_sha(mv[a:b]).hexdigest() for a, b in zip(o, o[1:])], pa.string())
 
 
 def sha256_column_where(
@@ -101,23 +59,11 @@ def sha256_column_where(
     rows).  Cuts post-scrub hashing to the scrub hit rate: re-copying a
     64-char hex beats re-hashing a multi-KB payload ~16×."""
     if not changed.any():
-        return base if isinstance(base, pa.Array) else base.combine_chunks()
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    out = base.to_pylist()
-    views = _string_buffer_views(col)
-    idx = np.nonzero(changed)[0]
-    if views is None:
-        for i in idx:
-            v = col[int(i)]
-            out[int(i)] = hashlib.sha256(
-                (v.as_py() if v.is_valid else "").encode("utf-8", "surrogatepass")
-            ).hexdigest()
-    else:
-        offs, mv = views
-        for i in idx:
-            i = int(i)
-            out[i] = hashlib.sha256(mv[offs[i] : offs[i + 1]]).hexdigest()
+        return base
+    data, offs = string_buffer(col)
+    mv, out = memoryview(data), base.to_pylist()
+    for i in np.flatnonzero(changed).tolist():
+        out[i] = hashlib.sha256(mv[offs[i] : offs[i + 1]]).hexdigest()
     return pa.array(out, pa.string())
 
 
@@ -128,10 +74,10 @@ class Scrubber:
 
     rules: list[tuple[str, str, str]] = field(default_factory=lambda: list(DEFAULT_SCRUB_RULES))
 
-    def scrub_array(self, content: pa.ChunkedArray | pa.Array) -> tuple[pa.Array, np.ndarray]:
-        """Returns (scrubbed, hit_mask) where hit_mask marks rows changed."""
-        if isinstance(content, pa.ChunkedArray):
-            content = content.combine_chunks()
+    def scrub_array(self, content: pa.ChunkedArray | pa.Array
+                    ) -> tuple[pa.ChunkedArray | pa.Array, np.ndarray]:
+        """Returns (scrubbed, hit_mask) where hit_mask marks rows changed;
+        ``scrubbed`` keeps ``content``'s chunks."""
         scrubbed = content
         for _name, pattern, repl in self.rules:
             scrubbed = pc.replace_substring_regex(scrubbed, pattern=pattern, replacement=repl)

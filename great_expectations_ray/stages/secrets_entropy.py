@@ -30,9 +30,8 @@ import re
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from great_expectations_ray.stages.text_stats import _string_buffer
+from great_expectations_ray.stages.text_stats import string_buffer
 
 #: maximal base64-ish runs; '-' last so the class needs no escaping
 CANDIDATE_RE = re.compile(rb"[A-Za-z0-9+/=_-]{20,}")
@@ -47,10 +46,7 @@ for _c in b"0123456789abcdefABCDEF":
 
 def secret_stats_table(content: pa.Array | pa.ChunkedArray) -> dict[str, pa.Array]:
     """Candidate/entropy columns for a content column (one vectorized pass)."""
-    if isinstance(content, pa.ChunkedArray):
-        content = content.combine_chunks()
-    s = pc.cast(pc.fill_null(content, ""), pa.large_string())
-    data, offsets = _string_buffer(s)
+    data, offsets = string_buffer(content)
     n = len(offsets) - 1
     zeros = np.zeros(n, dtype=np.int64)
     if n == 0 or offsets[-1] == offsets[0]:

@@ -43,7 +43,7 @@ from great_expectations_ray.functions.bucketed import (
     key_groups,
 )
 from great_expectations_ray.stages._per_worker import map_per_worker
-from great_expectations_ray.stages.scrub import _string_buffer_views
+from great_expectations_ray.stages.text_stats import string_buffer
 
 
 def window_table(
@@ -54,14 +54,9 @@ def window_table(
     stride: int,
 ) -> pa.Table:
     """(doc_id, pos, win) for every sampled window — one numpy gather."""
-    if isinstance(content, pa.ChunkedArray):
-        content = content.combine_chunks()
     if isinstance(doc_ids, pa.ChunkedArray):
         doc_ids = doc_ids.combine_chunks()
-    s = pc.cast(pc.fill_null(content, ""), pa.large_string())
-    offs, mv = _string_buffer_views(s)
-    offs = offs.astype(np.int64)
-    data = np.frombuffer(mv, dtype=np.uint8)
+    data, offs = string_buffer(content)
     lens = offs[1:] - offs[:-1]
     n_wins = np.maximum((lens - window) // stride + 1, 0)
     total = int(n_wins.sum())

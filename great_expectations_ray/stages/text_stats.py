@@ -5,8 +5,10 @@ Computes the columns the quality suite's heuristic expectations judge
 ``expect_column_values_to_be_between`` over these columns, per the north
 star's "vectorized heuristic expectations").
 
-All stats come straight off the Arrow UTF-8 data buffer, one row-aligned
-byte window (``stages._per_worker.row_windows``) at a time: one gather of a
+All stats come straight off the Arrow UTF-8 data buffer, read in place by
+:func:`string_buffer` (the package's one reader of Arrow string and binary
+buffers, which every byte kernel calls), one row-aligned byte window
+(``stages._per_worker.row_windows``) at a time: one gather of a
 packed alnum / whitespace / char-start lookup table and one prefix sum give
 every per-row counter, and line lengths are that prefix sum read at the
 ``'\\n'`` positions — no per-char regex iteration, no sort, and temporaries
@@ -36,18 +38,40 @@ _CHAR_START_LUT = np.ones(256, dtype=np.int64)
 _CHAR_START_LUT[0x80:0xC0] = 0
 
 
-def _string_buffer(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(utf8 bytes, int64 row offsets) for a [large_]string array; zero
-    copy of the data unless the array holds nulls (read as "")."""
-    if arr.null_count:
-        arr = pc.fill_null(arr, "")
-    if not pa.types.is_string(arr.type):
-        arr = pc.cast(arr, pa.large_string())
-    bufs = arr.buffers()
-    odtype = np.int32 if pa.types.is_string(arr.type) else np.int64
-    offsets = np.frombuffer(bufs[1], dtype=odtype)[arr.offset : arr.offset + len(arr) + 1]
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
-    return data, offsets.astype(np.int64)
+_BYTE_TYPES = (pa.string(), pa.large_string(), pa.binary(), pa.large_binary())
+
+
+def string_buffer(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """(uint8 bytes, int64 row offsets) of a string or binary column: row
+    ``i`` is ``data[offsets[i]:offsets[i + 1]]``.  The package's one reader
+    of Arrow byte buffers.
+
+    Reads in place: a one-chunk ``ChunkedArray`` through ``chunk(0)`` (in
+    pyarrow 16 ``combine_chunks`` copies even one chunk), and a sliced array
+    keeps its offsets into the whole data buffer.  Several chunks are
+    combined once, with 64-bit offsets so a batch over 2 GiB cannot
+    overflow.  Nulls read as empty rows (a ``fill_null`` copy, only when
+    there are nulls).  Any type other than ``[large_]string`` and
+    ``[large_]binary`` (dictionary strings, numbers) is cast to
+    ``large_string`` first."""
+    if isinstance(col, pa.ChunkedArray):
+        if col.num_chunks == 1:
+            col = col.chunk(0)
+        else:
+            binary = pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type)
+            col = col.cast(pa.large_binary() if binary else pa.large_string()).combine_chunks()
+    if col.type not in _BYTE_TYPES:
+        col = pc.cast(col, pa.large_string())
+    if col.null_count:
+        col = pc.fill_null(col, "")
+    if len(col) == 0:
+        return np.empty(0, np.uint8), np.zeros(1, np.int64)
+    _, offs, data = col.buffers()
+    wide = pa.types.is_large_string(col.type) or pa.types.is_large_binary(col.type)
+    offsets = np.frombuffer(offs, np.int64 if wide else np.int32)[
+        col.offset : col.offset + len(col) + 1]
+    data = np.frombuffer(data, np.uint8) if data is not None else np.empty(0, np.uint8)
+    return data, offsets.astype(np.int64, copy=False)
 
 
 # one packed LUT: alnum | ws<<21 | char_start<<42 — 21-bit fields hold counts
@@ -124,13 +148,13 @@ def _long_row_counts(data: np.ndarray, lines: bool) -> tuple:
     return (*out[:3], *(out[3:] if lines else (None, None)))
 
 
-def text_counts(content: pa.Array, lines: bool = True) -> tuple:
+def text_counts(content: pa.Array | pa.ChunkedArray, lines: bool = True) -> tuple:
     """(alnum, ws, n_chars, n_newlines, max_line_len) int64 per row of a
-    [large_]string array, computed one ``row_windows`` window at a time (so
+    string column, computed one ``row_windows`` window at a time (so
     temporaries are bounded by the window, or by one long row's
     ``_PACK_SAFE_BYTES`` pieces); the line counters are None unless
     ``lines``."""
-    data, offsets = _string_buffer(content)
+    data, offsets = string_buffer(content)
     parts = []
     for a, b in row_windows(np.diff(offsets)):
         base = offsets[a]
@@ -162,12 +186,9 @@ class TextStats:
             raise ValueError(f"unknown stats {sorted(unknown)}")
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        content = tbl.column(self.column)
-        if isinstance(content, pa.ChunkedArray):
-            content = content.combine_chunks()
         want = set(self.stats)
         alnum, ws, n_chars, newlines, longest = text_counts(
-            content, lines=bool({"n_lines", "max_line_len"} & want))
+            tbl.column(self.column), lines=bool({"n_lines", "max_line_len"} & want))
         denom = np.maximum(n_chars.astype(np.float64), 1.0)
         out = {"n_chars": n_chars, "alnum_ratio": alnum / denom, "ws_ratio": ws / denom}
         if newlines is not None:

@@ -168,15 +168,17 @@ def test_missing_rollup_key_fails_fast():
 
 def test_missing_rollup_key_fails_on_a_derived_input():
     """A derived input's schema is not fetched by running it: the fused
-    stage checks its first batch and its error names the missing key, in
-    the one execution over the input."""
+    stage checks its first batch, and its error reaches the caller as the
+    same plain ``ValueError`` naming the missing key, in the one execution
+    over the input."""
     from tests.test_unique_keys import _logged
 
     cfg = QualityFilterConfig(rollup_keys=("repo", "team"),
                               use_langid=False, use_perplexity=False)
     with _logged() as (plans, _):
-        with pytest.raises(Exception, match=r"missing column\(s\) \['team'\]"):
+        with pytest.raises(ValueError, match=r"missing column\(s\) \['team'\]") as err:
             run_quality_filter(corpus_dataset(200, blocks=2), cfg)
+    assert type(err.value) is ValueError
     assert len(plans) == 1 and "LimitOperator" not in plans[0], plans
 
 

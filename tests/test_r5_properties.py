@@ -105,6 +105,43 @@ def test_poly_hash_strings_deterministic_and_discriminating(strs):
     assert uniq_hashes == uniq_strings
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(min_size=0, max_size=40), min_size=1, max_size=300),
+       st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=300))
+def test_poly_hashes_match_the_python_formula_on_any_chunking(strs, cut1, cut2):
+    """``poly_hash_strings`` (bucket placement) and ``_poly_sums`` (SimHash
+    token hashes) equal the pure-Python Σ byte_j·B^j sum and avalanche bit
+    for bit, over one array and over the same rows in 3 chunks."""
+    import pyarrow as pa
+
+    from great_expectations_ray.functions.bucketed import (
+        _MIX1,
+        _MIX2,
+        _POLY_B,
+        _poly_sums,
+        poly_hash_strings,
+    )
+
+    m = 1 << 64
+    b, mix1, mix2 = int(_POLY_B), int(_MIX1), int(_MIX2)
+
+    def sum_ref(s):
+        return sum(x * pow(b, j, m) for j, x in enumerate(s.encode())) % m
+
+    def hash_ref(s):
+        h = sum_ref(s) ^ (len(s.encode()) * mix1 % m)
+        h = (h * mix1 % m) ^ (h >> 29)
+        return h * mix2 % m
+
+    lo, hi = sorted((min(cut1, len(strs)), min(cut2, len(strs))))
+    one = pa.array(strs, pa.large_string())
+    three = pa.chunked_array([pa.array(strs[:lo], pa.string()), pa.array(strs[lo:hi], pa.string()),
+                              pa.array(strs[hi:], pa.string())])
+    for col in (one, three):
+        assert poly_hash_strings(col).tolist() == [hash_ref(s) for s in strs]
+        assert _poly_sums(col)[0].tolist() == [sum_ref(s) for s in strs]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122),
                min_size=1, max_size=12),
