@@ -3,13 +3,16 @@ expectations + PII scrub over a source-code Parquet corpus, Ray-Data-first.
 
 Stage graph: ONE streaming pass, no mid-pipeline materialization:
 
-    read_parquet(columns=[repo,path,commit,lang,content])
-      -> FusedQualityStage, fused into the read tasks (one instance per
-         worker process, ``stages._per_worker``); per <= 1 MiB row-aligned
+    read_parquet(columns=[repo,path,commit,lang,content]), one block per
+      read task (``stages._per_worker.unsplit_reads``)
+      -> FusedQualityStage, one task operator after the read (a map with a
+         ``batch_size`` does not fuse into a read); one instance per worker
+         process (``stages._per_worker``); per <= 1 MiB row-aligned
          content window, on the worker's thread pool:
            TextStats (only the stats the suite judges, one packed-LUT pass)
            -> LangIdScorer (compile-once)
-           -> PerplexityScorer (LM broadcast once via ray.put)
+           -> PerplexityScorer (LM broadcast once per model and Ray
+              session via ray.put)
            -> RuleEvalScrub: ALL row rules -> keep mask + rule bitmap
               + scrub + sha256 lineage
          then, per batch (windows joined in order):
@@ -40,7 +43,12 @@ from great_expectations_ray.core.results import calc_validation_statistics, most
 from great_expectations_ray.core.suite import ExpectationConfiguration, ExpectationSuite
 from great_expectations_ray.functions.bucketed import group_aggregate
 from great_expectations_ray.functions.column_map import CONDITION_KERNELS
-from great_expectations_ray.stages._per_worker import map_per_worker, row_windows, window_pool
+from great_expectations_ray.stages._per_worker import (
+    map_per_worker,
+    row_windows,
+    unsplit_reads,
+    window_pool,
+)
 from great_expectations_ray.stages.langid import LangIdScorer
 from great_expectations_ray.stages.perplexity import PerplexityScorer, build_reference_model
 from great_expectations_ray.stages.scrub import (
@@ -138,9 +146,9 @@ class FusedQualityStage:
     sinks -> rollup partial.
 
     Fusing avoids three object-store round-trips of the (wide) content
-    column between operators, and running it through
-    ``stages._per_worker.map_per_worker`` fuses it into the read tasks.  The
-    LM table is fetched once per worker process from the broadcast ref.
+    column between operators; ``stages._per_worker.map_per_worker`` keeps
+    one instance per worker process, so the LM table is fetched once per
+    worker from the broadcast ref.
 
     The per-row layers run on row-aligned windows of at most
     ``_per_worker.WINDOW_BYTES`` of content, on the worker's
@@ -386,8 +394,15 @@ def _check_input_columns(names: list[str], rollup_keys) -> None:
             "(repo, path, commit, lang, content).")
 
 
+#: the last LM broadcast, ``(key, ref)``: calls with the same model bytes in
+#: the same Ray session share one object instead of a new ``ray.put`` each
+_MODEL_REF: tuple | None = None
+
+
 def _prepare_model_ref(raw_ds, config: QualityFilterConfig):
-    """Load/train the deterministic LM and broadcast it once."""
+    """Load/train the deterministic LM and broadcast it once per model and
+    Ray session."""
+    global _MODEL_REF
     if not config.use_perplexity:
         return None
     import os
@@ -404,7 +419,14 @@ def _prepare_model_ref(raw_ds, config: QualityFilterConfig):
         )
         if config.perplexity_model_path:
             np.save(config.perplexity_model_path, model)
-    return ray.put(model)
+    # a new local cluster numbers its jobs from 1 again, so the node id
+    # tells a restarted session from the old one
+    runtime = ray.get_runtime_context()
+    key = (hashlib.sha256(np.ascontiguousarray(model)).hexdigest(),
+           runtime.get_job_id(), runtime.get_node_id())
+    if _MODEL_REF is None or _MODEL_REF[0] != key:
+        _MODEL_REF = (key, ray.put(model))
+    return _MODEL_REF[1]
 
 
 def _input_errors_as_value_errors(run):
@@ -427,6 +449,7 @@ def _input_errors_as_value_errors(run):
 
 
 @_input_errors_as_value_errors
+@unsplit_reads()
 def run_quality_filter(
     ds,
     config: Optional[QualityFilterConfig] = None,
@@ -439,7 +462,9 @@ def run_quality_filter(
     With ``output_dir``: the terminal stage writes kept rows (scrubbed
     content) under ``data/`` and content-free lineage under ``lineage/`` and
     only tiny rollup partials flow back.  Without: returns the materialized
-    scored dataset + rollup (test scale only)."""
+    scored dataset + rollup (test scale only).  Every read the call plans,
+    the caller's Dataset included, gets one block per read task
+    (``unsplit_reads``)."""
     config = config or QualityFilterConfig()
     # only a schema Ray knows without running the input: a derived input's
     # columns are checked by the fused stage on its first batch instead

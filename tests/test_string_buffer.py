@@ -232,6 +232,30 @@ def test_dictionary_content_hashes_like_plain_strings():
         assert np.array_equal(compressed_lengths(dic), compressed_lengths(plain))
 
 
+@pytest.mark.parametrize("every", [0, 7, 1], ids=["none", "one_in_7", "all"])
+def test_sha256_column_where_hashes_only_the_changed_rows(every):
+    """Changed rows get the digest of their new bytes (a null one hashes
+    as ""), the others keep ``base``'s digest, over 3 chunks with nulls."""
+    import hashlib
+
+    from great_expectations_ray.stages.scrub import sha256_column, sha256_column_where
+
+    values = [None if i % 5 == 2 else f"row {i} " * (i % 9) for i in range(60)]
+    col = _layouts(values)["chunked"]
+    changed = (np.zeros(60, bool) if every == 0
+               else np.arange(60) % every == 0)
+    base = pa.array([f"{i:064x}" for i in range(60)])
+    want = [hashlib.sha256((v or "").encode()).hexdigest() if c else b
+            for v, c, b in zip(values, changed, base.to_pylist())]
+    got = sha256_column_where(col, changed, base)
+    assert got.type == pa.string() and got.null_count == 0
+    assert got.to_pylist() == want
+    if every == 1:
+        assert got.equals(sha256_column(col))
+    if every == 0:
+        assert got is base
+
+
 def test_md5_column_keeps_the_str_rule():
     """md5 of ``str(value)`` for every type, None for nulls (the reference
     hash sampler's semantics), on every layout."""
