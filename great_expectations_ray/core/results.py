@@ -25,8 +25,6 @@ from typing import Any, Optional
 PARTIAL_UNEXPECTED_COUNT_DEFAULT = 20
 MAX_RESULT_RECORDS = 200
 
-RESULT_FORMATS = ("BOOLEAN_ONLY", "BASIC", "SUMMARY", "COMPLETE")
-
 
 def mostly_success(rows_considered: int, unexpected: int, mostly: float) -> bool:
     """Strict ``>=`` on the success ratio — mirror of ``_mostly_success``."""

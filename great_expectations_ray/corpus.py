@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pyarrow as pa
 
 LANGS = ["python", "javascript", "java", "go", "rust", "markdown", "text", "unknown"]

@@ -301,9 +301,6 @@ def benford_verdict(counts: np.ndarray, total: float) -> dict:
 # day count / sum vs equivalent-weekday mean
 # --------------------------------------------------------------------------- #
 
-FOUR_PREVIOUS_WEEKS = [7, 14, 21, 28]
-
-
 def day_values(ds, date_col: str, wanted_dates: list[str],
                sum_col: str | None = None) -> dict:
     """{date_str: count-or-sum} for exactly the wanted dates — the map side

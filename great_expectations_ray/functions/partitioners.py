@@ -103,16 +103,9 @@ def partition_on_hashed_column(ds, column: str, n_buckets: int, out: str = "part
 
 # --------------------------------------------------------------------------- #
 # samplers (reference pandas_data_sampler.py) — sample_using_hash/mod live in
-# stages/dedup.py; these complete the family
+# stages/dedup.py; limit and random are ray.data's ``ds.limit`` and
+# ``ds.random_sample``
 # --------------------------------------------------------------------------- #
-
-
-def sample_using_limit(ds, n: int):
-    return ds.limit(n)
-
-
-def sample_using_random(ds, p: float, seed: int = 7):
-    return ds.random_sample(p, seed=seed)
 
 
 def sample_using_a_list(ds, column: str, value_list: list):

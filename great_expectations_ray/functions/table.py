@@ -4,7 +4,7 @@ plus the row-count partial; no data pass needed (reference table metrics:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import pyarrow as pa
 

@@ -30,7 +30,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from great_expectations_ray.functions.bucketed import (
-    group_aggregate,
     group_codes,
     grouped_apply_bucketed,
     key_groups,
@@ -58,10 +57,6 @@ def _neighbour(col, rn: np.ndarray, step: int) -> pa.Array:
     miss = rn == 1 if step > 0 else np.r_[rn[1:] == 1, True][:n]
     idx = np.where(miss, 0, np.arange(n) - step)
     return col.take(pa.array(idx, mask=miss))
-
-
-def _renamed(t: pa.Table, names: dict) -> pa.Table:
-    return t.rename_columns([names.get(c, c) for c in t.column_names])
 
 
 def _numbers(col, gap):
@@ -216,124 +211,3 @@ def sessionize(
             out_col, pa.array(_session_idx(t, rn, first, ts_col, gap)))
 
     return grouped_apply_bucketed(ds.select_columns(needed), [partition_by], bucket)
-
-
-def session_stats(
-    ds,
-    *,
-    partition_by: str,
-    order_by: str | list[str],
-    ts_col: str,
-    gap,
-    value_col: str | None = None,
-):
-    """Per-session aggregates in the SAME single exchange as ``sessionize``:
-    one row per (partition, session_idx) with ``n_events``, ``t_start``,
-    ``t_end`` and (if ``value_col``) ``value_sum``.  Equivalent SQL: group
-    by the sessionized index."""
-    order_cols, order_asc = _norm_order(order_by)
-    needed = sorted({partition_by, ts_col, *order_cols}
-                    | ({value_col} if value_col else set()))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        t, rn, first = _partitions(t, partition_by, order_cols, order_asc)
-        sidx = _session_idx(t, rn, first, ts_col, gap)
-        # a session is one run of rows: it starts where its index changes
-        run = np.cumsum(np.r_[True, (sidx[1:] != sidx[:-1]) | (rn[1:] == 1)][:len(sidx)])
-        aggs = [(ts_col, "min"), (ts_col, "max")]
-        if value_col:
-            aggs.append((value_col, "sum"))
-        g = t.append_column("__run", pa.array(run)).group_by(
-            "__run", use_threads=False).aggregate(aggs)
-        heads = np.flatnonzero(np.r_[True, run[1:] != run[:-1]][:len(run)])
-        cols = {partition_by: t.column(partition_by).take(heads),
-                "session_idx": pa.array(sidx[heads]),
-                "n_events": pa.array(np.diff(np.r_[heads, len(run)]).astype(np.int64)),
-                "t_start": g.column(f"{ts_col}_min"), "t_end": g.column(f"{ts_col}_max")}
-        if value_col:
-            cols["value_sum"] = g.column(f"{value_col}_sum")
-        return pa.table(cols)
-
-    return grouped_apply_bucketed(ds.select_columns(needed), [partition_by], bucket)
-
-
-def hopping_window_stats(
-    ds,
-    *,
-    ts_col: str,
-    width,
-    slide,
-    value_col: str | None = None,
-    partition_by: str | None = None,
-):
-    """Overlapping (hopping / sliding) time-window aggregates: every event
-    lands in each window ``[k*slide, k*slide + width)`` that covers its
-    timestamp — ``width == slide`` degenerates to tumbling windows.  One row
-    per (``partition_by``?, ``window_start``) with ``n_events`` and (if
-    ``value_col``) ``value_sum``; ``window_start`` is epoch-anchored.
-
-    SQL equivalent (the test oracle): expand each event to its covering
-    window indices with ``generate_series((t-width)//slide + 1, t//slide)``
-    and GROUP BY ``k*slide``.
-
-    Scale shape: the expansion factor is ``ceil(width/slide)`` but the
-    per-batch partial aggregation collapses it BEFORE the exchange — only
-    (window, partial-count/sum) rows move, ONE bucketed exchange
-    (functions/bucketed.py), vectorized final sum per bucket.  Timestamps
-    convert to int64 epoch-us; ``width``/``slide`` take anything
-    ``pd.Timedelta`` accepts, or plain numbers for numeric ts columns.
-    """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    ts_is_time = pa.types.is_timestamp(
-        dict(zip(ds.schema().names, ds.schema().types))[ts_col])
-    if ts_is_time:
-        width_v = int(pd.Timedelta(width).value // 1000)   # ns -> us
-        slide_v = int(pd.Timedelta(slide).value // 1000)
-    else:
-        width_v, slide_v = width, slide
-    if width_v <= 0 or slide_v <= 0:
-        raise ValueError("width and slide must be positive")
-
-    needed = sorted({ts_col}
-                    | ({value_col} if value_col else set())
-                    | ({partition_by} if partition_by else set()))
-    keys = ([partition_by] if partition_by else []) + ["window_start"]
-
-    def to_int(tbl: pa.Table) -> pa.Table:
-        if ts_is_time:
-            col = pc.cast(pc.cast(tbl.column(ts_col), pa.timestamp("us")),
-                          pa.int64())
-            tbl = tbl.set_column(tbl.schema.get_field_index(ts_col),
-                                 ts_col, col)
-        return tbl
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        t = np.asarray(tbl.column(ts_col))
-        k_min = (t - width_v) // slide_v + 1   # numpy // floors
-        k_max = t // slide_v
-        counts = (k_max - k_min + 1).astype(np.int64)
-        idx = np.repeat(np.arange(len(t)), counts)
-        starts = np.zeros(len(t), dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        off = np.arange(int(counts.sum())) - np.repeat(starts, counts)
-        exp = {"window_start": pa.array((k_min[idx] + off) * slide_v)}
-        if partition_by:
-            exp[partition_by] = tbl.column(partition_by).take(idx)
-        aggs = [("window_start", "count")]
-        if value_col:
-            exp["__v"] = tbl.column(value_col).take(idx)
-            aggs.append(("__v", "sum"))
-        return _renamed(group_aggregate(pa.table(exp), keys, aggs),
-                        {"window_start_count": "n_events", "__v_sum": "value_sum"})
-
-    def final(g: pa.Table) -> pa.Table:
-        aggs = [("n_events", "sum")] + ([("value_sum", "sum")] if value_col else [])
-        return _renamed(group_aggregate(g, keys, aggs),
-                        {"n_events_sum": "n_events", "value_sum_sum": "value_sum"})
-
-    partials = ds.select_columns(needed).map_batches(
-        to_int, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(partial, batch_format="pyarrow")
-    return grouped_apply_bucketed(partials, keys, final)

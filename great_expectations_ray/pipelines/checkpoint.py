@@ -18,7 +18,7 @@ from __future__ import annotations
 import glob
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from great_expectations_ray.pipelines.quality_filter import (

@@ -42,9 +42,8 @@ from great_expectations_ray.functions.ordered import grouped_monotonic
 # --------------------------------------------------------------------------- #
 # catalog registry: every q_<name> is registered once, next to its oracle SQL.
 # The views at the bottom of the module derive from it: QUERIES / ORACLE_SQL
-# (the 50-entry correctness gate, in slot order), CONSTITUENT_QUERIES /
-# CONSTITUENT_ORACLE_SQL (every single operator) and BENCH_QUERIES (the
-# operators bench.py times).
+# (the 50-entry correctness gate, in slot order), CONSTITUENT_QUERIES (every
+# single operator) and BENCH_QUERIES (the operators bench.py times).
 # --------------------------------------------------------------------------- #
 
 
@@ -53,7 +52,7 @@ class CatalogEntry(NamedTuple):
     sql: str | None  # DuckDB oracle (or fixture SQL); None = bench-only
     gate: int | None  # slot among the 50 gated entries
     bench: bool  # timed by bench.py
-    part: bool  # listed in CONSTITUENT_QUERIES / CONSTITUENT_ORACLE_SQL
+    part: bool  # listed in CONSTITUENT_QUERIES
 
 
 CATALOG: dict[str, CatalogEntry] = {}
@@ -5493,8 +5492,8 @@ register_query(q_pack_shuffle_docs, SQL_PACK_SHUFFLE_DOCS, gate=21)
 
 # --------------------------------------------------------------------------- #
 # skew kill-test (bench-only, not in the 50-query gate): one mega-key holding
-# ~half the table vs a uniform key distribution, through the SAME salted /
-# pre-combined dedup path (stages/dedup.py local_keep_first + bucketed
+# ~half the table vs a uniform key distribution, through the SAME
+# pre-combined dedup path (stages/skew.py local_keep_first + bucketed
 # exchange).  BENCH_r04 criterion: skewed wall within ~1.5x of uniform —
 # proof the hot key costs the reducer #batches rows, not its group size.
 # --------------------------------------------------------------------------- #
@@ -5635,8 +5634,6 @@ ORACLE_SQL = dict((name, CATALOG[name].sql) for name in QUERIES
                   if CATALOG[name].sql is not None)
 CONSTITUENT_QUERIES = dict((name, e.fn) for name, e in CATALOG.items()
                            if e.part)
-CONSTITUENT_ORACLE_SQL = dict((name, e.sql) for name, e in CATALOG.items()
-                              if e.part and e.sql is not None)
 BENCH_QUERIES = [name for name, e in CATALOG.items() if e.bench]
 
 assert len(QUERIES) == 50, f"catalog must stay at 50 entries, got {len(QUERIES)}"

@@ -190,21 +190,3 @@ def inline_render(obj: dict) -> list[dict]:
                         _prescriptive_value(etype, obj.get("kwargs")))]
     except Exception:
         return [_failed(PRESCRIPTIVE_FAILED, etype)]
-
-
-def render_template(value: dict) -> str:
-    """Substitute params back into a template — the check that the
-    (template, params) pair round-trips to the flat Data-Docs sentence."""
-    out = value["template"]
-    # longest names first so $value_set is not clobbered by $value
-    for k in sorted(value.get("params", {}), key=len, reverse=True):
-        v = value["params"][k]["value"]
-        if isinstance(v, (list, tuple, set)):
-            from great_expectations_ray.pipelines.prescriptive import _fmt
-            rendered = _fmt(v)
-        elif isinstance(v, float):
-            rendered = f"{v:g}"
-        else:
-            rendered = str(v)
-        out = out.replace(f"${k}", rendered)
-    return out

@@ -11,7 +11,7 @@ by scheduling at small table sizes, so overlap is near-perfect.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from great_expectations_ray.core.suite import ExpectationSuite
 from great_expectations_ray.engine import validate

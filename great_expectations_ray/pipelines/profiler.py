@@ -251,8 +251,3 @@ def suggest_suite(
 
 def _is_numeric_dtype(dtype: str) -> bool:
     return any(dtype.startswith(k) for k in ("int", "uint", "float", "double", "decimal"))
-
-
-def profile_and_suggest(ds, *, name: str = "profiled") -> ExpectationSuite:
-    """profile → suggest_suite in one call (the onboarding entry point)."""
-    return suggest_suite(profile(ds), name=name)

@@ -106,19 +106,3 @@ def clean_batch(
         "n_lines_kept": pa.array(kept_counts),
         "keep": pa.array(keep_doc),
     })
-
-
-def c4_clean(
-    ds,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    config: C4Config = C4Config(),
-):
-    """One vectorized ``map_batches`` pass → (id, clean_text, n_lines_kept,
-    keep) per document."""
-    return ds.select_columns([id_col, text_col]).map_batches(
-        lambda t: clean_batch(t, text_col=text_col, id_col=id_col, config=config),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )

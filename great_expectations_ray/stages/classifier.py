@@ -29,7 +29,6 @@ reproduces scores bit-exactly.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 

@@ -35,8 +35,6 @@ from great_expectations_ray.stages.text_stats import segment_max, segment_sum, t
 # line-anchored because each element IS one line after the split
 COMMENT_LINE_RE = r"^\s*(#|//|--|\*|/\*)"
 AUTOGEN_RE = r"(?i)(auto-generated|do not edit|generated by)"
-# ASCII whitespace only — matches the byte LUT (and the SQL char class)
-WS_SQL_CLASS = "[ \\t\\n\\r\\f\\v]"
 
 MINIFIED_MAX_LINE = 200
 MINIFIED_WS_FRAC = 0.05

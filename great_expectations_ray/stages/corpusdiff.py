@@ -17,9 +17,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-STATUSES = ("added", "removed", "changed", "unchanged")
-
-
 def diff_corpora(old_ds, new_ds, *, id_col: str = "doc_id",
                  content_col: str = "text", n_buckets: int = 64):
     """Dataset of (id_col, status) over the UNION of both sides' ids."""

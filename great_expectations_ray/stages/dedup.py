@@ -19,15 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from great_expectations_ray.stages.scrub import sha256_column
 from great_expectations_ray.stages.text_stats import string_buffer
-
-
-def add_content_hash(ds, column: str = "content", out: str = "content_sha256"):
-    def h(tbl: pa.Table) -> pa.Table:
-        return tbl.append_column(out, sha256_column(tbl.column(column)))
-
-    return ds.map_batches(h, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def composite_key_column(tbl: pa.Table, columns: list[str]) -> pa.Array:
@@ -83,28 +75,6 @@ def dedup_exact(ds, key_columns: list[str], order_by: str, n_buckets: int = 256)
     )
     return grouped_apply_bucketed(
         keyed, ["__dedup_key"], keep_first_bucket, n_buckets=n_buckets
-    )
-
-
-def mark_exact_duplicates(ds, key_columns: list[str], order_by: str, n_buckets: int = 256):
-    """Like ``dedup_exact`` but keeps all rows, adding ``is_duplicate``
-    (True for every row except the keep-first of its group).  Bucketed:
-    the mark is every row but the first of its key run per hash bucket."""
-
-    from great_expectations_ray.functions.bucketed import grouped_apply_bucketed, key_groups
-
-    def add_key(tbl: pa.Table) -> pa.Table:
-        return tbl.append_column("__dedup_key", _dedup_key_column(tbl, key_columns))
-
-    def mark_bucket(g: pa.Table) -> pa.Table:
-        g, bounds = key_groups(g, ["__dedup_key"], [(order_by, "ascending")])
-        dup = np.ones(g.num_rows, dtype=bool)
-        dup[bounds[:-1]] = False
-        return g.drop_columns(["__dedup_key"]).append_column("is_duplicate", pa.array(dup))
-
-    keyed = ds.map_batches(add_key, batch_format="pyarrow", zero_copy_batch=True)
-    return grouped_apply_bucketed(
-        keyed, ["__dedup_key"], mark_bucket, n_buckets=n_buckets
     )
 
 

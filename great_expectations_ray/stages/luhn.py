@@ -137,19 +137,3 @@ class CardScrubber:
                     cand[i], valid[i] = c, v
         return (out.append_column("cc_candidates", pa.array(cand))
                    .append_column("cc_valid", pa.array(valid)))
-
-
-def card_scrub_rules_note() -> str:
-    """Why this is NOT a (pattern, replacement) entry in DEFAULT_SCRUB_RULES:
-    a blanket regex replacement cannot express the per-match checksum gate —
-    masking must run through CardScrubber."""
-    return CC_CANDIDATE_RE
-
-
-def scrub_cards(ds, *, content_col: str = "content",
-                mask: str = DEFAULT_MASK, rewrite: bool = True):
-    """Dataset form: one streaming pass, no shuffle."""
-    return ds.map_batches(
-        CardScrubber(content_col, mask=mask, rewrite=rewrite),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )

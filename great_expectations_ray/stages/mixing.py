@@ -59,8 +59,6 @@ def repeat_plan(
     default_weight: float = 1.0,
 ) -> np.ndarray:
     """int64 repeat count per row of the batch."""
-    import pandas as pd
-
     src = tbl.column(source_col).to_pandas()
     w = src.map(weights).fillna(default_weight).to_numpy(dtype=np.float64)
     base = np.floor(w).astype(np.int64)

@@ -30,18 +30,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        pa.field("media_id", pa.string()),
-        pa.field("media_type", pa.string()),   # image/png, audio/wav, ...
-        pa.field("payload", pa.large_binary()),
-        pa.field("width", pa.int32()),
-        pa.field("height", pa.int32()),
-        pa.field("duration_ms", pa.int32()),
-    ]
-)
-
-
 class DecodeNotAvailable(NotImplementedError):
     """Raised for formats whose codec libraries are not installed."""
 
@@ -241,62 +229,6 @@ class MediaResizer:
         return tbl
 
 
-class FrameSampler:
-    """Video frame sampling as a flat-map-shaped per-batch stage: each payload
-    row expands to one row per sampled frame (uniform stride from
-    ``duration_ms`` at ``fps``), each with a pooled frame feature.  The frame
-    DECODE is behind the same stub; the sampling math (which frames, how
-    many, output layout) is the real contract.
-
-    Output: media_id, frame_idx, frame_ms, frame_feat — payload dropped so
-    the heavy bytes never fan out with the frames."""
-
-    def __init__(self, use_fake: bool = False, fps: float = 1.0,
-                 max_frames: int = 8, feat_dim: int = 16):
-        self.decode = _fake_decode if use_fake else _real_decode
-        self.fps = fps
-        self.max_frames = max_frames
-        self.feat_dim = feat_dim
-
-    def sample_times_ms(self, duration_ms: int) -> list[int]:
-        if duration_ms <= 0:
-            return [0]
-        n = min(max(int(duration_ms / 1000.0 * self.fps), 1), self.max_frames)
-        step = duration_ms / n
-        return [int(i * step) for i in range(n)]
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        payloads = tbl.column("payload").combine_chunks()
-        ids = tbl.column("media_id").combine_chunks()
-        types = tbl.column("media_type").combine_chunks()
-        durs = tbl.column("duration_ms").combine_chunks()
-        out_id, out_idx, out_ms, out_feat = [], [], [], []
-        for i in range(len(payloads)):
-            raw = payloads[i].as_py() if payloads[i].is_valid else b""
-            base = self.decode(raw, types[i].as_py())
-            for j, t_ms in enumerate(self.sample_times_ms(int(durs[i].as_py() or 0))):
-                # fake path: derive the frame from (payload, t_ms) so frames
-                # differ deterministically; a real codec seeks to t_ms
-                frame = (
-                    self.decode(raw + t_ms.to_bytes(4, "little"), types[i].as_py())
-                    if self.decode is _fake_decode else base
-                )
-                pooled = frame.mean(axis=0)
-                k = max(len(pooled) // self.feat_dim, 1)
-                out_feat.append(
-                    [float(x) for x in pooled[: self.feat_dim * k : k][: self.feat_dim]]
-                )
-                out_id.append(ids[i].as_py())
-                out_idx.append(j)
-                out_ms.append(t_ms)
-        return pa.table({
-            "media_id": pa.array(out_id, pa.string()),
-            "frame_idx": pa.array(out_idx, pa.int32()),
-            "frame_ms": pa.array(out_ms, pa.int32()),
-            "frame_feat": pa.array(out_feat, pa.list_(pa.float32())),
-        })
-
-
 class MediaStats:
     """Per-batch stage: REAL decode -> exact per-payload statistics.
 
@@ -470,71 +402,6 @@ def dhash_mark_duplicates(
         )
     return hash64_mark_duplicates(hashed, id_col=id_col, hash_col="dhash",
                                   max_distance=max_distance)
-
-
-def audio_fp64(samples: np.ndarray) -> np.uint64:
-    """Energy-delta audio fingerprint (the dHash analog for audio): mono
-    mix -> 65 equal-length frames -> mean energy per frame -> sign of the
-    frame-to-frame energy delta packed into 64 bits.  Invariant to uniform
-    gain (scaling multiplies every energy by c^2, preserving delta signs)
-    and to small trims; pure numpy."""
-    s = np.asarray(samples, dtype=np.float64)
-    if s.ndim == 2:
-        s = s.mean(axis=1)
-    n = len(s)
-    if n < 65:
-        s = np.concatenate([s, np.zeros(65 - n)])
-        n = 65
-    edges = (np.arange(66, dtype=np.int64) * n) // 65
-    sq = np.concatenate([[0.0], np.cumsum(s * s)])
-    energy = (sq[edges[1:]] - sq[edges[:-1]]) / np.maximum(
-        edges[1:] - edges[:-1], 1)
-    bits = (energy[1:] > energy[:-1]).astype(np.uint8)
-    return np.uint64(np.packbits(bits).view(">u8")[0])
-
-
-class AudioFingerprinter:
-    """Per-batch stage: WAV decode -> energy fingerprint; emits ``afp``
-    (uint64) next to the id column, payload dropped."""
-
-    def __init__(self, id_col: str = "media_id"):
-        self.id_col = id_col
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        payloads = tbl.column("payload").combine_chunks()
-        out = np.zeros(len(payloads), dtype=np.uint64)
-        for i in range(len(payloads)):
-            raw = payloads[i].as_py() if payloads[i].is_valid else b""
-            samples, _ = decode_wav(raw)
-            out[i] = audio_fp64(samples)
-        return pa.table({
-            self.id_col: tbl.column(self.id_col),
-            "afp": pa.array(out),
-        })
-
-
-def audio_mark_duplicates(
-    ds,
-    *,
-    id_col: str = "media_id",
-    max_distance: int = 3,
-    batch_size: int = 64,
-    prehashed=None,
-):
-    """Audio near-duplicate marking over PCM WAV payloads: decode ->
-    energy fingerprint per batch, then the shared band-blocked
-    Hamming dedup (``hash64_mark_duplicates``) — gain-shifted re-encodes of
-    the same clip mark; unrelated clips verify apart."""
-    if prehashed is not None:
-        hashed = prehashed
-    else:
-        hashed = ds.map_batches(
-            AudioFingerprinter(id_col=id_col),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
-        )
-    return hash64_mark_duplicates(hashed, id_col=id_col, hash_col="afp",
-                                  max_distance=max_distance)
-
 
 
 def encode_ppm_sequence(frames: "list[np.ndarray]") -> bytes:

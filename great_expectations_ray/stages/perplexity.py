@@ -66,21 +66,6 @@ def train_char_lm(texts: list[str], add_k: float = 0.1) -> np.ndarray:
     return table
 
 
-def perplexity_of(table: np.ndarray, text: str, cap_bytes: int = 65536) -> float:
-    """2^(mean neg log2 P) over the first ``cap_bytes`` bytes (long files are
-    scored on a prefix — perplexity is a per-byte statistic, the prefix is an
-    unbiased-enough estimator and bounds per-row cost)."""
-    b = np.frombuffer(text.encode("utf-8", "replace")[:cap_bytes], dtype=np.uint8)
-    if len(b) < 3:
-        # empty/near-empty content: finite sentinel (keeps parquet/SQL joins
-        # sane; the length rule drops these rows anyway)
-        return 1e9 if len(b) == 0 else 256.0
-    ctx = ctx_bucket(b[:-2], b[1:-1])
-    nxt = b[2:].astype(np.int64)
-    lp = table[ctx, nxt].astype(np.float64)
-    return float(2.0 ** (-lp.mean()))
-
-
 class PerplexityScorer:
     """``map_per_worker(ds, PerplexityScorer, {"model_ref": ref},
     batch_format="pyarrow")`` (``stages._per_worker``).

@@ -266,31 +266,3 @@ def encode_pq(ds, model: PQModel, *, emb_col: str = "embedding",
         PQEncoder(model.C, emb_col=emb_col, query=query, round_dp=round_dp),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-
-
-def pq_topk(ds, model: PQModel, query: np.ndarray, k: int = 10, *,
-            id_col: str = "vec_id", emb_col: str = "embedding"):
-    """ADC approximate top-k: encode + score per batch, local top-k, driver
-    merges #blocks × k rows (the ``brute_force_topk`` merge shape) — the
-    corpus never leaves the workers and scoring is O(m) per row."""
-    import heapq
-
-    scored = encode_pq(ds.select_columns([id_col, emb_col]), model,
-                       emb_col=emb_col, query=query)
-
-    def local_topk(tbl: pa.Table) -> pa.Table:
-        n = tbl.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "adc": pa.array([], pa.float64())})
-        adc = np.asarray(tbl.column("adc"), dtype=np.float64)
-        ids = np.asarray(tbl.column(id_col), dtype=np.int64)
-        take = min(k, n)
-        part = np.argpartition(-adc, take - 1)[:take]
-        return pa.table({id_col: pa.array(ids[part]),
-                         "adc": pa.array(adc[part])})
-
-    rows = scored.map_batches(local_topk, batch_format="pyarrow",
-                              zero_copy_batch=True).take_all()
-    best = heapq.nsmallest(k, rows, key=lambda r: (-r["adc"], r[id_col]))
-    return [(int(r[id_col]), float(r["adc"])) for r in best]

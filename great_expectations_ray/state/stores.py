@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import posixpath
-from typing import Any, Optional
+from typing import Any
 
 from great_expectations_ray.core.suite import ExpectationSuite
 

@@ -1,9 +1,8 @@
 from __future__ import annotations
 
 import pyarrow as pa
-import ray.data as rd
 
-from great_expectations_ray.stages.c4_filters import C4Config, c4_clean, clean_batch
+from great_expectations_ray.stages.c4_filters import C4Config, clean_batch
 
 
 def _tbl(texts):
@@ -50,8 +49,3 @@ def test_c4_trim_and_null_and_empty():
     assert out.column("clean_text").to_pylist() == ["two words", "", ""]
     assert out.column("keep").to_pylist() == [True, False, False]
 
-
-def test_c4_clean_dataset_wrapper():
-    ds = rd.from_arrow(_tbl(["Keep this entire sentence please today.\nAnd also keep this second one now.\nFinally a third keeper sentence here."] * 7)).repartition(3)
-    out = c4_clean(ds).to_pandas()
-    assert len(out) == 7 and out["keep"].all() and (out["n_lines_kept"] == 3).all()

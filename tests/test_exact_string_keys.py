@@ -83,14 +83,10 @@ def test_dedup_compound_keys_do_not_collide(ray_session):
     from great_expectations_ray.stages.dedup import (
         dedup_exact,
         dedup_keep_best,
-        mark_exact_duplicates,
     )
 
     kept = sorted(r["id"] for r in dedup_exact(_dedup_input(), ["a", "b"], "id").take_all())
     assert kept == [0, 1, 2, 3, 4]
-    marks = {r["id"]: r["is_duplicate"] for r in
-             mark_exact_duplicates(_dedup_input(), ["a", "b"], "id").take_all()}
-    assert marks == {0: False, 1: False, 2: False, 3: False, 4: False, 5: True}
     best = sorted(r["id"] for r in dedup_keep_best(
         _dedup_input(), ["a", "b"], "id", tie_break="id").take_all())
     assert best == [0, 1, 2, 3, 5]

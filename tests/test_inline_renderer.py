@@ -7,9 +7,25 @@ from great_expectations_ray.pipelines.inline import (
     PRESCRIPTIVE_SUMMARY,
     inline_render,
     num_to_str,
-    render_template,
 )
-from great_expectations_ray.pipelines.prescriptive import describe
+from great_expectations_ray.pipelines.prescriptive import _fmt, describe
+
+
+def render_template(value: dict) -> str:
+    """Substitute params back into a template — the check that the
+    (template, params) pair round-trips to the flat Data-Docs sentence."""
+    out = value["template"]
+    # longest names first so $value_set is not clobbered by $value
+    for k in sorted(value.get("params", {}), key=len, reverse=True):
+        v = value["params"][k]["value"]
+        if isinstance(v, (list, tuple, set)):
+            rendered = _fmt(v)
+        elif isinstance(v, float):
+            rendered = f"{v:g}"
+        else:
+            rendered = str(v)
+        out = out.replace(f"${k}", rendered)
+    return out
 
 
 def test_config_yields_prescriptive_summary_with_params():

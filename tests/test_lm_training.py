@@ -5,8 +5,8 @@ import pyarrow as pa
 import ray.data as rd
 
 from great_expectations_ray.stages.perplexity import (
+    PerplexityScorer,
     distributed_train_char_lm,
-    perplexity_of,
     train_char_lm,
 )
 
@@ -37,8 +37,8 @@ def test_partitioning_invariance(ray_session):
 def test_trained_model_prefers_in_domain_text(ray_session):
     ds = rd.from_arrow(pa.table({"content": TEXTS * 20}))
     table = distributed_train_char_lm(ds)
-    in_dom = perplexity_of(table, "hello world this is a test")
-    out_dom = perplexity_of(table, "zzqxj vvkpw qqq///\\\\###!!!")
+    in_dom, out_dom = PerplexityScorer(table).score_array(
+        pa.array(["hello world this is a test", "zzqxj vvkpw qqq///\\\\###!!!"]))
     assert in_dom < out_dom
 
 

@@ -16,7 +16,6 @@ from great_expectations_ray.stages.dictmatch import (
 from great_expectations_ray.stages.luhn import (
     CardScrubber,
     luhn_valid,
-    scrub_cards,
 )
 
 # --------------------------------------------------------------------------- #
@@ -79,7 +78,8 @@ def test_scrub_cards_dataset():
         [{"doc_id": i,
           "content": f"doc {'4539 1488 0343 6467' if i % 3 == 0 else 'clean'} tail"}
          for i in range(30)]).repartition(4)
-    out = scrub_cards(ds).to_pandas().sort_values("doc_id")
+    out = ds.map_batches(CardScrubber(), batch_format="pyarrow", zero_copy_batch=True)
+    out = out.to_pandas().sort_values("doc_id")
     assert (out["cc_valid"] == (out["doc_id"] % 3 == 0).astype(int)).all()
     masked = out[out.doc_id % 3 == 0]["content"]
     assert (masked == "doc <CC> tail").all()

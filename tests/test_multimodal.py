@@ -134,38 +134,6 @@ def test_media_resizer_stage():
     assert all(list(r["resized_shape"]) == [8, 8] for r in rows)
 
 
-def test_frame_sampler_stage():
-    import ray.data as rd
-
-    from great_expectations_ray.stages.multimodal import (
-        FrameSampler,
-        make_fake_media_table,
-    )
-
-    t = make_fake_media_table(6)  # duration 1000ms on even rows, 0 on odd
-    ds = rd.from_arrow(t)
-    out = ds.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"use_fake": True, "fps": 2.0, "max_frames": 4},
-        batch_size=3, batch_format="pyarrow", concurrency=2,
-    )
-    rows = out.take_all()
-    by_id = {}
-    for r in rows:
-        by_id.setdefault(r["media_id"], []).append(r)
-    # 1000 ms at 2 fps -> 2 frames; duration 0 -> 1 frame
-    for mid, frames in by_id.items():
-        want = 2 if int(mid[1:]) % 2 == 0 else 1
-        assert len(frames) == want, (mid, frames)
-        assert sorted(f["frame_idx"] for f in frames) == list(range(want))
-        # frames are deterministic and differ across frame times
-        if want == 2:
-            feats = [tuple(f["frame_feat"]) for f in sorted(frames, key=lambda f: f["frame_idx"])]
-            assert feats[0] != feats[1]
-    # payload column is NOT fanned out
-    assert set(rows[0].keys()) == {"media_id", "frame_idx", "frame_ms", "frame_feat"}
-
-
 def test_dhash64_properties():
     """dHash invariants: deterministic; invariant to uniform brightness
     shift; a few flipped gradients move few bits; different images differ."""
@@ -250,41 +218,6 @@ def test_dhash_mark_duplicates_partition_invariance(ray_session):
     marks = dict(a)
     assert all(marks[f"m{i:02d}_twin"] for i in range(0, 12, 4))
     assert not any(marks[f"m{i:02d}"] for i in range(12))
-
-
-def test_audio_fp64_gain_invariance_and_dedup(ray_session):
-    """Energy fingerprint: gain-scaled copy of a clip marks as near-dup;
-    unrelated clip survives; fingerprint is gain-invariant by construction."""
-    import ray.data as rd
-
-    from great_expectations_ray.stages.multimodal import (
-        audio_fp64,
-        audio_mark_duplicates,
-        encode_wav_pcm16,
-    )
-
-    rng = np.random.default_rng(21)
-    t = np.arange(4000)
-    clip = (3000 * np.sin(t / 7.0) * (1 + 0.5 * np.sin(t / 301.0))
-            + rng.normal(0, 50, len(t))).astype(np.int16)
-    quieter = (clip.astype(np.float64) * 0.5).astype(np.int16)
-    other = (2500 * np.sin(t / 13.0) * (1 + 0.7 * np.cos(t / 211.0))
-             + rng.normal(0, 50, len(t))).astype(np.int16)
-    assert audio_fp64(clip.astype(np.float64)) == audio_fp64(
-        clip.astype(np.float64) * 0.25)
-
-    tbl = pa.table({
-        "media_id": ["a_clip", "b_quiet", "c_other"],
-        "media_type": ["audio/wav"] * 3,
-        "payload": pa.array([encode_wav_pcm16(c) for c in
-                             (clip, quieter, other)], pa.large_binary()),
-    })
-    out = {r["media_id"]: r["is_neardup"] for r in
-           audio_mark_duplicates(rd.from_arrow(tbl).repartition(2),
-                                 id_col="media_id").take_all()}
-    assert out["a_clip"] is False or out["a_clip"] == False  # noqa: E712
-    assert bool(out["b_quiet"]) is True
-    assert bool(out["c_other"]) is False
 
 
 def test_ppm_sequence_roundtrip():

@@ -120,7 +120,7 @@ def test_corpus_determinism():
 def test_corpus_skew_shape():
     df = corpus_batch(0, 2000).to_pandas()
     share = (df.repo == "repo_0").mean()
-    assert 0.25 <= share <= 0.35  # mega-repo skew for salting tests
+    assert 0.25 <= share <= 0.35  # mega-repo skew for the skew tests
 
 
 def test_quality_filter_with_exact_dedup(tmp_path):

@@ -1,6 +1,6 @@
 """Product quantization (stages/pq.py): bit-reproducibility of codebooks,
 codes and ADC scores under re-partitioning (fixed-point integer partials),
-driver fast path == distributed path, and the ADC top-k merge shape."""
+driver fast path == distributed path, and ADC ranking against exact cosine."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from great_expectations_ray.stages.pq import (
     PQModel,
     encode_pq,
     fit_pq,
-    pq_topk,
 )
 
 
@@ -65,11 +64,6 @@ def test_pq_adc_approximates_cosine_and_topk(ray_session):
     ds = rd.from_pandas(df)
     model = fit_pq(ds, m=4, ncodes=16, iters=6, seed=5)
     q = np.asarray(df["embedding"].iloc[3], dtype=np.float64)
-    top = pq_topk(ds, model, q, k=10)
-    assert len(top) == 10
-    # descending adc, ties by id
-    adcs = [s for _, s in top]
-    assert adcs == sorted(adcs, reverse=True)
     # ADC approximates true cosine: rank correlation with exact cosine > 0.7
     M = np.stack(df["embedding"].to_numpy()).astype(np.float64)
     Mn = M / np.linalg.norm(M, axis=1, keepdims=True)

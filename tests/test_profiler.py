@@ -10,7 +10,6 @@ import pytest
 from great_expectations_ray.engine import validate
 from great_expectations_ray.pipelines.profiler import (
     profile,
-    profile_and_suggest,
     suggest_suite,
 )
 
@@ -49,7 +48,7 @@ def test_suggested_suite_validates_green_on_source(ray_session):
     import ray.data as rd
 
     ds = rd.read_parquet("/root/testdata/sf0.001/lineitem.parquet")
-    suite = profile_and_suggest(ds, name="lineitem_onboard")
+    suite = suggest_suite(profile(ds), name="lineitem_onboard")
     assert len(suite.expectations) > 20
     res = validate(ds, suite)
     failed = [r for r in res.results if not r.success]
@@ -65,7 +64,7 @@ def test_suite_json_round_trip(ray_session):
     from great_expectations_ray.core.suite import ExpectationSuite
 
     ds = rd.from_arrow(pa.table({"x": [1, 2, 3]}))
-    suite = profile_and_suggest(ds)
+    suite = suggest_suite(profile(ds))
     back = ExpectationSuite.from_json_dict(suite.to_json_dict())
     assert [e.to_json_dict() for e in back.expectations] == [
         e.to_json_dict() for e in suite.expectations

@@ -77,130 +77,3 @@ def test_sessionize_gap_semantics(ray_session):
                      order_by=["t", "eid"], ts_col="t", gap=10,
                      keep_cols=("eid",)).to_pandas().sort_values("eid")
     assert out["session_idx"].astype(int).tolist() == [1, 1, 2, 2]
-
-
-def test_session_stats_single_exchange(ray_session):
-    """Per-session aggregates: n_events / t_start / t_end / value_sum per
-    (partition, session_idx) match a hand computation."""
-    import pandas as pd
-    import ray.data as rd
-
-    from great_expectations_ray.functions.window_rank import session_stats
-
-    ts = pd.to_datetime([
-        "2026-01-01 00:00", "2026-01-01 00:10", "2026-01-01 09:00",
-        "2026-01-02 00:00",
-    ])
-    df = pd.DataFrame({"u": ["a", "a", "a", "b"], "eid": [1, 2, 3, 4],
-                       "ts": ts, "v": [10.0, 5.0, 1.0, 2.0]})
-    out = (session_stats(rd.from_pandas(df).repartition(2),
-                         partition_by="u", order_by=["ts", "eid"],
-                         ts_col="ts", gap="1 hour", value_col="v")
-           .to_pandas().sort_values(["u", "session_idx"])
-           .reset_index(drop=True))
-    assert out["n_events"].tolist() == [2, 1, 1]
-    assert out["value_sum"].tolist() == [15.0, 1.0, 2.0]
-    assert out.loc[0, "t_start"] == ts[0] and out.loc[0, "t_end"] == ts[1]
-
-
-def test_hopping_window_stats_vs_duckdb(ray_session):
-    """Hopping-window aggregates vs an independent DuckDB oracle over the
-    real events table: width=3h, slide=1h (each event in 3 windows), both
-    global and per-user; value summed on fixed-point cents for hash-exact
-    integer comparison."""
-    import duckdb
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from great_expectations_ray.functions.window_rank import (
-        hopping_window_stats,
-    )
-
-    src = "/root/testdata/sf0.001/events.parquet"
-    ds = rd.read_parquet(src, columns=["ts", "user_id", "value"])
-
-    def add_cents(tbl: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            pc.cast(tbl.column("value"), pa.float64()), 100.0)), pa.int64())
-        return tbl.append_column("cents", cents)
-
-    ds = ds.map_batches(add_cents, batch_format="pyarrow",
-                        zero_copy_batch=True)
-
-    out = (hopping_window_stats(ds, ts_col="ts", width="3 hours",
-                                slide="1 hour", value_col="cents")
-           .to_pandas().sort_values("window_start")
-           .reset_index(drop=True))
-
-    W, S = 3 * 3600 * 10**6, 3600 * 10**6  # us
-    con = duckdb.connect()
-    exp = con.execute(f"""
-        WITH b AS (SELECT CAST(epoch_us(ts) AS BIGINT) AS t,
-                          CAST(round(value * 100) AS BIGINT) AS cents
-                   FROM read_parquet('{src}')),
-        ks AS (SELECT UNNEST(generate_series(
-                   (SELECT (MIN(t) - {W}) // {S} + 1 FROM b),
-                   (SELECT MAX(t) // {S} FROM b))) AS k)
-        SELECT k * {S} AS window_start,
-               COUNT(*) AS n_events,
-               SUM(cents) AS value_sum
-        FROM b JOIN ks ON k * {S} <= t AND t < k * {S} + {W}
-        GROUP BY 1 ORDER BY 1
-    """).fetchdf()
-    assert list(out["window_start"]) == list(exp["window_start"])
-    assert list(out["n_events"]) == list(exp["n_events"])
-    assert [int(v) for v in out["value_sum"]] == \
-        [int(v) for v in exp["value_sum"]]
-    # every event lands in exactly width/slide = 3 windows
-    n_rows = con.execute(
-        f"SELECT COUNT(*) FROM read_parquet('{src}')").fetchone()[0]
-    assert out["n_events"].sum() == 3 * n_rows
-
-    # per-user arm + tumbling degenerate (width == slide)
-    per_user = (hopping_window_stats(ds, ts_col="ts", width="2 hours",
-                                     slide="1 hour", value_col="cents",
-                                     partition_by="user_id")
-                .to_pandas().sort_values(["user_id", "window_start"])
-                .reset_index(drop=True))
-    W2 = 2 * 3600 * 10**6
-    exp_u = con.execute(f"""
-        WITH b AS (SELECT CAST(epoch_us(ts) AS BIGINT) AS t, user_id,
-                          CAST(round(value * 100) AS BIGINT) AS cents
-                   FROM read_parquet('{src}')),
-        ks AS (SELECT UNNEST(generate_series(
-                   (SELECT (MIN(t) - {W2}) // {S} + 1 FROM b),
-                   (SELECT MAX(t) // {S} FROM b))) AS k)
-        SELECT user_id, k * {S} AS window_start,
-               COUNT(*) AS n_events, SUM(cents) AS value_sum
-        FROM b JOIN ks ON k * {S} <= t AND t < k * {S} + {W2}
-        GROUP BY 1, 2 ORDER BY 1, 2
-    """).fetchdf()
-    assert len(per_user) == len(exp_u)
-    assert (per_user["user_id"].to_numpy()
-            == exp_u["user_id"].to_numpy()).all()
-    assert (per_user["n_events"].to_numpy()
-            == exp_u["n_events"].to_numpy()).all()
-    assert [int(v) for v in per_user["value_sum"]] == \
-        [int(v) for v in exp_u["value_sum"]]
-
-    tumb = (hopping_window_stats(ds, ts_col="ts", width="1 hour",
-                                 slide="1 hour")
-            .to_pandas())
-    assert tumb["n_events"].sum() == n_rows  # tumbling: each event once
-
-
-def test_hopping_window_rejects_bad_params(ray_session):
-    import ray.data as rd
-
-    from great_expectations_ray.functions.window_rank import (
-        hopping_window_stats,
-    )
-
-    ds = rd.read_parquet("/root/testdata/sf0.001/events.parquet",
-                         columns=["ts"])
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        hopping_window_stats(ds, ts_col="ts", width="0 hours",
-                             slide="1 hour")

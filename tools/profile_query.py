@@ -1,7 +1,12 @@
-"""Per-stage profile of a catalog query: run one registered catalog entry
-and print Ray Data's per-operator wall/cpu/blocked breakdown (ds.stats())
-for every Dataset the query executes — the measure-don't-guess loop for
-deciding whether a stage is compute-bound or waste.
+"""Per-operator profile of a catalog query: run one registered catalog
+entry, then print for every Dataset the Ray session executed its state and
+total wall time, and per operator its state, finished task count and output
+rows.
+
+The numbers come from Ray Data's private per-session stats actor
+(``ray.data._internal.stats._get_or_create_stats_actor``), not from
+``ds.stats()``, so they cover the Datasets a query builds internally too.
+They hold no per-operator cpu or blocked time.
 
 Run:  python tools/profile_query.py <query_name> [sf_dir] [num_cpus]
 """
@@ -33,9 +38,8 @@ def main(name: str, sf_dir: str, ncpus: int) -> int:
         return 2
     fn = dq.CATALOG[name].fn
 
-    # capture stats of every dataset executed during the query by hooking
-    # the executor registry: easiest robust route is to run the query and
-    # read the per-dataset stats Ray keeps for the session
+    # the stats actor keeps metadata of every Dataset the session executed,
+    # including the ones the query builds internally
     from ray.data._internal.stats import _get_or_create_stats_actor
 
     t0 = time.time()
