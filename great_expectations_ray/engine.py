@@ -70,6 +70,7 @@ from great_expectations_ray.functions.aggregates import (
 from great_expectations_ray.functions.bucketed import group_aggregate
 from great_expectations_ray.functions.column_map import CONDITION_KERNELS, KernelResult
 from great_expectations_ray.functions.table import TABLE_RULES
+from great_expectations_ray.stages._per_worker import unsplit_reads
 
 TWO_PHASE_TYPES = {
     "expect_column_value_z_scores_to_be_less_than",
@@ -816,6 +817,7 @@ def _dataset_arrow_schema(ds) -> pa.Schema:
         return sch.base_schema  # older wrapper
 
 
+@unsplit_reads()
 def validate(
     ds,
     suite: ExpectationSuite,

@@ -66,6 +66,7 @@ from great_expectations_ray.engine import (
     _two_phase_rules,
     compile_suite,
 )
+from great_expectations_ray.stages._per_worker import unsplit_reads
 
 _UNSUPPORTED_FAMILIES = (
     ("ks_rules", "KS tests (per-group exact KS: functions/ks.py "
@@ -231,6 +232,7 @@ class _GroupedEvaluator:
         return pa.table(cols)
 
 
+@unsplit_reads()
 def validate_grouped(
     ds,
     suite: ExpectationSuite,
@@ -331,6 +333,7 @@ def _grouped_two_phase(ds, by: str | list[str], plan, merged_by_key: dict,
     return states
 
 
+@unsplit_reads()
 def validate_grouped_wide(
     ds,
     suite: ExpectationSuite,
@@ -349,12 +352,14 @@ def validate_grouped_wide(
     exchange (``functions/bucketed.py grouped_apply_bucketed``): each bucket
     task merges its keys' partials and runs the engine's merged-state
     finisher (engine.py ``_finish_suite``), emitting one verdict row per
-    group.  Returns a Ray Dataset of ``(group_key, success,
+    group.  Returns a materialized Ray Dataset of ``(group_key, success,
     evaluated_expectations, successful_expectations,
     unsuccessful_expectations, row_count[, result_json])`` — consume it with
     ``write_parquet`` / ``filter`` like any other Dataset; the driver never
-    sees per-group state.  Per-group verdicts are pinned equal to
-    :func:`validate_grouped`'s by test.
+    sees per-group state.  It is materialized so that its read is planned
+    inside the call, unsplit (``unsplit_reads``); the verdict rows are
+    fewer than the partials the exchange holds anyway.  Per-group verdicts
+    are pinned equal to :func:`validate_grouped`'s by test.
 
     ``include_results=True`` adds the full per-group suite result as a JSON
     column (bounded per group by the suite size and the capped unexpected
@@ -424,4 +429,4 @@ def validate_grouped_wide(
         return out
 
     return grouped_apply_bucketed(parts, key_names, finish_bucket,
-                                  n_buckets=n_buckets)
+                                  n_buckets=n_buckets).materialize()

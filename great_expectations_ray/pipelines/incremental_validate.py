@@ -39,6 +39,7 @@ from great_expectations_ray.pipelines.grouped import (
     _UNSUPPORTED_WIDE,
     _compile_mergeable,
 )
+from great_expectations_ray.stages._per_worker import unsplit_reads
 
 #: 2: temporal min/max in NumericAggState hold exact int64 epochs;
 #: 3: value counts are typed Arrow ``(values, counts)`` arrays, not a dict
@@ -57,6 +58,7 @@ class SuiteValidationState:
 
     # -- build ---------------------------------------------------------------
     @classmethod
+    @unsplit_reads()
     def compute(cls, ds, suite: ExpectationSuite) -> "SuiteValidationState":
         """ONE streaming pass over ``ds`` -> this partition's state."""
         _, evaluator = _compile_mergeable(

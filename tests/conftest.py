@@ -8,12 +8,15 @@ import ray
 
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():
+    # workers' prints stay in their log files: forwarded to the driver they
+    # land in the stdout the CLI tests parse as JSON
     ray.init(
         address="local",
         num_cpus=4,
         include_dashboard=False,
         ignore_reinit_error=True,
         logging_level="ERROR",
+        log_to_driver=False,
     )
     from ray.data import DataContext
 
