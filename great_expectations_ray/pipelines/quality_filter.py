@@ -16,8 +16,11 @@ Stage graph: ONE streaming pass, no mid-pipeline materialization:
            -> RuleEvalScrub: ALL row rules -> keep mask + rule bitmap
               + scrub + sha256 lineage
          then, per batch (windows joined in order):
-           -> SinkStage (write mode): kept rows (scrubbed content) to data/,
-              content-free lineage to lineage/, emit the rollup partial
+           -> SinkStage (write mode), each fact written once: kept rows to
+              data/ (the input's columns, content scrubbed, + the scores;
+              sorted by lang, repo), content-free lineage of all rows
+              (row keys, digests, scrub hit, rule bitmap, keep) to
+              lineage/, emit the rollup partial
     rollup: per-batch partial counts per rollup key (default repo, lang)
             -> one in-process merge of the partials
             -> GX-shaped per-partition suite results (validation_statistics.py:19-42)
@@ -225,10 +228,14 @@ class FusedQualityStage:
         return self.rules(tbl)
 
 
-LINEAGE_COLS = [
-    "repo", "path", "commit", "lang", "content_sha256", "scrubbed_sha256",
-    "scrub_hit", "rule_bitmap", "keep",
+#: the row keys: the only columns written to both ``data/`` and ``lineage/``
+ROW_KEYS = ["repo", "path", "commit", "lang"]
+LINEAGE_COLS = ROW_KEYS + [
+    "content_sha256", "scrubbed_sha256", "scrub_hit", "rule_bitmap", "keep",
 ]
+#: each data fragment's row order, low-cardinality keys first: long runs of
+#: equal values shrink Parquet's dictionary and run-length pages
+DATA_SORT_KEYS = ("lang", "repo")
 
 
 def rollup_partial_fn(key_list: list[str], n_rules: int):
@@ -326,12 +333,50 @@ def rollup(scored_ds, suite: ExpectationSuite, keys=("repo", "lang")) -> list[di
     return _rollup_from_partials(partials, suite, keys)
 
 
+def _fragment_name(tbl: pa.Table, prefix: str = "part") -> str:
+    """Content-addressed fragment name over the batch's FULL key columns: a
+    retried task re-emitting the identical batch rewrites the same file
+    (idempotent), while two different batches that happen to share a first
+    row + row count can never collide/overwrite (per-row 64-bit key hashes
+    folded into one digest; cross-batch collision ~2^-64).  A retry that
+    re-splits batches produces new names; the per-partition manifest
+    fingerprint remains the completeness guard."""
+    from great_expectations_ray.functions.bucketed import poly_hash_strings
+
+    key_cols = [c for c in ("repo", "path", "commit") if c in tbl.column_names]
+    row_h = np.zeros(tbl.num_rows, dtype=np.uint64)
+    for c in key_cols:
+        row_h = row_h * np.uint64(1099511628211) + poly_hash_strings(tbl.column(c))
+    return f"{prefix}-{hashlib.sha256(row_h.tobytes()).hexdigest()[:24]}.parquet"
+
+
+def _write_data_fragment(kept: pa.Table, data_dir: str, name: str) -> None:
+    """Write kept rows as one ``data/`` fragment: the input's columns
+    (``content`` scrubbed) and the score columns, each fact once.  The
+    digests, ``scrub_hit``, ``rule_bitmap`` and ``keep`` are left to
+    ``lineage/`` (the last two are constants on kept rows).  Rows are
+    stably sorted by ``DATA_SORT_KEYS``; zstd is ~2-4x smaller than snappy
+    on source code."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    kept = kept.select([c for c in kept.column_names
+                        if c in ROW_KEYS or c not in LINEAGE_COLS])
+    keys = [(c, "ascending") for c in DATA_SORT_KEYS if c in kept.column_names]
+    if keys:
+        kept = kept.take(pc.sort_indices(kept, sort_keys=keys))
+    os.makedirs(data_dir, exist_ok=True)
+    pq.write_table(kept, os.path.join(data_dir, name), compression="zstd")
+
+
 class SinkStage:
     """Terminal fused stage for write-mode runs: per batch, writes the kept
-    rows (scrubbed content) to ``data/`` and the content-free lineage of ALL
-    rows to ``lineage/``, then emits only the tiny rollup partial — so the
-    whole pipeline is ONE streaming pass with no re-execution and nothing
-    large ever returns to the driver."""
+    rows to ``data/`` (``_write_data_fragment``) and the content-free lineage
+    of ALL rows (``LINEAGE_COLS``, in batch order) to ``lineage/``, both
+    under one ``_fragment_name``, then emits only the tiny rollup partial —
+    so the whole pipeline is ONE streaming pass with no re-execution and
+    nothing large ever returns to the driver."""
 
     def __init__(self, data_dir: Optional[str], lineage_dir: str,
                  key_list: list[str], n_rules: int, prefix: str = "part",
@@ -350,34 +395,39 @@ class SinkStage:
         kept_tbl = tbl.filter(np.asarray(tbl.column("keep"), dtype=bool))
         if tbl.num_rows:
             os.makedirs(self.lineage_dir, exist_ok=True)
-            # content-addressed fragment name over the batch's FULL key
-            # columns: a retried task re-emitting the identical batch
-            # rewrites the same file (idempotent), while two different
-            # batches that happen to share a first row + row count can never
-            # collide/overwrite (per-row 64-bit key hashes folded into one
-            # digest; cross-batch collision ~2^-64).  A retry that re-splits
-            # batches produces new names; the per-partition manifest
-            # fingerprint remains the completeness guard.
-            from great_expectations_ray.functions.bucketed import poly_hash_strings
-
-            key_cols = [c for c in ("repo", "path", "commit") if c in tbl.column_names]
-            row_h = np.zeros(tbl.num_rows, dtype=np.uint64)
-            for c in key_cols:
-                row_h = row_h * np.uint64(1099511628211) + poly_hash_strings(tbl.column(c))
-            frag = hashlib.sha256(row_h.tobytes()).hexdigest()[:24]
-            name = f"{self.prefix}-{frag}.parquet"
-            # zstd: ~2-4x smaller than snappy on source code, keeps the sink
-            # off the disk-bandwidth floor
+            name = _fragment_name(tbl, self.prefix)
             if self.data_dir and kept_tbl.num_rows:
-                os.makedirs(self.data_dir, exist_ok=True)
-                pq.write_table(kept_tbl, os.path.join(self.data_dir, name),
-                               compression="zstd")
+                _write_data_fragment(kept_tbl, self.data_dir, name)
             lineage = [c for c in LINEAGE_COLS if c in tbl.column_names]
             pq.write_table(tbl.select(lineage), os.path.join(self.lineage_dir, name),
                            compression="zstd")
         if self.emit == "kept_rows":
             return kept_tbl
         return self.partial(tbl)
+
+
+def _write_data_fragments(ds, data_dir: str) -> int:
+    """Write each block of ``ds`` (kept rows) as one ``data/`` fragment,
+    named and laid out as ``SinkStage`` writes its own, in the one
+    execution of ``ds``.  Returns the rows written, read from the
+    fragments' Parquet footers."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+    from ray.data import Datasink
+    from ray.data.block import BlockAccessor
+
+    class DataFragments(Datasink):
+        def write(self, blocks, ctx):
+            for block in blocks:
+                tbl = BlockAccessor.for_block(block).to_arrow()
+                if tbl.num_rows:
+                    _write_data_fragment(tbl, data_dir, _fragment_name(tbl))
+
+    ds.write_datasink(DataFragments())
+    return sum(pq.read_metadata(f).num_rows
+               for f in glob.glob(os.path.join(data_dir, "*.parquet")))
 
 
 _MISSING_COLUMNS = "quality filter input is missing column(s)"
@@ -509,8 +559,9 @@ def run_quality_filter(
     if config.dedup == "exact":
         # pass 1: score/scrub, write lineage for ALL rows, stream kept rows
         # into ONE hash shuffle on scrubbed sha256 (global keep-first by
-        # path), then write the deduplicated data; rollup partials come from
-        # the written lineage (cheap columnar re-read)
+        # path), then write the deduplicated data in SinkStage's data layout;
+        # rollup partials come from the written lineage (cheap columnar
+        # re-read)
         import ray.data as rd
 
         from great_expectations_ray.stages.dedup import dedup_exact
@@ -522,7 +573,7 @@ def run_quality_filter(
             zero_copy_batch=True,
         )
         deduped = dedup_exact(kept, ["scrubbed_sha256"], order_by="path")
-        deduped.write_parquet(data_dir)
+        kept_after = _write_data_fragments(deduped, data_dir)
         lineage_ds = rd.read_parquet(lineage_dir)
         partials = lineage_ds.map_batches(
             rollup_partial_fn(list(config.rollup_keys), len(rule_configs)),
@@ -530,7 +581,6 @@ def run_quality_filter(
         )
         report = _rollup_from_partials(partials, effective_suite, config.rollup_keys)
         kept_before = sum(r["keep_count"] for r in report)
-        kept_after = rd.read_parquet(data_dir).count()
         return {
             "data_dir": data_dir, "lineage_dir": lineage_dir, "rollup": report,
             "dedup": {"kept_before": kept_before, "kept_after": kept_after,

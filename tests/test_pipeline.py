@@ -150,6 +150,78 @@ def test_quality_filter_with_exact_dedup(tmp_path):
     assert sorted(data.path) == sorted(expected_keep.path)
 
 
+
+#: the score columns the default config's stage computes (TextStats only
+#: computes the stats its suite judges)
+SCORE_COLS = ["max_line_len", "alnum_ratio", "lang_pred", "langid_score", "perplexity"]
+
+
+@pytest.mark.parametrize("dedup", [None, "exact"])
+def test_output_writes_each_fact_once(tmp_path, dedup):
+    """``data/`` holds the input's columns and the scores; ``lineage/``
+    holds ``LINEAGE_COLS``; the row keys are the only columns in both, so
+    no digest, keep flag or rule bitmap is written twice."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from great_expectations_ray.pipelines.quality_filter import LINEAGE_COLS
+
+    out = run_quality_filter(corpus_dataset(400, blocks=2), QualityFilterConfig(dedup=dedup),
+                             output_dir=str(tmp_path))
+    schemas = {}
+    for sub in ("data", "lineage"):
+        files = glob.glob(f"{tmp_path}/{sub}/*.parquet")
+        assert files, sub
+        names = {tuple(pq.read_schema(f).names) for f in files}
+        assert len(names) == 1, names
+        schemas[sub] = list(names.pop())
+    assert schemas["data"] == corpus_batch(0, 1).column_names + SCORE_COLS
+    assert schemas["lineage"] == LINEAGE_COLS
+    assert set(schemas["data"]) & set(schemas["lineage"]) == {"repo", "path", "commit", "lang"}
+    kept = sum(r["keep_count"] for r in out["rollup"])
+    data_rows = sum(pq.read_metadata(f).num_rows
+                    for f in glob.glob(f"{tmp_path}/data/*.parquet"))
+    assert data_rows == (kept if dedup is None else out["dedup"]["kept_after"])
+
+
+def test_sink_is_idempotent_and_sorts_data_stably(tmp_path):
+    """``SinkStage`` called twice on one batch writes the same fragment
+    name with identical bytes.  Its data fragment holds the kept rows
+    stably sorted by ``(lang, repo)``; its lineage fragment holds every row
+    in batch order."""
+    import pyarrow.parquet as pq
+
+    from great_expectations_ray.pipelines.quality_filter import FusedQualityStage, SinkStage
+
+    cfg = QualityFilterConfig(use_perplexity=False)
+    rules = [c for c in cfg.suite.resolved_expectations()
+             if c.kwargs.get("column") != "perplexity"]
+    keys = list(cfg.rollup_keys)
+    scored = FusedQualityStage(rules, cfg.scrub_rules, key_list=keys)(corpus_batch(0, 600))
+
+    def written(out_dir):
+        return {f"{sub}/{f.name}": f.read_bytes()
+                for sub in ("data", "lineage") for f in (out_dir / sub).iterdir()}
+
+    sink = SinkStage(str(tmp_path / "a/data"), str(tmp_path / "a/lineage"), keys, len(rules))
+    sink(scored)
+    first = written(tmp_path / "a")
+    sink(scored)
+    SinkStage(str(tmp_path / "b/data"), str(tmp_path / "b/lineage"), keys, len(rules))(scored)
+    assert len(first) == 2
+    assert written(tmp_path / "a") == first == written(tmp_path / "b")
+
+    kept = scored.filter(scored.column("keep")).to_pydict()
+    order = sorted(range(len(kept["path"])), key=lambda i: (kept["lang"][i], kept["repo"][i]))
+    want = [kept["path"][i] for i in order]
+    assert want != kept["path"]  # the sort moves rows: not vacuous
+    data_file, lineage_file = sorted(first)
+    assert pq.read_table(tmp_path / "a" / data_file).column("path").to_pylist() == want
+    assert (pq.read_table(tmp_path / "a" / lineage_file).column("path").to_pylist()
+            == scored.column("path").to_pylist())
+
+
 def test_missing_rollup_key_fails_fast():
     """The input schema check covers the configured rollup keys: on an
     input whose schema Ray knows, a missing custom key raises on the driver

@@ -221,6 +221,48 @@ def test_large_rows_through_write_mode(large, model, tmp_path):
         assert lineage.column(c).to_pylist() == ref[c], c
 
 
+
+def test_large_rows_through_exact_dedup(large, model, tmp_path):
+    """The exact-dedup write path over the same rows, kept by a suite that
+    drops none: each data fragment holds the scrubbed rows, still
+    ``large_string`` after the fragment's ``(lang, repo)`` sort reorders
+    them, and lineage holds the reference digests."""
+    import ray.data as rd
+
+    rows, ref = large
+    lm = tmp_path / "lm.npy"
+    np.save(lm, model)
+    n = len(rows)
+    # repo names in reverse row order, so the sort moves every row
+    src = pa.table({"repo": [f"r{n - i}" for i in range(n)],
+                    "path": [f"p{i}" for i in range(n)],
+                    "commit": ["c"] * n, "lang": ["python"] * n,
+                    "content": pa.array(rows, pa.large_string())})
+    pq.write_table(src, tmp_path / "in.parquet")
+    suite = qf.ExpectationSuite("keep_all").add(
+        "expect_column_values_to_not_be_null", column="content")
+    out = qf.run_quality_filter(
+        rd.read_parquet(str(tmp_path / "in.parquet")),
+        qf.QualityFilterConfig(suite=suite, dedup="exact",
+                               perplexity_model_path=str(lm)),
+        output_dir=str(tmp_path / "out"))
+    assert out["dedup"] == {"kept_before": n, "kept_after": n, "duplicates_removed": 0}
+    frags = [pq.read_table(f) for f in glob.glob(str(tmp_path / "out/data/*.parquet"))]
+    for frag in frags:
+        assert frag.schema.field("content").type == pa.large_string()
+        repos = frag.column("repo").to_pylist()
+        assert repos == sorted(repos)
+    data = pa.concat_tables(frags).sort_by("path")
+    assert data.column("path").to_pylist() == src.column("path").to_pylist()
+    assert [hashlib.sha256(c.encode()).hexdigest()
+            for c in data.column("content").to_pylist()] == ref["scrubbed_sha256"]
+    lineage = pa.concat_tables(
+        pq.read_table(f) for f in glob.glob(str(tmp_path / "out/lineage/*.parquet")))
+    lineage = lineage.sort_by("path")
+    for c in ("content_sha256", "scrubbed_sha256"):
+        assert lineage.column(c).to_pylist() == ref[c], c
+
+
 def test_text_stats_temporaries_are_bounded_by_the_window(large):
     """Peak numpy temporaries of one ``TextStats`` call stay a small
     multiple of the window (or of one long row's packed piece), not of the
